@@ -23,7 +23,7 @@ import pytest
 from bench_util import report
 
 from repro.analysis import is_proper_coloring
-from repro.core.pipeline import delta_plus_one_coloring
+from repro.recipes import delta_plus_one_coloring
 from repro.graphgen import circulant_graph
 from repro.runtime.csr import numpy_available
 

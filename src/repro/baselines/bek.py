@@ -207,7 +207,7 @@ def bek_delta_plus_one(graph, backend="auto"):
 
     The output is verified proper and within ``[0, Delta]`` before returning.
     ``backend`` selects the execution tier for every internal engine run and
-    the merge sweeps (``auto``/``batch``/``numba``/``reference``); results
+    the merge sweeps (``auto``/``batch``/``reference``); results
     are bit-identical across backends.
     """
     colors, rounds, depth = _recursive_color(graph, 0, backend=backend)

@@ -12,10 +12,10 @@ vertices of one wave are pairwise non-adjacent (an edge between them would
 make one the earlier neighbor of the other), so a whole wave can pick its
 smallest free color from one boolean occupancy matrix — bit-identical to
 the sequential sweep, in ``depth(pi)`` array rounds instead of ``n`` Python
-steps.  With Numba available the sweep instead runs as one fused raw loop
-(:func:`repro.runtime.native.greedy_assign`).
+steps.
 """
 
+from repro.runtime.backends import resolve_backend
 from repro.runtime.csr import numpy_or_none
 
 __all__ = ["greedy_coloring"]
@@ -27,9 +27,9 @@ def greedy_coloring(graph, order=None, backend="auto"):
     Returns a list of colors in ``range(Delta + 1)`` (entries stay ``None``
     for vertices a partial ``order`` never visits).  All backends produce
     bit-identical output: ``reference`` is the plain Python sweep, ``batch``
-    the wave-parallel NumPy path, ``numba`` the fused native loop, ``auto``
-    the best available.
+    the wave-parallel NumPy path, ``auto`` the best available.
     """
+    resolve_backend("engine", backend)  # unknown names fail as in the engines
     if backend == "oocore" or type(graph).__name__ == "ShardedCSRGraph":
         # Out-of-core graphs never materialize a full CSR; the sharded
         # first-fit sweep is bit-identical to this function's natural order.
@@ -52,17 +52,6 @@ def greedy_coloring(graph, order=None, backend="auto"):
         return _greedy_reference(graph, order)
     order_list = list(range(n)) if order is None else list(order)
     csr = graph.csr()
-    if backend in ("auto", "numba"):
-        from repro.runtime.native import greedy_kernel, native_default
-
-        if backend == "numba" or native_default():
-            kernel = greedy_kernel()
-            if kernel is not None:
-                order_arr = np.asarray(order_list, dtype=np.int64)
-                colors = np.full(n, -1, dtype=np.int64)
-                stamp = np.full(graph.max_degree + 2, -1, dtype=np.int64)
-                kernel(csr.indptr, csr.indices, order_arr, stamp, colors)
-                return [c if c >= 0 else None for c in colors.tolist()]
     if sorted(order_list) != list(range(n)):
         # Partial or repeating orders revisit vertices; the wave argument
         # needs a permutation.  These only appear in tiny oracle checks.

@@ -24,6 +24,7 @@ break the same symmetry instantly through their ROM-resident IDs.
 
 import random
 
+from repro.runtime.backends import resolve_backend
 from repro.runtime.csr import numpy_or_none
 from repro.selfstab.engine import SelfStabAlgorithm
 
@@ -39,6 +40,7 @@ def _batch_np(backend):
     seeded PRNG in the identical call sequence, so results are bit-for-bit
     equal across backends.
     """
+    resolve_backend("engine", backend)  # unknown names fail as in the engines
     if backend == "reference":
         return None
     np = numpy_or_none()

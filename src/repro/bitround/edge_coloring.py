@@ -34,6 +34,7 @@ from repro.defective.kuhn_edge import kuhn_defective_edge_coloring
 from repro.edge.line_graph import build_line_graph
 from repro.linial.cole_vishkin import cole_vishkin_three_coloring
 from repro.runtime.algorithm import NetworkInfo
+from repro.runtime.backends import resolve_backend
 from repro.runtime.csr import numpy_or_none
 from repro.runtime.results import Result
 
@@ -140,6 +141,7 @@ def run_edge_coloring_bit_protocol(graph, exact=True, neighbor_ids_known=False,
 
     Returns a :class:`BitRoundEdgeColoringRun`.
     """
+    resolve_backend("engine", backend)  # unknown names fail as in the engines
     np = None if backend == "reference" else numpy_or_none()
     if np is not None and hasattr(graph, "csr"):
         return _batch(graph, np, exact, neighbor_ids_known)

@@ -17,7 +17,7 @@ according to the rule") made executable for *vertex* coloring:
 
 Per-neighbor replicas are asserted equal to the true colors after every
 round; the final coloring is bit-identical to
-:func:`repro.core.pipeline.delta_plus_one_coloring` on the same graph.
+:func:`repro.recipes.delta_plus_one_coloring` on the same graph.
 """
 
 import math
@@ -27,6 +27,7 @@ from repro.core.ag import AdditiveGroupColoring
 from repro.core.reductions import StandardColorReduction
 from repro.linial.core import LinialColoring, linial_next_color, linial_round_batch
 from repro.runtime.algorithm import NetworkInfo
+from repro.runtime.backends import resolve_backend
 from repro.runtime.csr import numpy_or_none
 from repro.runtime.results import Result
 
@@ -92,6 +93,7 @@ def run_vertex_coloring_bit_protocol(graph, backend="auto"):
     queue, i.e. the widest message any direction carries that round).  Both
     tiers return bit-identical colors, round counts, and ledgers.
     """
+    resolve_backend("engine", backend)  # unknown names fail as in the engines
     np = None if backend == "reference" else numpy_or_none()
     if np is not None and hasattr(graph, "csr"):
         return _batch(graph, np)

@@ -13,8 +13,9 @@
 * :mod:`repro.core.arbdefective` — ArbAG (Section 6): the conflict-tolerant
   variant computing ``O(p)``-arbdefective ``O(Delta/p)``-colorings.
 * :mod:`repro.core.reductions` — the classical standard color reduction.
-* :mod:`repro.core.pipeline` — ready-made end-to-end colorings
-  (Corollary 3.6, Section 7 exact, Theorem 6.4 sublinear).
+
+The ready-made end-to-end colorings (Corollary 3.6, Section 7 exact,
+Theorem 6.4 sublinear) live in :mod:`repro.recipes` and are re-exported here.
 """
 
 from repro.core.ag import AdditiveGroupColoring
@@ -23,11 +24,14 @@ from repro.core.agn import AdditiveGroupZN
 from repro.core.hybrid import ExactDeltaPlusOneHybrid
 from repro.core.arbdefective import ArbAGColoring
 from repro.core.reductions import StandardColorReduction
-from repro.core.pipeline import (
-    delta_plus_one_coloring,
-    delta_plus_one_exact_no_reduction,
-    one_plus_eps_delta_coloring,
-    sublinear_delta_plus_one_coloring,
+
+# The recipes import this package's stages, so they are re-exported lazily:
+# an import of repro.recipes here would be circular.
+_RECIPES = (
+    "delta_plus_one_coloring",
+    "delta_plus_one_exact_no_reduction",
+    "one_plus_eps_delta_coloring",
+    "sublinear_delta_plus_one_coloring",
 )
 
 __all__ = [
@@ -37,8 +41,12 @@ __all__ = [
     "ExactDeltaPlusOneHybrid",
     "ArbAGColoring",
     "StandardColorReduction",
-    "delta_plus_one_coloring",
-    "delta_plus_one_exact_no_reduction",
-    "one_plus_eps_delta_coloring",
-    "sublinear_delta_plus_one_coloring",
-]
+] + list(_RECIPES)
+
+
+def __getattr__(name):
+    if name in _RECIPES:
+        from repro import recipes
+
+        return getattr(recipes, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -197,7 +197,7 @@ def edge_coloring_congest(graph, exact=True, neighbor_ids_known=False,
         Skip the initial ID exchange (Lemma 5.2, second statement).
     backend:
         Execution tier for the Kuhn stage, the line-graph build, and the
-        line-graph engine runs (``auto``/``batch``/``numba``/``reference``);
+        line-graph engine runs (``auto``/``batch``/``reference``);
         every tier returns the identical result.
 
     Returns an :class:`EdgeColoringResult`.

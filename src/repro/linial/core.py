@@ -160,11 +160,12 @@ class LinialColoring(LocallyIterativeColoring):
     # -- batch protocol (see repro.runtime.fast_engine) -------------------------
     #
     # State: the current color as a single int64 array.  Each round encodes
-    # all n colors as one base-q coefficient matrix, evaluates every
-    # candidate point with a Vandermonde-style modular matmul, and picks each
-    # vertex's smallest conflict-free point with a masked scatter over the
-    # CSR neighborhood.  The conflict test is pure existence over *distinct*
-    # neighbor colors, so the kernel is identical in LOCAL and SET-LOCAL.
+    # all n colors as one base-q coefficient matrix, then scans candidate
+    # points one at a time — one Horner column mod q per point — and gives
+    # each still-pending vertex the first point that no neighbor shares,
+    # stopping once none is pending.  The conflict test is pure existence
+    # over *distinct* neighbor colors, so the kernel is identical in LOCAL
+    # and SET-LOCAL.
 
     def batch_encode_initial(self, initial):
         """Vectorized ``encode_initial`` (identity, like the scalar path)."""

@@ -15,10 +15,10 @@ Round structure per stage run:
    shard on its local CSR, exchanging only boundary (halo) colors between
    rounds; per-round ``changed``/``finalized``/``conflicts`` aggregate to
    exactly the batch engine's numbers because vertex ownership is a
-   partition and forward edges are counted at their smaller endpoint;
-3. decode: ``batch_decode_final`` shard by shard (ascending, so the first
-   out-of-palette vertex matches the batch engine's error) into both the
-   persistent ``colors.i64`` plane and the result array.
+   partition and forward edges are counted at their smaller endpoint
+   (conflicts after the round barrier, from the plane just written);
+3. decode: ``batch_decode_final`` shard by shard into both the persistent
+   ``colors.i64`` plane and the result array.
 
 The engine refuses stages without the batch protocol (there is no scalar
 fallback out of core) and ``record_history`` (O(rounds * n) by definition).
@@ -30,10 +30,9 @@ shard with the wave-parallel kernel — bit-identical to
 
 import shutil
 import tempfile
-import time
 
-from repro.errors import ImproperColoringError, PaletteOverflowError
 from repro.obs import core as obs
+from repro.obs import flight
 from repro.oocore.store import (
     MemoryBudgetError,
     PlaneStore,
@@ -43,13 +42,11 @@ from repro.oocore.store import (
     release_pages,
     scratch_root,
 )
-from repro.runtime.algorithm import NetworkInfo
 from repro.runtime.csr import numpy_or_none
-from repro.runtime.engine import RunResult, Visibility
-from repro.runtime.fast_engine import BatchColoringEngine, batch_supported
-from repro.runtime.metrics import MetricsLog, RoundMetrics
+from repro.runtime.engine import RunResult, Visibility, drive
+from repro.runtime.fast_engine import ColumnState, batch_supported, scalar_colors
 
-__all__ = ["OocoreColoringEngine", "OocoreRunResult", "oocore_greedy"]
+__all__ = ["OocoreColoringEngine", "OocoreRunResult", "ShardState", "oocore_greedy"]
 
 #: Above this many vertices the engine stops pinning the full final state in
 #: RAM, and ``result.colors`` (scalar tuples) becomes unavailable — the
@@ -97,9 +94,7 @@ class OocoreRunResult(RunResult):
                     "scalar color tuples are not retained above %d vertices; "
                     "use result.int_colors_array" % _SCALAR_STATE_LIMIT
                 )
-            self._colors = BatchColoringEngine._to_scalar(
-                self._stage, self._final_state
-            )
+            self._colors = scalar_colors(self._stage, self._final_state)
         return self._colors
 
     @property
@@ -133,8 +128,7 @@ class OocoreColoringEngine:
         workers=None,
         scratch=None,
     ):
-        np = numpy_or_none()
-        if np is None:
+        if numpy_or_none() is None:
             raise RuntimeError(
                 "backend='oocore' needs NumPy; install it with "
                 "`pip install repro[fast]`"
@@ -144,7 +138,6 @@ class OocoreColoringEngine:
                 "record_history is not supported by the oocore engine "
                 "(it is O(rounds * n) resident by definition)"
             )
-        self._np = np
         self._owned_dir = None
         if not isinstance(graph, ShardedCSRGraph):
             from repro.oocore.writers import shard_static_graph
@@ -168,7 +161,6 @@ class OocoreColoringEngine:
     # -- budget accounting ------------------------------------------------------
 
     def _max_shard_extents(self):
-        np = self._np
         graph = self.graph
         indptr = graph._indptr_memmap()
         max_k = max_slots = 0
@@ -208,198 +200,124 @@ class OocoreColoringEngine:
             )
         return planned
 
-    # -- the run loop -----------------------------------------------------------
+    # -- the run ---------------------------------------------------------------
 
     def run(self, stage, initial_coloring, in_palette_size=None,
             max_rounds=None, configure=True):
         """Execute ``stage``; contract and outputs as the batch engine."""
-        with obs.active().span(
-            "engine.run", stage=getattr(stage, "name", "stage"), backend="oocore"
-        ):
-            return self._run_impl(
-                stage, initial_coloring, in_palette_size, max_rounds, configure
-            )
-
-    def _run_impl(self, stage, initial_coloring, in_palette_size,
-                  max_rounds, configure):
-        np = self._np
-        graph = self.graph
         if not batch_supported(stage):
             raise RuntimeError(
                 "stage %s has no batch kernel; the oocore engine requires "
                 "the batch protocol" % getattr(stage, "name", stage)
             )
-        if len(initial_coloring) != graph.n:
-            raise ValueError("initial coloring must assign a color to every vertex")
-        initial = np.asarray(initial_coloring, dtype=np.int64)
-        if in_palette_size is None:
-            in_palette_size = (int(initial.max()) + 1) if graph.n else 1
-        if configure:
-            stage.configure(NetworkInfo(graph.n, graph.max_degree, in_palette_size))
+        state = ShardState(self)
+        try:
+            return drive(
+                self, state, stage, initial_coloring, in_palette_size,
+                max_rounds, configure,
+            )
+        finally:
+            state.close()
 
+
+class ShardState(ColumnState):
+    """The out-of-core tier: int64 columns split over memory-mapped shards.
+
+    Owns, for one run, the double-buffered state planes, the
+    :class:`~repro.parallel.partition.PartitionRunner` that steps the shards,
+    the optional sampling profiler and a scratch directory; :meth:`close`
+    releases all of them.
+    """
+
+    backend = "oocore"
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.engine = engine
+        self.scratch = tempfile.mkdtemp(
+            prefix="repro-oocore-planes-", dir=engine._scratch_base
+        )
+        self.planes = self.runner = self.profiler = None
+        self.sampling = False
+
+    def encode(self, stage, initial):
+        initial = self.np.asarray(initial, dtype=self.np.int64)
+        self.stage = stage
+        graph = self.graph
         budget = memory_budget()
         tel = obs.active()
-        recording = tel.enabled
-        run_start = time.perf_counter() if recording else 0.0
-        round_rows = [] if recording else None
-        profiler = None
-        sampling = False
-        if recording:
+        if tel.enabled:
             # REPRO_PROFILE=1 turns the single end-of-run VmHWM reading into
             # a real memory timeline: RSS/CPU samples plus shard-residency
             # gauges every REPRO_PROFILE_INTERVAL seconds.
-            from repro.obs import flight
+            self.profiler = flight.maybe_profiler(tel)
+        # Encode shard by shard; the first shard reveals the component count
+        # so the planes can be sized.
+        finalized = written = 0
+        for lo, hi in graph.ranges:
+            if hi == lo:
+                continue
+            state = stage.batch_encode_initial(initial[lo:hi])
+            if self.planes is None:
+                self.planes = PlaneStore(self.scratch, graph.n, len(state))
+                if budget is not None:
+                    self.engine._enforce_budget(len(state), budget)
+            for comp, column in enumerate(state):
+                self.planes.view(0, comp)[lo:hi] = column
+                written += column.nbytes
+            finalized += int(stage.batch_is_final(state).sum())
+        if self.planes is None:  # empty graph
+            state = stage.batch_encode_initial(initial)
+            self.planes = PlaneStore(self.scratch, graph.n, len(state))
+        self.planes.release_resident()
 
-            profiler = flight.maybe_profiler(tel)
+        from repro.parallel.partition import PartitionRunner
 
-        scratch = tempfile.mkdtemp(prefix="repro-oocore-planes-", dir=self._scratch_base)
-        planes = None
-        runner = None
-        io_read = io_written = halo_bytes_total = 0
-        try:
-            # Encode shard by shard; the first shard reveals the component
-            # count so the planes can be sized.
-            planes = None
-            all_final = True
-            for lo, hi in graph.ranges:
-                if hi == lo:
-                    continue
-                state = stage.batch_encode_initial(initial[lo:hi])
-                if planes is None:
-                    planes = PlaneStore(scratch, graph.n, len(state))
-                    if budget is not None:
-                        self._enforce_budget(len(state), budget)
-                for comp, column in enumerate(state):
-                    planes.view(0, comp)[lo:hi] = column
-                    io_written += column.nbytes
-                all_final = all_final and bool(stage.batch_is_final(state).all())
-            if planes is None:  # empty graph
-                state = stage.batch_encode_initial(initial)
-                planes = PlaneStore(scratch, graph.n, len(state))
-            planes.release_resident()
+        cache_bytes = (budget // 4) if budget is not None else (256 << 20)
+        runner = self.runner = PartitionRunner(
+            graph, self.planes, stage, self.visibility,
+            workers=self.engine.workers, cache_bytes=cache_bytes,
+            release_planes=budget is not None,
+        )
+        runner.io_written += written
+        if self.profiler is not None:
+            # Shard-residency gauges ride along with every RSS sample: how
+            # much plane/halo state the round loop keeps hot.
+            ncomp = self.planes.ncomp
 
-            from repro.parallel.partition import PartitionRunner
+            def _residency():
+                return {
+                    "oocore.shards": graph.shards,
+                    "oocore.plane_bytes": 16 * graph.n * ncomp,
+                    "oocore.halo_slots": runner._halo_slots,
+                    "oocore.cache_bytes": cache_bytes,
+                }
 
-            cache_bytes = (budget // 4) if budget is not None else (256 << 20)
-            runner = PartitionRunner(
-                graph, planes, stage, self.visibility,
-                workers=self.workers, cache_bytes=cache_bytes,
-                release_planes=budget is not None,
-            )
-            if profiler is not None:
-                # Shard-residency gauges ride along with every RSS sample:
-                # how much plane/halo state the round loop keeps hot.
-                from repro.obs import flight
+            flight.register_sampler("oocore", _residency)
+            self.sampling = True
+        return finalized
 
-                ncomp = planes.ncomp
+    def advance(self, round_index):
+        return self.runner.run_round(round_index)
 
-                def _residency():
-                    return {
-                        "oocore.shards": graph.shards,
-                        "oocore.plane_bytes": 16 * graph.n * ncomp,
-                        "oocore.halo_slots": runner._halo_slots,
-                        "oocore.cache_bytes": cache_bytes,
-                    }
+    def conflicts(self):
+        # Counted after the round barrier from the plane just written, with
+        # every halo refilled from it (see PartitionRunner.count_conflicts).
+        return self.runner.count_conflicts()
 
-                flight.register_sampler("oocore", _residency)
-                sampling = True
-
-            metrics = MetricsLog()
-            if self.check_proper_each_round and stage.maintains_proper:
-                self._assert_proper(stage, planes, 0, -1)
-
-            bound = stage.rounds_bound if max_rounds is None else max_rounds
-            rounds_used = 0
-            src = 0
-            for round_index in range(bound):
-                if all_final:
-                    break
-                if recording:
-                    round_start = time.perf_counter()
-                agg = runner.run_round(
-                    round_index, src, want_conflicts=recording
-                )
-                changed = agg["changed"]
-                messages = 2 * graph.m
-                bits = messages * stage.message_bits(round_index)
-                metrics.record(RoundMetrics(round_index, messages, bits, changed))
-                src = 1 - src
-                rounds_used += 1
-                all_final = agg["all_final"]
-                io_read += agg["io_read"]
-                io_written += agg["io_written"]
-                halo_bytes_total += agg["halo_bytes"]
-                if recording:
-                    round_rows.append({
-                        "round": round_index,
-                        "messages": messages,
-                        "bits": bits,
-                        "changed": changed,
-                        "finalized": agg["finalized"],
-                        "conflicts": agg["conflicts"],
-                        "seconds": time.perf_counter() - round_start,
-                    })
-                if self.check_proper_each_round and stage.maintains_proper:
-                    self._assert_proper(stage, planes, src, round_index)
-                if changed == 0 and (
-                    stage.uniform_step
-                    or (
-                        stage.uniform_after is not None
-                        and round_index >= stage.uniform_after
-                    )
-                ):
-                    # Fixed point of a round-independent rule: identical
-                    # early exit to both in-memory engines.
-                    break
-
-            decoded, final_state = self._decode(stage, planes, src)
-            if recording:
-                self._record_run(
-                    tel, stage, in_palette_size, rounds_used, metrics,
-                    round_rows, time.perf_counter() - run_start,
-                    io_read, io_written, halo_bytes_total,
-                )
-            result = OocoreRunResult(stage, final_state, decoded, rounds_used, metrics)
-            return result
-        finally:
-            if profiler is not None:
-                if sampling:
-                    from repro.obs import flight
-
-                    flight.unregister_sampler("oocore")
-                profiler.stop()
-            if runner is not None:
-                runner.close()
-            if planes is not None:
-                planes.close()
-            shutil.rmtree(scratch, ignore_errors=True)
-
-    def _decode(self, stage, planes, src):
-        """Shard-by-shard decode into the colors plane and the result array.
-
-        Ascending shard order makes the first out-of-palette vertex global-
-        index-identical to the batch engine's ``PaletteOverflowError``.
-        """
-        np = self._np
-        graph = self.graph
+    def finish(self, palette_size, rounds_used, metrics, history):
+        """Decode shard by shard into the colors plane and the result array."""
+        np, graph, planes = self.np, self.graph, self.planes
         decoded = np.empty(graph.n, dtype=np.int64)
-        out = stage.out_palette_size
         colors_plane = graph.colors_plane() if graph.n else None
         for lo, hi in graph.ranges:
             if hi == lo:
                 continue
             state = tuple(
-                np.array(planes.view(src, comp)[lo:hi])
+                np.array(planes.view(self.runner.src, comp)[lo:hi])
                 for comp in range(planes.ncomp)
             )
-            part = stage.batch_decode_final(state)
-            bad = (part < 0) | (part >= out)
-            if bool(bad.any()):
-                i = int(np.argmax(bad))
-                raise PaletteOverflowError(
-                    "vertex %d got color %r outside palette of size %d (stage %s)"
-                    % (lo + i, int(part[i]), out, stage.name)
-                )
+            part = self.stage.batch_decode_final(state)
             decoded[lo:hi] = part
             colors_plane[lo:hi] = part
         if colors_plane is not None:
@@ -408,75 +326,35 @@ class OocoreColoringEngine:
         # Lazy scalar views (``result.colors``) need the full final state;
         # pin it only while that is cheap.  At out-of-core sizes the decoded
         # array is the product and scalar tuples stay unavailable.
+        final_state = None
         if graph.n <= _SCALAR_STATE_LIMIT:
             final_state = tuple(
-                np.array(planes.view(src, comp)[: graph.n])
+                np.array(planes.view(self.runner.src, comp)[: graph.n])
                 for comp in range(planes.ncomp)
             )
-        else:
-            final_state = None
-        return decoded, final_state
+        result = OocoreRunResult(self.stage, final_state, decoded, rounds_used, metrics)
+        return result, self.overflow(decoded, palette_size)
 
-    def _assert_proper(self, stage, planes, src, round_index):
-        """Mirror of the batch engine's per-round properness assertion."""
-        np = self._np
-        graph = self.graph
-        for shard_id in range(graph.shards):
-            local = graph.local(shard_id)
-            if local.lindices.shape[0] == 0:
-                continue
-            state = tuple(
-                np.concatenate([
-                    np.array(planes.view(src, comp)[local.lo:local.hi]),
-                    np.asarray(planes.view(src, comp))[local.halo],
-                ])
-                for comp in range(planes.ncomp)
-            )
-            fwd = local.global_indices() > local.owner_globals()
-            if not bool(fwd.any()):
-                continue
-            rows = local.csr().rows[: local.lindices.shape[0]][fwd]
-            nbrs = local.lindices[fwd]
-            equal = np.ones(rows.shape[0], dtype=bool)
-            for comp in state:
-                equal &= comp[nbrs] == comp[rows]
-            if bool(equal.any()):
-                i = int(np.argmax(equal))
-                u = int(rows[i]) + local.lo
-                v = int(local.global_indices()[np.nonzero(fwd)[0][i]])
-                color_state = tuple(
-                    np.array([comp[int(rows[i])]]) for comp in state
-                )
-                color = BatchColoringEngine._to_scalar(stage, color_state)[0]
-                raise ImproperColoringError(round_index, (u, v), color)
-
-    def _record_run(self, tel, stage, in_palette, rounds_used, metrics,
-                    round_rows, wall_seconds, io_read, io_written, halo_bytes):
-        graph = self.graph
-        tel.event(
-            "engine.run",
-            stage=stage.name,
-            backend="oocore",
-            n=graph.n,
-            m=graph.m,
-            delta=graph.max_degree,
-            in_palette=in_palette,
-            out_palette=stage.out_palette_size,
-            rounds_used=rounds_used,
-            total_messages=metrics.total_messages,
-            total_bits=metrics.total_bits,
-            rounds=round_rows,
-            wall_seconds=wall_seconds,
-        )
-        tel.counter("engine.runs", stage=stage.name)
-        tel.counter("engine.rounds", rounds_used, stage=stage.name)
-        tel.histogram("engine.run_seconds", wall_seconds, stage=stage.name)
-        tel.counter("oocore.shard_io.bytes_read", io_read, stage=stage.name)
-        tel.counter("oocore.shard_io.bytes_written", io_written, stage=stage.name)
-        tel.counter("oocore.halo.bytes", halo_bytes, stage=stage.name)
+    def record(self, tel, stage):
+        runner = self.runner
+        tel.counter("oocore.shard_io.bytes_read", runner.io_read, stage=stage.name)
+        tel.counter("oocore.shard_io.bytes_written", runner.io_written, stage=stage.name)
+        tel.counter("oocore.halo.bytes", runner.halo_bytes, stage=stage.name)
         rss = peak_rss_bytes()
         if rss is not None:
             tel.gauge("oocore.peak_rss_bytes", rss)
+
+    def close(self):
+        """Stop the profiler, the runner and the planes; delete the scratch."""
+        if self.profiler is not None:
+            if self.sampling:
+                flight.unregister_sampler("oocore")
+            self.profiler.stop()
+        if self.runner is not None:
+            self.runner.close()
+        if self.planes is not None:
+            self.planes.close()
+        shutil.rmtree(self.scratch, ignore_errors=True)
 
 
 def oocore_greedy(graph, order=None):
@@ -495,8 +373,6 @@ def oocore_greedy(graph, order=None):
     tel = obs.active()
     profiler = None
     if tel.enabled:
-        from repro.obs import flight
-
         profiler = flight.maybe_profiler(tel)
     try:
         return _oocore_greedy_impl(graph, order, tel)

@@ -10,9 +10,9 @@ boundary neighbors.
 Data planes
 -----------
 * **state planes** — double-buffered per-component int64 memmap files
-  (:class:`~repro.oocore.store.PlaneStore`).  Workers are forked, the files
-  are MAP_SHARED, so shard-disjoint writes are coherent through the page
-  cache without any result pickling.
+  (:class:`~repro.oocore.store.PlaneStore`).  Workers are forked and inherit
+  the MAP_SHARED mappings, so shard-disjoint writes are coherent through the
+  page cache without any result pickling.
 * **halo planes** — per-shard ``(ncomp, h)`` buffers the parent fills from
   the source plane before dispatching a round.  In pool mode they live in
   ``multiprocessing.shared_memory`` segments owned by the PR-6
@@ -22,9 +22,10 @@ Data planes
   gathered bytes are the metered boundary exchange.
 
 The parent's ``run_round`` is the synchronous-round barrier: it returns
-only when every shard finished, with the aggregated per-round counters
-(``changed``, ``finalized``, ``all_final``, ``conflicts``, I/O and halo
-bytes).
+only when every shard finished, with the round's ``changed`` and
+``finalized`` counts.  ``count_conflicts`` runs after that barrier over the
+plane just written, shard by shard, with every halo refilled from that
+plane.
 """
 
 import time
@@ -33,6 +34,7 @@ from repro.obs import core as obs
 from repro.obs import flight
 from repro.parallel.shm import SegmentManager, shared_memory_or_none
 from repro.runtime.csr import numpy_or_none
+from repro.runtime.fast_engine import count_changed, equal_pairs, scalar_colors
 
 __all__ = ["PartitionRunner"]
 
@@ -49,34 +51,23 @@ class _ShardContext:
 
     Lives in the parent for inline execution and (re-created by
     ``_init_worker``) in every pool worker.  ``cache_bytes`` bounds a tiny
-    LRU of built local CSRs — reused across rounds when the budget allows,
-    re-streamed from disk when it does not.
+    cache of built local CSRs and their forward slots — reused across rounds
+    when the budget allows, rebuilt from disk when it does not.
     """
 
-    def __init__(self, graph, plane_paths, n, ncomp, stage, visibility,
-                 halo_views, cache_bytes, release_planes):
-        np = numpy_or_none()
-        self.np = np
+    def __init__(self, graph, planes, stage, visibility, halo_views,
+                 cache_bytes, release_planes):
+        self.np = numpy_or_none()
         self.graph = graph
-        self.ncomp = ncomp
+        self.ncomp = planes.ncomp
         self.stage = stage
         self.visibility = visibility
         self.halo_views = halo_views  # shard_id -> (ncomp, h) array
         self.cache_bytes = cache_bytes
         self.release_planes = release_planes
-        self.planes = []
-        for buf in (0, 1):
-            row = []
-            for comp in range(ncomp):
-                if n == 0:
-                    row.append(np.zeros(0, dtype=np.int64))
-                else:
-                    row.append(np.memmap(
-                        plane_paths[buf][comp], dtype=np.int64, mode="r+",
-                        shape=(n,),
-                    ))
-            self.planes.append(row)
+        self.planes = [planes.buffer(0), planes.buffer(1)]
         self._locals = {}
+        self._forward = {}
         self._locals_bytes = 0
 
     def local(self, shard_id):
@@ -90,70 +81,108 @@ class _ShardContext:
             self._locals_bytes += cost
         return local, local.bytes_read
 
+    def forward(self, shard_id):
+        """``(rows, nbrs, io_read)``: the shard's slots that point to a larger id.
 
-def _step_shard(ctx, shard_id, round_index, src, want_conflicts):
+        Every edge is counted once, at its smaller endpoint, in the order of
+        the batch engine's edge arrays.  Local ids keep the global order
+        inside the shard, and the sorted halo splits into ids below ``lo``
+        and ids from ``hi`` up, so no global ids are read.  Cached next to
+        the local CSRs, under the same byte budget, so a conflict count
+        rebuilds no CSR.
+        """
+        slots = self._forward.get(shard_id)
+        if slots is not None:
+            return slots + (0,)
+        local, io_read = self.local(shard_id)
+        nbrs = local.lindices
+        rows = local.csr().rows[: nbrs.shape[0]]
+        split = local.k + int(self.np.searchsorted(local.halo, local.hi))
+        fwd = (nbrs >= split) | ((nbrs > rows) & (nbrs < local.k))
+        slots = (rows[fwd], nbrs[fwd])
+        cost = slots[0].nbytes + slots[1].nbytes
+        if cost <= self.cache_bytes - self._locals_bytes:
+            self._forward[shard_id] = slots
+            self._locals_bytes += cost
+        return slots + (io_read,)
+
+    def shard_state(self, shard_id, src):
+        """One shard's columns in plane ``src``: owned rows, then its halo."""
+        np = self.np
+        lo, hi = self.graph.ranges[shard_id]
+        halo = self.halo_views.get(shard_id)
+        state = []
+        for comp in range(self.ncomp):
+            owned = np.array(self.planes[src][comp][lo:hi])
+            if halo is not None and halo.shape[1]:
+                state.append(np.concatenate([owned, halo[comp]]))
+            else:
+                state.append(owned)
+        return tuple(state)
+
+    def release(self, *bufs):
+        """Drop the resident pages of the given planes (budget discipline)."""
+        if self.release_planes:
+            from repro.oocore.store import release_pages
+
+            for buf in bufs:
+                for comp in range(self.ncomp):
+                    release_pages(self.planes[buf][comp])
+            self.graph.release_resident()
+
+
+def _step_shard(ctx, shard_id, round_index, src):
     """One shard, one synchronous round.  Returns the per-shard counters."""
-    np = ctx.np
     local, io_read = ctx.local(shard_id)
     lo, hi, k = local.lo, local.hi, local.k
-    halo = ctx.halo_views.get(shard_id)
-    src_planes = ctx.planes[src]
     dst_planes = ctx.planes[1 - src]
-    state = []
-    for comp in range(ctx.ncomp):
-        owned = np.array(src_planes[comp][lo:hi])
-        if halo is not None and halo.shape[1]:
-            state.append(np.concatenate([owned, halo[comp]]))
-        else:
-            state.append(owned)
-    state = tuple(state)
+    state = ctx.shard_state(shard_id, src)
     io_read += 8 * k * ctx.ncomp
     new_state = ctx.stage.step_batch(round_index, state, local.csr(), ctx.visibility)
-    changed = 0
-    if k:
-        changed_mask = np.zeros(k, dtype=bool)
-        for old, new in zip(state, new_state):
-            changed_mask |= old[:k] != new[:k]
-        changed = int(changed_mask.sum())
+    changed = count_changed(ctx.np, state, new_state, k)
     owned_new = tuple(comp[:k] for comp in new_state)
     for comp in range(ctx.ncomp):
         dst_planes[comp][lo:hi] = owned_new[comp]
     io_written = 8 * k * ctx.ncomp
-    final_mask = ctx.stage.batch_is_final(owned_new)
-    finalized = int(final_mask.sum())
-    all_final = bool(final_mask.all())
-    conflicts = 0
-    if want_conflicts and local.lindices.shape[0]:
-        # Forward slots under *global* ids — each edge counted once, at its
-        # smaller endpoint, exactly like the batch engine's edge arrays.
-        fwd = local.global_indices() > local.owner_globals()
-        if bool(fwd.any()):
-            rows = local.csr().rows[: local.lindices.shape[0]][fwd]
-            nbrs = local.lindices[fwd]
-            equal = np.ones(rows.shape[0], dtype=bool)
-            for comp in new_state:
-                equal &= comp[nbrs] == comp[rows]
-            conflicts = int(equal.sum())
-    if ctx.release_planes:
-        from repro.oocore.store import release_pages
-
-        for comp in range(ctx.ncomp):
-            release_pages(dst_planes[comp])
-            release_pages(src_planes[comp])
-        ctx.graph.release_resident()
+    finalized = int(ctx.stage.batch_is_final(owned_new).sum())
+    ctx.release(src, 1 - src)
     return {
         "changed": changed,
         "finalized": finalized,
-        "all_final": all_final,
-        "conflicts": conflicts,
         "io_read": io_read + local.bytes_read,
         "io_written": io_written,
     }
 
 
-def _init_worker(graph_path, plane_paths, n, ncomp, stage, visibility,
-                 segment_names, cache_bytes, release_planes, heartbeat=None):
-    """Pool initializer: attach the shard files and the halo segments."""
+def _count_shard(ctx, shard_id, src):
+    """Edges at one shard's forward slots with equal colors in plane ``src``.
+
+    Returns the count, the I/O, and the first such edge as ``(row, nbr,
+    columns)``: local ids and the owner's length-1 color columns, or None.
+    """
+    rows, nbrs, io_read = ctx.forward(shard_id)
+    lo, hi = ctx.graph.ranges[shard_id]
+    state = ctx.shard_state(shard_id, src)
+    ctx.release(src)
+    count, i = equal_pairs(ctx.np, state, rows, nbrs)
+    first = None
+    if i is not None:
+        row = int(rows[i])
+        first = (row, int(nbrs[i]), tuple(c[row:row + 1] for c in state))
+    return {
+        "conflicts": count,
+        "first": first,
+        "io_read": io_read + 8 * (hi - lo) * ctx.ncomp,
+    }
+
+
+def _init_worker(graph_path, planes, stage, visibility, segment_names,
+                 cache_bytes, release_planes, heartbeat=None):
+    """Pool initializer: attach the shard files and the halo segments.
+
+    ``planes`` is the parent's :class:`~repro.oocore.store.PlaneStore`,
+    inherited through fork (initializer arguments are not pickled there).
+    """
     from repro.oocore.store import ShardedCSRGraph
 
     np = numpy_or_none()
@@ -165,25 +194,21 @@ def _init_worker(graph_path, plane_paths, n, ncomp, stage, visibility,
         segment = shared_memory.SharedMemory(name=name)
         segments.append(segment)  # keep the mapping alive for the pool's life
         halo_views[shard_id] = np.ndarray(
-            (ncomp, h), dtype=np.int64, buffer=segment.buf
+            (planes.ncomp, h), dtype=np.int64, buffer=segment.buf
         )
     _WORKER_CTX["ctx"] = _ShardContext(
-        graph, plane_paths, n, ncomp, stage, visibility, halo_views,
-        cache_bytes, release_planes,
+        graph, planes, stage, visibility, halo_views, cache_bytes,
+        release_planes,
     )
     _WORKER_CTX["segments"] = segments
     _WORKER_CTX["heartbeat"] = heartbeat
 
 
-def _round_task(shard_id, round_index, src, want_conflicts):
+def _shard_task(fn, *args):
     board = _WORKER_CTX.get("heartbeat")
     if board is not None:
-        from repro.obs import flight
-
         flight.beat(board)
-    return _step_shard(
-        _WORKER_CTX["ctx"], shard_id, round_index, src, want_conflicts
-    )
+    return fn(_WORKER_CTX["ctx"], *args)
 
 
 class PartitionRunner:
@@ -193,6 +218,9 @@ class PartitionRunner:
     anything else — including platforms without fork or shm — runs the same
     shard loop inline in the parent with identical results.  The runner is
     per stage run: create, call :meth:`run_round` until done, :meth:`close`.
+    ``src`` is the plane holding the current coloring (0 before the first
+    round); ``io_read``, ``io_written`` and ``halo_bytes`` total the metered
+    bytes.
     """
 
     def __init__(self, graph, planes, stage, visibility, workers=None,
@@ -201,12 +229,16 @@ class PartitionRunner:
         self.graph = graph
         self.planes = planes
         self.ncomp = planes.ncomp
+        self.stage = stage
         self.timeout = timeout
         self._pool = None
         self._manager = None
         self._halo_ids = {}
         self._halo_views = {}
         self._halo_slots = 0
+        self._halo_plane = None
+        self.src = 0
+        self.io_read = self.io_written = self.halo_bytes = 0
         for shard_id in range(graph.shards):
             ids = graph.halo_ids(shard_id)
             if ids.shape[0]:
@@ -245,9 +277,8 @@ class PartitionRunner:
                 processes=min(workers, graph.shards),
                 initializer=_init_worker,
                 initargs=(
-                    graph.path, planes.paths, graph.n, self.ncomp, stage,
-                    visibility, segment_names, cache_bytes, release_planes,
-                    heartbeat,
+                    graph.path, planes, stage, visibility, segment_names,
+                    cache_bytes, release_planes, heartbeat,
                 ),
             )
         else:
@@ -256,8 +287,8 @@ class PartitionRunner:
                     (self.ncomp, ids.shape[0]), dtype=np.int64
                 )
             self._ctx = _ShardContext(
-                graph, planes.paths, graph.n, self.ncomp, stage, visibility,
-                self._halo_views, cache_bytes, release_planes,
+                graph, planes, stage, visibility, self._halo_views,
+                cache_bytes, release_planes,
             )
 
     @staticmethod
@@ -271,25 +302,23 @@ class PartitionRunner:
             return None
         return context
 
-    @property
-    def pool_mode(self):
-        """Whether shards step in forked workers (False: inline loop)."""
-        return self._pool is not None
+    def fill_halos(self):
+        """Gather every shard's boundary colors from the ``src`` plane.
 
-    def fill_halos(self, src):
-        """Gather every shard's boundary colors from the source plane.
-
-        This *is* the halo exchange: the only cross-shard bytes of a round.
-        Returns the gathered byte count.
+        This *is* the halo exchange: the only cross-shard bytes of a round,
+        metered in ``halo_bytes``.  Skipped when the halos already hold that
+        plane: a round writes only the other plane, so the fill of a
+        conflict count serves the next round as well.
         """
-        src_planes = self.planes.buffer(src)
-        halo_bytes = 0
+        if self._halo_plane == self.src:
+            return
+        self._halo_plane = self.src
+        src_planes = self.planes.buffer(self.src)
         for shard_id, ids in self._halo_ids.items():
             view = self._halo_views[shard_id]
             for comp in range(self.ncomp):
                 view[comp] = src_planes[comp][ids]
-            halo_bytes += 8 * self.ncomp * int(ids.shape[0])
-        return halo_bytes
+            self.halo_bytes += 8 * self.ncomp * int(ids.shape[0])
 
     def _wait_round(self, async_result):
         """Block for the round barrier, polling the watchdog while waiting.
@@ -317,41 +346,61 @@ class PartitionRunner:
             except multiprocessing.TimeoutError:
                 watchdog.poll()
 
-    def run_round(self, round_index, src, want_conflicts=False):
-        """One synchronous round over every shard; returns aggregated counters."""
-        halo_bytes = self.fill_halos(src)
-        tasks = [
-            (shard_id, round_index, src, want_conflicts)
-            for shard_id in range(self.graph.shards)
-        ]
-        if self._pool is not None:
-            async_result = self._pool.starmap_async(_round_task, tasks)
-            try:
-                results = self._wait_round(async_result)
-            except Exception:
-                # A dead or wedged worker mid-round: terminate the pool now
-                # so close() can release the halo segments deterministically.
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
-                if self._watchdog is not None:
-                    self._watchdog.notice_restart()
-                raise
-        else:
-            results = [_step_shard(self._ctx, *task) for task in tasks]
-        agg = {
-            "changed": 0, "finalized": 0, "conflicts": 0,
-            "io_read": 0, "io_written": 0,
-            "all_final": True, "halo_bytes": halo_bytes,
-        }
-        for row in results:
-            agg["changed"] += row["changed"]
-            agg["finalized"] += row["finalized"]
-            agg["conflicts"] += row["conflicts"]
-            agg["io_read"] += row["io_read"]
-            agg["io_written"] += row["io_written"]
-            agg["all_final"] = agg["all_final"] and row["all_final"]
-        return agg
+    def _map(self, fn, args):
+        """``fn(ctx, shard_id, *args)`` for every shard: a round barrier."""
+        tasks = [(shard_id,) + args for shard_id in range(self.graph.shards)]
+        if self._pool is None:
+            return [fn(self._ctx, *task) for task in tasks]
+        async_result = self._pool.starmap_async(
+            _shard_task, [(fn,) + task for task in tasks]
+        )
+        try:
+            return self._wait_round(async_result)
+        except Exception:
+            # A dead or wedged worker mid-round: terminate the pool now so
+            # close() can release the halo segments deterministically.
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
+            if self._watchdog is not None:
+                self._watchdog.notice_restart()
+            raise
+
+    def run_round(self, round_index):
+        """One synchronous round over every shard: ``(changed, finalized)``.
+
+        Reads plane ``src``, writes the other one, and makes it ``src``.
+        """
+        self.fill_halos()
+        changed = finalized = 0
+        for row in self._map(_step_shard, (round_index, self.src)):
+            changed += row["changed"]
+            finalized += row["finalized"]
+            self.io_read += row["io_read"]
+            self.io_written += row["io_written"]
+        self.src = 1 - self.src
+        return changed, finalized
+
+    def count_conflicts(self):
+        """Conflicting edges of plane ``src``, counted after a round barrier.
+
+        Returns ``(count, first)``: ``first`` is the first such edge in
+        sorted order as ``(u, v, color of u)``, or None — the contract of
+        :meth:`repro.runtime.engine.RoundState.conflicts`.  In pool mode the
+        shards count in the workers.
+        """
+        self.fill_halos()
+        count, first = 0, None
+        for shard_id, row in enumerate(self._map(_count_shard, (self.src,))):
+            count += row["conflicts"]
+            self.io_read += row["io_read"]
+            if first is None and row["first"] is not None:
+                lo, hi = self.graph.ranges[shard_id]
+                owner, nbr, columns = row["first"]
+                k = hi - lo
+                v = lo + nbr if nbr < k else int(self._halo_ids[shard_id][nbr - k])
+                first = (lo + owner, v, scalar_colors(self.stage, columns)[0])
+        return count, first
 
     def close(self):
         """Tear down the pool and release every halo segment."""
@@ -366,10 +415,3 @@ class PartitionRunner:
             self._watchdog.board.close()
             self._watchdog = None
         self._halo_views = {}
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

@@ -27,7 +27,14 @@ from repro.runtime.algorithm import NetworkInfo
 from repro.runtime.metrics import MetricsLog, RoundMetrics
 from repro.runtime.results import Result
 
-__all__ = ["Visibility", "RunResult", "ColoringEngine"]
+__all__ = [
+    "Visibility",
+    "RunResult",
+    "RoundState",
+    "ScalarState",
+    "ColoringEngine",
+    "drive",
+]
 
 
 class Visibility(enum.Enum):
@@ -101,6 +108,95 @@ class RunResult:
 Result.register(RunResult)
 
 
+class RoundState:
+    """One stage run's coloring as a tier holds it; :func:`drive` advances it.
+
+    Each tier subclasses this with its own representation — a list of scalar
+    colors (:class:`ScalarState`), int64 columns
+    (:class:`~repro.runtime.fast_engine.ColumnState`) or sharded memmap
+    planes (:class:`~repro.oocore.engine.ShardState`) — and :func:`drive`
+    owns everything the tiers share.  A state lives for one run.
+    """
+
+    #: The ``backend`` tag of the run's span and telemetry record.
+    backend = None
+
+    def __init__(self, engine):
+        self.graph = engine.graph
+        self.visibility = engine.visibility
+
+    def encode(self, stage, initial):
+        """Encode ``initial`` (a sequence or an int64 array) into the
+        configured ``stage``'s internal colors; return how many vertices
+        hold a final color."""
+
+    def advance(self, round_index):
+        """Run one synchronous round; return ``(changed, finalized)`` counts."""
+
+    def conflicts(self):
+        """``(count, first)``: the edges whose endpoints hold equal internal
+        colors, and the first of them in sorted order as ``(u, v, color of
+        u)`` or None.  Serves the telemetry row and the properness check."""
+
+    def snapshot(self):
+        """The coloring as a list of scalar internal colors (history)."""
+
+    def finish(self, palette_size, rounds_used, metrics, history):
+        """``(result, overflow)``: the tier's :class:`RunResult`, and the first
+        decoded ``(vertex, color)`` outside ``range(palette_size)`` or None."""
+
+    def record(self, tel, stage):
+        """Emit the tier's own telemetry counters (none by default)."""
+
+
+class ScalarState(RoundState):
+    """The reference tier: one scalar internal color per vertex, in a list."""
+
+    backend = "reference"
+
+    def encode(self, stage, initial):
+        if hasattr(initial, "tolist"):
+            # An ndarray handed over by a batch-aware pipeline; the scalar
+            # path wants plain Python ints.
+            initial = initial.tolist()
+        self.stage = stage
+        self.colors = [stage.encode_initial(c) for c in initial]
+        return self._finalized()
+
+    def advance(self, round_index):
+        graph, colors, step = self.graph, self.colors, self.stage.step
+        set_local = self.visibility is Visibility.SET_LOCAL
+        new_colors = []
+        for v in graph.vertices():
+            view = tuple(colors[u] for u in graph.neighbors(v))
+            new_colors.append(
+                step(round_index, colors[v], frozenset(view) if set_local else view)
+            )
+        self.colors = new_colors
+        changed = sum(1 for old, new in zip(colors, new_colors) if old != new)
+        return changed, self._finalized()
+
+    def _finalized(self):
+        return sum(1 for c in self.colors if self.stage.is_final(c))
+
+    def conflicts(self):
+        colors = self.colors
+        clashes = [(u, v) for u, v in self.graph.edges if colors[u] == colors[v]]
+        if not clashes:
+            return 0, None
+        u, v = clashes[0]
+        return len(clashes), (u, v, colors[u])
+
+    def snapshot(self):
+        return list(self.colors)
+
+    def finish(self, palette_size, rounds_used, metrics, history):
+        decoded = [self.stage.decode_final(c) for c in self.colors]
+        bad = [(v, c) for v, c in enumerate(decoded) if not 0 <= c < palette_size]
+        result = RunResult(self.colors, decoded, rounds_used, metrics, history)
+        return result, (bad[0] if bad else None)
+
+
 class ColoringEngine:
     """Runs locally-iterative stages on a fixed topology.
 
@@ -131,21 +227,6 @@ class ColoringEngine:
         self.check_proper_each_round = check_proper_each_round
         self.record_history = record_history
 
-    # -- helpers ---------------------------------------------------------------
-
-    def _neighborhood_view(self, colors, v):
-        neighbor_colors = tuple(colors[u] for u in self.graph.neighbors(v))
-        if self.visibility is Visibility.SET_LOCAL:
-            return frozenset(neighbor_colors)
-        return neighbor_colors
-
-    def _assert_proper(self, colors, round_index):
-        for u, v in self.graph.edges:
-            if colors[u] == colors[v]:
-                raise ImproperColoringError(round_index, (u, v), colors[u])
-
-    # -- execution ---------------------------------------------------------------
-
     def run(
         self,
         stage,
@@ -173,58 +254,66 @@ class ColoringEngine:
         The stage stops early as soon as every vertex reports
         ``stage.is_final(color)``.
         """
-        # The span wraps the whole run (rounds, decode, telemetry record) so
-        # a merged trace shows one engine.run bar per stage execution nested
-        # under its pipeline.stage; free when telemetry is disabled.
-        with obs.active().span(
-            "engine.run", stage=getattr(stage, "name", "stage"), backend="reference"
-        ):
-            return self._run_scalar(
-                stage, initial_coloring, in_palette_size, max_rounds, configure
-            )
+        return drive(
+            self, ScalarState(self), stage, initial_coloring, in_palette_size,
+            max_rounds, configure,
+        )
 
-    def _run_scalar(
-        self, stage, initial_coloring, in_palette_size, max_rounds, configure
+
+def drive(engine, state, stage, initial, in_palette_size, max_rounds, configure):
+    """The round loop of every coloring engine tier.
+
+    ``engine`` supplies ``graph``, ``check_proper_each_round`` and
+    ``record_history``; ``state`` is a fresh :class:`RoundState` of the
+    engine's tier.  The parameters and the result are those of
+    :meth:`ColoringEngine.run`.  Everything the tiers share happens here,
+    once: the input checks, ``configure``, the round bound, the all-final
+    stop, the metrics and telemetry rows, the properness check, the uniform
+    fixed-point exit, the palette check and the ``engine.run`` record.
+    """
+    graph = engine.graph
+    tel = obs.active()
+    # The span wraps the whole run (rounds, decode, telemetry record) so a
+    # merged trace shows one engine.run bar per stage execution nested under
+    # its pipeline.stage; free when telemetry is disabled.
+    with tel.span(
+        "engine.run", stage=getattr(stage, "name", "stage"), backend=state.backend
     ):
-        graph = self.graph
-        if len(initial_coloring) != graph.n:
+        if len(initial) != graph.n:
             raise ValueError("initial coloring must assign a color to every vertex")
         if in_palette_size is None:
-            in_palette_size = (max(initial_coloring) + 1) if graph.n else 1
+            in_palette_size = 1
+            if graph.n:
+                top = initial.max() if hasattr(initial, "max") else max(initial)
+                in_palette_size = int(top) + 1
         if configure:
             stage.configure(NetworkInfo(graph.n, graph.max_degree, in_palette_size))
 
-        colors = [stage.encode_initial(c) for c in initial_coloring]
-        metrics = MetricsLog()
-        history = [list(colors)] if self.record_history else None
-
-        tel = obs.active()
         recording = tel.enabled
         run_start = time.perf_counter() if recording else 0.0
+        finalized = state.encode(stage, initial)
+        metrics = MetricsLog()
+        history = [state.snapshot()] if engine.record_history else None
         round_rows = [] if recording else None
-
-        if self.check_proper_each_round and stage.maintains_proper:
-            self._assert_proper(colors, -1)
+        checking = engine.check_proper_each_round and stage.maintains_proper
+        if checking:
+            _check_proper(state.conflicts()[1], -1)
 
         bound = stage.rounds_bound if max_rounds is None else max_rounds
         rounds_used = 0
         for round_index in range(bound):
-            if all(stage.is_final(colors[v]) for v in graph.vertices()):
+            if finalized == graph.n:
                 break
-            if recording:
-                round_start = time.perf_counter()
-            new_colors = [
-                stage.step(round_index, colors[v], self._neighborhood_view(colors, v))
-                for v in graph.vertices()
-            ]
-            changed = sum(
-                1 for v in graph.vertices() if new_colors[v] != colors[v]
-            )
+            round_start = time.perf_counter() if recording else 0.0
+            changed, finalized = state.advance(round_index)
             messages = 2 * graph.m
             bits = messages * stage.message_bits(round_index)
             metrics.record(RoundMetrics(round_index, messages, bits, changed))
-            colors = new_colors
             rounds_used += 1
+            if recording or checking:
+                conflicts, first = state.conflicts()
+                if checking:
+                    _check_proper(first, round_index)
             if recording:
                 round_rows.append(
                     {
@@ -232,17 +321,13 @@ class ColoringEngine:
                         "messages": messages,
                         "bits": bits,
                         "changed": changed,
-                        "finalized": sum(1 for c in colors if stage.is_final(c)),
-                        "conflicts": sum(
-                            1 for u, v in graph.edges if colors[u] == colors[v]
-                        ),
+                        "finalized": finalized,
+                        "conflicts": conflicts,
                         "seconds": time.perf_counter() - round_start,
                     }
                 )
-            if self.record_history:
-                history.append(list(colors))
-            if self.check_proper_each_round and stage.maintains_proper:
-                self._assert_proper(colors, round_index)
+            if engine.record_history:
+                history.append(state.snapshot())
             if changed == 0 and (
                 stage.uniform_step
                 or (
@@ -251,47 +336,43 @@ class ColoringEngine:
                 )
             ):
                 # Fixed point of a round-independent rule (or of a stage's
-                # declared uniform tail): every later round would repeat this
-                # no-op verbatim, so stop.  The batch engine applies the
-                # identical early exit.
+                # declared uniform tail): every later round would repeat
+                # this no-op verbatim, so stop.
                 break
 
-        int_colors = [stage.decode_final(c) for c in colors]
         out = stage.out_palette_size
-        for v, c in enumerate(int_colors):
-            if not (0 <= c < out):
-                raise PaletteOverflowError(
-                    "vertex %d got color %r outside palette of size %d (stage %s)"
-                    % (v, c, out, stage.name)
-                )
-        if recording:
-            self._record_run(
-                tel, stage, "reference", in_palette_size, rounds_used, metrics,
-                round_rows, time.perf_counter() - run_start,
+        result, overflow = state.finish(out, rounds_used, metrics, history)
+        if overflow is not None:
+            raise PaletteOverflowError(
+                "vertex %d got color %r outside palette of size %d (stage %s)"
+                % (overflow[0], overflow[1], out, stage.name)
             )
-        return RunResult(colors, int_colors, rounds_used, metrics, history)
+        if recording:
+            wall_seconds = time.perf_counter() - run_start
+            tel.event(
+                "engine.run",
+                stage=stage.name,
+                backend=state.backend,
+                n=graph.n,
+                m=graph.m,
+                delta=graph.max_degree,
+                in_palette=in_palette_size,
+                out_palette=out,
+                rounds_used=rounds_used,
+                total_messages=metrics.total_messages,
+                total_bits=metrics.total_bits,
+                rounds=round_rows,
+                wall_seconds=wall_seconds,
+            )
+            tel.counter("engine.runs", stage=stage.name)
+            tel.counter("engine.rounds", rounds_used, stage=stage.name)
+            tel.histogram("engine.run_seconds", wall_seconds, stage=stage.name)
+            state.record(tel, stage)
+        return result
 
-    def _record_run(
-        self, tel, stage, backend, in_palette, rounds_used, metrics, round_rows,
-        wall_seconds,
-    ):
-        """Emit the per-run telemetry record (shared by both engine paths)."""
-        graph = self.graph
-        tel.event(
-            "engine.run",
-            stage=stage.name,
-            backend=backend,
-            n=graph.n,
-            m=graph.m,
-            delta=graph.max_degree,
-            in_palette=in_palette,
-            out_palette=stage.out_palette_size,
-            rounds_used=rounds_used,
-            total_messages=metrics.total_messages,
-            total_bits=metrics.total_bits,
-            rounds=round_rows,
-            wall_seconds=wall_seconds,
-        )
-        tel.counter("engine.runs", stage=stage.name)
-        tel.counter("engine.rounds", rounds_used, stage=stage.name)
-        tel.histogram("engine.run_seconds", wall_seconds, stage=stage.name)
+
+def _check_proper(first, round_index):
+    """Raise for the first monochromatic edge of a stage that must stay proper."""
+    if first is not None:
+        u, v, color = first
+        raise ImproperColoringError(round_index, (u, v), color)

@@ -39,23 +39,26 @@ Stages without ``step_batch`` simply fall back to the scalar path — a
 best backend (``resolve_backend("engine", "auto")``).
 """
 
-import time
-
-from repro.errors import ImproperColoringError, PaletteOverflowError
 from repro.obs import core as obs
-from repro.runtime.algorithm import NetworkInfo
 from repro.runtime.csr import numpy_available, numpy_or_none
-from repro.runtime.engine import ColoringEngine, RunResult, Visibility
-from repro.runtime.metrics import MetricsLog, RoundMetrics
+from repro.runtime.engine import (
+    ColoringEngine,
+    RoundState,
+    RunResult,
+    ScalarState,
+    Visibility,
+    drive,
+)
 
 __all__ = [
     "BatchColoringEngine",
+    "ColumnState",
     "batch_supported",
+    "count_changed",
+    "equal_pairs",
+    "scalar_colors",
     "scalar_replay_round",
-    "BACKENDS",
 ]
-
-BACKENDS = ("auto", "batch", "reference")
 
 
 def batch_supported(stage):
@@ -89,49 +92,99 @@ def scalar_replay_round(stage, round_index, colors, csr, visibility):
         stage.step(round_index, colors[v], view)
 
 
+def scalar_colors(stage, state):
+    """The batch ``state`` as the scalar engine's internal color list."""
+    if hasattr(stage, "batch_to_scalar"):
+        return stage.batch_to_scalar(state)
+    return list(zip(*(component.tolist() for component in state)))
+
+
+def count_changed(np, old_state, new_state, k):
+    """How many of the first ``k`` rows differ between two batch states."""
+    changed = np.zeros(k, dtype=bool)
+    for old, new in zip(old_state, new_state):
+        changed |= old[:k] != new[:k]
+    return int(changed.sum())
+
+
+def equal_pairs(np, state, a, b):
+    """``(count, first)``: pairs ``(a[j], b[j])`` whose rows hold equal colors
+    in ``state`` — component-wise, which for int-tuple colors is the reference
+    engine's comparison — and the first such ``j`` (None if there is none)."""
+    equal = np.ones(a.shape[0], dtype=bool)
+    for column in state:
+        equal &= column[a] == column[b]
+    count = int(equal.sum())
+    return count, (int(np.argmax(equal)) if count else None)
+
+
+class ColumnState(RoundState):
+    """The batch tier: the coloring as parallel int64 columns of length ``n``."""
+
+    backend = "batch"
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.np = numpy_or_none()
+
+    def encode(self, stage, initial):
+        # No list round-trip: an ndarray from an upstream batch stage is used
+        # as-is, a plain sequence is converted once.
+        initial = self.np.asarray(initial, dtype=self.np.int64)
+        self.stage = stage
+        self.csr = self.graph.csr()
+        self.state = stage.batch_encode_initial(initial)
+        return self._finalized()
+
+    def advance(self, round_index):
+        new_state = self.stage.step_batch(
+            round_index, self.state, self.csr, self.visibility
+        )
+        changed = count_changed(self.np, self.state, new_state, self.graph.n)
+        self.state = new_state
+        return changed, self._finalized()
+
+    def _finalized(self):
+        return int(self.stage.batch_is_final(self.state).sum())
+
+    def conflicts(self):
+        csr = self.csr
+        count, i = equal_pairs(self.np, self.state, csr.edge_u, csr.edge_v)
+        if i is None:
+            return 0, None
+        u, v = int(csr.edge_u[i]), int(csr.edge_v[i])
+        columns = tuple(c[u:u + 1] for c in self.state)
+        return count, (u, v, scalar_colors(self.stage, columns)[0])
+
+    def snapshot(self):
+        return scalar_colors(self.stage, self.state)
+
+    def finish(self, palette_size, rounds_used, metrics, history):
+        decoded = self.stage.batch_decode_final(self.state)
+        result = RunResult(
+            self.snapshot(), decoded.tolist(), rounds_used, metrics, history
+        )
+        # Batch-aware pipelines chain this array into the next stage without
+        # round-tripping through the decoded Python list.
+        result.int_colors_array = decoded
+        return result, self.overflow(decoded, palette_size)
+
+    def overflow(self, decoded, palette_size):
+        """The first ``(vertex, color)`` of ``decoded`` outside the palette."""
+        bad = (decoded < 0) | (decoded >= palette_size)
+        if not bool(bad.any()):
+            return None
+        v = int(self.np.argmax(bad))
+        return v, int(decoded[v])
+
+
 class BatchColoringEngine(ColoringEngine):
     """Drop-in :class:`ColoringEngine` that vectorizes supporting stages.
 
     Construction, parameters, and results match the reference engine; only
-    the inner loop differs.  A stage without ``step_batch`` (or a run with
+    the round state differs.  A stage without ``step_batch`` (or a run with
     NumPy disabled) transparently uses the inherited scalar path.
-
-    ``native=True`` routes rounds of covered stages through the Numba
-    kernels of :mod:`repro.runtime.native` — bit-identical output, one fused
-    pass per round instead of several array temporaries.  Stages without a
-    kernel (and environments without Numba) silently keep the NumPy path:
-    the documented ``numba -> batch -> reference`` fallback order.  The
-    default comes from ``REPRO_NATIVE=1``, which is how CI runs the
-    differential suites against the native kernels unmodified.
     """
-
-    def __init__(
-        self,
-        graph,
-        visibility=Visibility.LOCAL,
-        check_proper_each_round=False,
-        record_history=False,
-        native=None,
-    ):
-        super().__init__(
-            graph,
-            visibility=visibility,
-            check_proper_each_round=check_proper_each_round,
-            record_history=record_history,
-        )
-        if native is None:
-            from repro.runtime.native import native_default
-
-            native = native_default()
-        self.native = bool(native)
-
-    def _native_step(self, stage):
-        """The stage's native round kernel, or None for the NumPy path."""
-        if not self.native:
-            return None
-        from repro.runtime import native
-
-        return native.engine_kernel_for(stage)
 
     def run(
         self,
@@ -142,7 +195,9 @@ class BatchColoringEngine(ColoringEngine):
         configure=True,
     ):
         """Execute ``stage``; see :meth:`ColoringEngine.run` for the contract."""
-        if not batch_supported(stage) or not numpy_available():
+        if batch_supported(stage) and numpy_available():
+            state = ColumnState(self)
+        else:
             tel = obs.active()
             if tel.enabled:
                 # Fallback-to-scalar is a first-class observability signal: a
@@ -153,163 +208,8 @@ class BatchColoringEngine(ColoringEngine):
                 )
                 tel.counter("engine.fallback_scalar", stage=stage.name)
                 tel.event("engine.fallback", stage=stage.name, reason=reason)
-            if hasattr(initial_coloring, "tolist"):
-                # An ndarray handed over by a batch-aware pipeline; the
-                # scalar path wants plain Python ints.
-                initial_coloring = initial_coloring.tolist()
-            return super().run(
-                stage,
-                initial_coloring,
-                in_palette_size=in_palette_size,
-                max_rounds=max_rounds,
-                configure=configure,
-            )
-        # Same engine.run span as the scalar tier (the fallback branch above
-        # gets its span from ColoringEngine.run); the backend tag is stripped
-        # by comparable_view so cross-tier telemetry parity holds.
-        with obs.active().span(
-            "engine.run", stage=getattr(stage, "name", "stage"), backend="batch"
-        ):
-            return self._run_batch(
-                stage, initial_coloring, in_palette_size, max_rounds, configure
-            )
-
-    # -- vectorized path --------------------------------------------------------
-
-    def _run_batch(self, stage, initial_coloring, in_palette_size, max_rounds, configure):
-        np = numpy_or_none()
-        graph = self.graph
-        if len(initial_coloring) != graph.n:
-            raise ValueError("initial coloring must assign a color to every vertex")
-        # No list round-trip: an ndarray from an upstream batch stage is used
-        # as-is, a plain sequence is converted once.
-        initial = np.asarray(initial_coloring, dtype=np.int64)
-        if in_palette_size is None:
-            in_palette_size = (int(initial.max()) + 1) if graph.n else 1
-        if configure:
-            stage.configure(NetworkInfo(graph.n, graph.max_degree, in_palette_size))
-
-        csr = graph.csr()
-        state = stage.batch_encode_initial(initial)
-        metrics = MetricsLog()
-        history = [self._to_scalar(stage, state)] if self.record_history else None
-
-        tel = obs.active()
-        recording = tel.enabled
-        run_start = time.perf_counter() if recording else 0.0
-        round_rows = [] if recording else None
-
-        native_step = self._native_step(stage)
-        if native_step is not None and recording:
-            tel.counter("engine.native_kernel", stage=stage.name)
-
-        if self.check_proper_each_round and stage.maintains_proper:
-            self._assert_proper_batch(stage, state, csr, -1)
-
-        bound = stage.rounds_bound if max_rounds is None else max_rounds
-        rounds_used = 0
-        for round_index in range(bound):
-            if bool(stage.batch_is_final(state).all()):
-                break
-            if recording:
-                round_start = time.perf_counter()
-            if native_step is not None:
-                new_state = native_step(stage, round_index, state, csr, self.visibility)
-            else:
-                new_state = stage.step_batch(round_index, state, csr, self.visibility)
-            changed = 0
-            if graph.n:
-                changed_mask = np.zeros(graph.n, dtype=bool)
-                for old, new in zip(state, new_state):
-                    changed_mask |= old != new
-                changed = int(changed_mask.sum())
-            messages = 2 * graph.m
-            bits = messages * stage.message_bits(round_index)
-            metrics.record(RoundMetrics(round_index, messages, bits, changed))
-            state = new_state
-            rounds_used += 1
-            if recording:
-                round_rows.append(
-                    {
-                        "round": round_index,
-                        "messages": messages,
-                        "bits": bits,
-                        "changed": changed,
-                        "finalized": int(stage.batch_is_final(state).sum()),
-                        "conflicts": self._count_conflicts(np, csr, state),
-                        "seconds": time.perf_counter() - round_start,
-                    }
-                )
-            if self.record_history:
-                history.append(self._to_scalar(stage, state))
-            if self.check_proper_each_round and stage.maintains_proper:
-                self._assert_proper_batch(stage, state, csr, round_index)
-            if changed == 0 and (
-                stage.uniform_step
-                or (
-                    stage.uniform_after is not None
-                    and round_index >= stage.uniform_after
-                )
-            ):
-                # Fixed point of a round-independent rule (or of a stage's
-                # declared uniform tail): every later round would repeat this
-                # no-op verbatim, so stop.  The reference engine applies the
-                # identical early exit.
-                break
-
-        decoded = stage.batch_decode_final(state)
-        int_colors = decoded.tolist()
-        out = stage.out_palette_size
-        bad = (decoded < 0) | (decoded >= out)
-        if bool(bad.any()):
-            v = int(np.argmax(bad))
-            raise PaletteOverflowError(
-                "vertex %d got color %r outside palette of size %d (stage %s)"
-                % (v, int_colors[v], out, stage.name)
-            )
-        colors = self._to_scalar(stage, state)
-        if recording:
-            self._record_run(
-                tel, stage, "batch", in_palette_size, rounds_used, metrics,
-                round_rows, time.perf_counter() - run_start,
-            )
-        result = RunResult(colors, int_colors, rounds_used, metrics, history)
-        # Batch-aware pipelines chain this array into the next stage without
-        # round-tripping through the decoded Python list.
-        result.int_colors_array = decoded
-        return result
-
-    @staticmethod
-    def _count_conflicts(np, csr, state):
-        """Edges whose endpoints hold identical internal colors (telemetry).
-
-        Component-wise equality over the state columns — for every stage
-        whose scalar colors are plain int tuples this matches the reference
-        engine's full-color comparison exactly.
-        """
-        if csr.m == 0:
-            return 0
-        equal = np.ones(csr.m, dtype=bool)
-        for component in state:
-            equal &= component[csr.edge_u] == component[csr.edge_v]
-        return int(equal.sum())
-
-    @staticmethod
-    def _to_scalar(stage, state):
-        """The state as the scalar engine's internal color list."""
-        if hasattr(stage, "batch_to_scalar"):
-            return stage.batch_to_scalar(state)
-        return list(zip(*(component.tolist() for component in state)))
-
-    def _assert_proper_batch(self, stage, state, csr, round_index):
-        np = numpy_or_none()
-        if csr.m == 0:
-            return
-        equal = np.ones(csr.m, dtype=bool)
-        for component in state:
-            equal &= component[csr.edge_u] == component[csr.edge_v]
-        if bool(equal.any()):
-            i = int(np.argmax(equal))
-            u, v = int(csr.edge_u[i]), int(csr.edge_v[i])
-            colors = self._to_scalar(stage, state)
-            raise ImproperColoringError(round_index, (u, v), colors[u])
+            state = ScalarState(self)
+        return drive(
+            self, state, stage, initial_coloring, in_palette_size, max_rounds,
+            configure,
+        )

@@ -26,11 +26,7 @@ and :mod:`repro.selfstab.adversary` seeded fault campaigns.
 """
 
 from repro.selfstab.engine import SelfStabAlgorithm, SelfStabEngine
-from repro.selfstab.fast_engine import (
-    BACKENDS,
-    BatchSelfStabEngine,
-    batch_supported,
-)
+from repro.selfstab.fast_engine import BatchSelfStabEngine, batch_supported
 from repro.selfstab.plan import IntervalPlan
 from repro.selfstab.coloring import SelfStabColoring
 from repro.selfstab.exact import SelfStabExactColoring
@@ -44,7 +40,6 @@ __all__ = [
     "SelfStabEngine",
     "BatchSelfStabEngine",
     "batch_supported",
-    "BACKENDS",
     "IntervalPlan",
     "SelfStabColoring",
     "SelfStabExactColoring",

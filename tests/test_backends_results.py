@@ -26,6 +26,8 @@ class TestBackendRegistry:
             names = backend_names(kind)
             assert names[0] == "auto"
             assert set(names) >= {"auto", "batch", "reference"}
+        assert backend_names("engine") == ["auto", "batch", "oocore", "reference"]
+        assert backend_names("selfstab") == ["auto", "batch", "reference"]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown backend kind"):
@@ -91,13 +93,6 @@ class TestDeprecationShims:
         assert not hasattr(fast_engine, "make_selfstab_engine")
         assert not hasattr(repro.selfstab, "make_selfstab_engine")
         assert "make_selfstab_engine" not in repro.selfstab.__all__
-
-    def test_core_pipeline_reexports_recipes(self):
-        import repro.core.pipeline as old
-        import repro.recipes as new
-
-        for name in new.__all__:
-            assert getattr(old, name) is getattr(new, name)
 
 
 class TestResultProtocol:

@@ -18,7 +18,7 @@ standard reduction) runs vectorized.  These tests pin down:
 import pytest
 
 from repro import graphgen
-from repro.core.pipeline import delta_plus_one_coloring
+from repro.recipes import delta_plus_one_coloring
 from repro.core.reductions import StandardColorReduction
 from repro.linial.core import LinialColoring
 from repro.runtime import (
@@ -245,8 +245,10 @@ def test_uniform_fixed_point_early_exit_reference():
 
 @requires_numpy
 def test_uniform_fixed_point_early_exit_parity():
-    """Both engines take the identical early exit on the no-op fixed point."""
+    """Every engine takes the identical early exit on the no-op fixed point."""
     _skip_without_numpy()
+    from repro.oocore.engine import OocoreColoringEngine
+
     graph = graphgen.cycle_graph(6)
     reference = ColoringEngine(graph, record_history=True).run(
         _FrozenUniformStage(), list(range(6)), in_palette_size=6
@@ -254,9 +256,14 @@ def test_uniform_fixed_point_early_exit_parity():
     batch = BatchColoringEngine(graph, record_history=True).run(
         _FrozenUniformStage(), list(range(6)), in_palette_size=6
     )
-    assert batch.rounds_used == reference.rounds_used == 1
+    # The oocore tier keeps no history (it is O(rounds * n) by definition).
+    oocore = OocoreColoringEngine(graph, shards=2).run(
+        _FrozenUniformStage(), list(range(6)), in_palette_size=6
+    )
+    assert batch.rounds_used == reference.rounds_used == oocore.rounds_used == 1
     assert batch.history == reference.history
     assert batch.metrics.to_dict() == reference.metrics.to_dict()
+    assert oocore.metrics.to_dict() == reference.metrics.to_dict()
 
 
 def test_round_dependent_stage_survives_no_op_round():

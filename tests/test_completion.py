@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.pipeline import (
+from repro.recipes import (
     SublinearColoringResult,
     complete_arbdefective_to_proper,
 )

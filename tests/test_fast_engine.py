@@ -20,7 +20,7 @@ from repro.core import (
     ArbAGColoring,
     ThreeDimensionalAG,
 )
-from repro.core.pipeline import delta_plus_one_coloring
+from repro.recipes import delta_plus_one_coloring
 from repro.core.reductions import StandardColorReduction
 from repro.errors import PaletteOverflowError
 from repro.linial.core import LinialColoring
@@ -192,8 +192,9 @@ def test_batch_engine_encode_validation_matches():
 
 @requires_numpy
 def test_batch_engine_palette_overflow_matches():
-    """A lying stage overflows the palette identically on both engines."""
+    """A lying stage overflows the palette identically on every engine."""
     _skip_without_numpy()
+    from repro.oocore.engine import OocoreColoringEngine
 
     class OverflowAG(AdditiveGroupColoring):
         @property
@@ -203,11 +204,11 @@ def test_batch_engine_palette_overflow_matches():
     graph = graphgen.cycle_graph(6)
     initial = list(range(graph.n))
     messages = []
-    for engine_cls in (ColoringEngine, BatchColoringEngine):
+    for engine_cls in (ColoringEngine, BatchColoringEngine, OocoreColoringEngine):
         with pytest.raises(PaletteOverflowError) as excinfo:
             engine_cls(graph).run(OverflowAG(), initial)
         messages.append(str(excinfo.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
 
 
 @requires_numpy

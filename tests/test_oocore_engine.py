@@ -299,6 +299,34 @@ class TestTelemetry:
         events = [e for e in tel.events if e.get("type") == "engine.run"]
         assert events and events[-1]["backend"] == "oocore"
 
+    @pytest.mark.parametrize(
+        "shards,workers",
+        [(1, None), (2, None), (3, None), (4, None), (2, 2), (4, 2)],
+    )
+    def test_engine_run_records_match_every_tier(self, shards, workers):
+        # Per-round changed/finalized/conflicts rows included: a cross-shard
+        # edge must be counted from both endpoints' new colors.
+        from repro import obs
+        from repro.oocore.engine import OocoreColoringEngine
+        from repro.runtime.engine import ColoringEngine
+        from repro.runtime.fast_engine import BatchColoringEngine
+
+        graph = random_regular(300, 8, seed=1)
+
+        def records(engine):
+            colors, palette = list(range(graph.n)), graph.n
+            with obs.capture() as tel:
+                for make in _stage_classes():
+                    stage = make()
+                    result = engine.run(stage, colors, in_palette_size=palette)
+                    colors, palette = result.int_colors, stage.out_palette_size
+            return obs.comparable_view(tel.events_of("engine.run"))
+
+        reference = records(ColoringEngine(graph))
+        assert records(BatchColoringEngine(graph)) == reference
+        sharded = _sharded(graph, shards=shards)
+        assert records(OocoreColoringEngine(sharded, workers=workers)) == reference
+
 
 class TestCLI:
     def test_color_command_oocore(self, tmp_path):

@@ -22,7 +22,7 @@ from repro.parallel import (
     run_many,
     sweep_specs,
 )
-from repro.parallel.jobs import _ALGORITHMS
+from repro.parallel.jobs import _ALGORITHMS, algorithm_names
 from repro.parallel.runner import _multiprocessing_context
 from repro.runtime.csr import numpy_available
 
@@ -177,6 +177,18 @@ class TestRetry:
         assert not outcome.ok
         assert outcome.error["kind"] == "ValueError"
         assert "unknown algorithm" in outcome.error["message"]
+
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_removed_numba_backend_is_an_error_outcome(self, algorithm):
+        # A stored run or spec naming the removed numba tier must fail with
+        # the registry's error for every algorithm, not run on another tier.
+        graph = {"family": "regular", "n": 30, "degree": 4, "seed": 1}
+        outcome = repro.run(
+            {"algorithm": algorithm, "graph": graph, "backend": "numba"}, retries=0
+        )
+        assert not outcome.ok
+        assert outcome.error["kind"] == "ValueError"
+        assert "unknown backend" in outcome.error["message"]
 
     def test_unknown_runner_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown runner mode"):
