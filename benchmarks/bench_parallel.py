@@ -2,19 +2,19 @@
 
 Runs the same multi-seed Corollary 3.6 sweep twice at every (n, Delta) grid
 point — once inline on one process, once sharded across four workers through
-a persistent :class:`repro.parallel.JobRunner` — asserting bit-identical
-outcomes (a job is a pure function of its spec) while measuring wall clock.
+a :class:`repro.parallel.JobRunner` — asserting bit-identical outcomes (a job
+is a pure function of its spec) while measuring wall clock.
 Writes the machine-readable ``BENCH_parallel.json`` at the repo root, plus
 the usual table under ``benchmarks/results/``.
 
 Both timed phases run *warm* so they compare compute, not setup:
 
-* the worker pool is forked once and exercised with a warm-up map before the
-  first timed point (no fork/import cost inside a measurement);
 * every grid point's graphs are prewarmed into the parent graph cache before
-  either phase, so the sequential pass reads the cache and the parallel pass
-  ships the same CSR arrays to workers zero-copy through the shared-memory
-  plane — neither pays graph generation inside the timing window.
+  either phase, so the sequential pass reads the cache;
+* the worker pool is forked per grid point *after* that prewarm, so every
+  worker inherits the cached graphs, and is exercised with a warm-up map
+  before the timed map — neither fork, imports nor graph generation fall
+  inside the timing window.
 
 The speedup column is a *machine property*: it tracks the host's usable core
 count, so every entry records its own ``cpus`` and the regression gate only
@@ -42,8 +42,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_parallel.json")
 
 #: (n, Delta) grid; each point fans out JOBS_PER_POINT seeded jobs.  The
-#: last point is the large-n acceptance entry: sparse, so the shared-memory
-#: plane (not graph generation) dominates the fan-out cost.
+#: last point is the large-n acceptance entry, kept sparse.
 GRID = (
     (2000, 16),
     (8000, 32),
@@ -81,49 +80,47 @@ def run_grid(grid=GRID):
     for key, value in _CACHE_ENV.items():
         os.environ.setdefault(key, value)
     entries = []
-    with JobRunner(workers=WORKERS) as runner:
-        # Fork and import-warm the pool once, outside every timing window.
-        warmup = _sweep(*SMOKE_GRID[0], jobs=2)
-        runner.map_jobs(warmup)
-        for n, delta in grid:
-            specs = _sweep(n, delta)
-            # Prewarm the parent graph cache: the sequential pass then reads
-            # it directly and the parallel pass exports the cached CSR arrays
-            # through the shm plane, so neither phase times graph generation.
-            for spec in specs:
-                build_graph(spec.graph)
-            start = time.perf_counter()
-            sequential = run_many(specs, workers=1)
-            sequential_elapsed = time.perf_counter() - start
+    for n, delta in grid:
+        specs = _sweep(n, delta)
+        # Prewarm the parent graph cache: the sequential pass reads it, and
+        # the pool forked below inherits it.
+        for spec in specs:
+            build_graph(spec.graph)
+        start = time.perf_counter()
+        sequential = run_many(specs, workers=1)
+        sequential_elapsed = time.perf_counter() - start
+        with JobRunner(workers=WORKERS) as runner:
+            # Fork and import-warm the pool outside the timing window.
+            runner.map_jobs(_sweep(*SMOKE_GRID[0], jobs=2))
             start = time.perf_counter()
             parallel = runner.map_jobs(specs)
             parallel_elapsed = time.perf_counter() - start
-            assert all(o.ok for o in sequential), [
-                o.error for o in sequential if not o.ok
-            ]
-            assert [_deterministic_view(o) for o in parallel] == [
-                _deterministic_view(o) for o in sequential
-            ], "parallel outcomes must be bit-identical to sequential"
-            entries.append(
-                {
-                    "n": n,
-                    "delta": delta,
-                    "jobs": len(specs),
-                    "workers": WORKERS,
-                    "cpus": os.cpu_count() or 1,
-                    # The speedup below is only meaningful with this many
-                    # real cores; check_regression.py skips the speedup
-                    # assertion (and says so) on narrower machines.
-                    "min_cpus": WORKERS,
-                    "rounds": [o.rounds for o in sequential],
-                    "num_colors": [o.num_colors for o in sequential],
-                    "sequential_seconds": round(sequential_elapsed, 6),
-                    "parallel_seconds": round(parallel_elapsed, 6),
-                    "speedup": round(
-                        sequential_elapsed / max(parallel_elapsed, 1e-9), 2
-                    ),
-                }
-            )
+        assert all(o.ok for o in sequential), [
+            o.error for o in sequential if not o.ok
+        ]
+        assert [_deterministic_view(o) for o in parallel] == [
+            _deterministic_view(o) for o in sequential
+        ], "parallel outcomes must be bit-identical to sequential"
+        entries.append(
+            {
+                "n": n,
+                "delta": delta,
+                "jobs": len(specs),
+                "workers": WORKERS,
+                "cpus": os.cpu_count() or 1,
+                # The speedup below is only meaningful with this many
+                # real cores; check_regression.py skips the speedup
+                # assertion (and says so) on narrower machines.
+                "min_cpus": WORKERS,
+                "rounds": [o.rounds for o in sequential],
+                "num_colors": [o.num_colors for o in sequential],
+                "sequential_seconds": round(sequential_elapsed, 6),
+                "parallel_seconds": round(parallel_elapsed, 6),
+                "speedup": round(
+                    sequential_elapsed / max(parallel_elapsed, 1e-9), 2
+                ),
+            }
+        )
     return entries
 
 

@@ -16,8 +16,8 @@ timeline export
 
 sampling profiler
     :class:`SamplingProfiler` is a background thread that buffers periodic
-    readings — RSS, CPU time, graph-cache and shared-memory occupancy, plus
-    anything registered via :func:`register_sampler` (the oocore engine adds
+    readings — RSS, CPU time, graph-cache occupancy, plus anything
+    registered via :func:`register_sampler` (the oocore engine adds
     shard-residency gauges) — and flushes them into the collector as
     ``profile.sample`` events at :meth:`~SamplingProfiler.stop`.  Buffering
     keeps the registry single-threaded and the instrumented run unlocked.
@@ -187,14 +187,6 @@ class SamplingProfiler:
             stats = graph_cache_stats()
             sample["graph_cache_entries"] = stats["entries"]
             sample["graph_cache_bytes"] = stats["bytes"]
-        except Exception:
-            pass
-        try:
-            from repro.parallel.shm import segment_stats
-
-            stats = segment_stats()
-            sample["shm_segments"] = stats["segments"]
-            sample["shm_bytes"] = stats["bytes"]
         except Exception:
             pass
         for fn in list(_SAMPLERS.values()):

@@ -11,12 +11,12 @@ Round structure per stage run:
 
 1. encode: ``batch_encode_initial`` shard by shard into the double-buffered
    state planes (:class:`~repro.oocore.store.PlaneStore` memmap files);
-2. rounds: a :class:`~repro.parallel.partition.PartitionRunner` steps every
-   shard on its local CSR, exchanging only boundary (halo) colors between
-   rounds; per-round ``changed``/``finalized``/``conflicts`` aggregate to
-   exactly the batch engine's numbers because vertex ownership is a
-   partition and forward edges are counted at their smaller endpoint
-   (conflicts after the round barrier, from the plane just written);
+2. rounds: a :class:`ShardRunner` steps the shards one at a time on their
+   local CSRs, exchanging only boundary (halo) colors between rounds;
+   per-round ``changed``/``finalized``/``conflicts`` aggregate to exactly
+   the batch engine's numbers because vertex ownership is a partition and
+   forward edges are counted at their smaller endpoint (conflicts after
+   the round barrier, from the plane just written);
 3. decode: ``batch_decode_final`` shard by shard into both the persistent
    ``colors.i64`` plane and the result array.
 
@@ -44,7 +44,13 @@ from repro.oocore.store import (
 )
 from repro.runtime.csr import numpy_or_none
 from repro.runtime.engine import RunResult, Visibility, drive
-from repro.runtime.fast_engine import ColumnState, batch_supported, scalar_colors
+from repro.runtime.fast_engine import (
+    ColumnState,
+    batch_supported,
+    count_changed,
+    equal_pairs,
+    scalar_colors,
+)
 
 __all__ = ["OocoreColoringEngine", "OocoreRunResult", "ShardState", "oocore_greedy"]
 
@@ -113,9 +119,8 @@ class OocoreColoringEngine:
     owned (and deleted) by the engine.
 
     Parameters mirror the other engines where they make sense;
-    ``record_history`` is rejected, scalar-only stages raise.  ``workers``
-    picks the fan-out width (default: inline), ``shards`` only applies when
-    the engine has to convert an in-memory graph.
+    ``record_history`` is rejected, scalar-only stages raise.  ``shards``
+    only applies when the engine has to convert an in-memory graph.
     """
 
     def __init__(
@@ -125,7 +130,6 @@ class OocoreColoringEngine:
         check_proper_each_round=False,
         record_history=False,
         shards=None,
-        workers=None,
         scratch=None,
     ):
         if numpy_or_none() is None:
@@ -149,7 +153,6 @@ class OocoreColoringEngine:
         self.visibility = visibility
         self.check_proper_each_round = check_proper_each_round
         self.record_history = False
-        self.workers = workers
         self._scratch_base = scratch or scratch_root()
 
     def __del__(self):
@@ -175,7 +178,7 @@ class OocoreColoringEngine:
         Counted: the initial/decoded O(n) arrays, one shard's local CSR and
         double state (old + new, owned + halo), and the halo planes.  The
         state planes themselves are memmaps whose pages are dropped after
-        every shard task, so only one shard's window is charged.
+        every shard step, so only one shard's window is charged.
         """
         graph = self.graph
         max_k, max_slots = self._max_shard_extents()
@@ -220,13 +223,204 @@ class OocoreColoringEngine:
             state.close()
 
 
+class ShardRunner:
+    """One stage's rounds over the shards of a sharded graph, a shard at a time.
+
+    Every shard runs the stage's existing ``step_batch`` kernel on its local
+    CSR slice.  The only cross-shard data a round reads is each shard's
+    **halo**, the colors of its boundary neighbors, gathered from the source
+    plane into a per-shard ``(ncomp, h)`` array; those gathered bytes are the
+    metered boundary exchange.
+
+    :meth:`run_round` is the synchronous-round barrier: it returns once every
+    shard has written its owned range of the other plane, with the round's
+    ``changed`` and ``finalized`` counts.  :meth:`count_conflicts` runs after
+    that barrier over the plane just written, with every halo refilled from
+    it.  ``src`` is the plane holding the current coloring (0 before the
+    first round); ``io_read``, ``io_written`` and ``halo_bytes`` total the
+    metered bytes.  ``cache_bytes`` bounds a cache of built local CSRs and
+    their forward slots, reused across rounds when the budget allows and
+    rebuilt from disk when it does not.
+    """
+
+    def __init__(self, graph, planes, stage, visibility, cache_bytes=0,
+                 release_planes=False):
+        np = self.np = numpy_or_none()
+        self.graph = graph
+        self.planes = planes
+        self.ncomp = planes.ncomp
+        self.stage = stage
+        self.visibility = visibility
+        self.cache_bytes = cache_bytes
+        self.release_planes = release_planes
+        self.src = 0
+        self.io_read = self.io_written = self.halo_bytes = 0
+        self._halo_ids = {}
+        self._halos = {}
+        self._halo_plane = None
+        self._locals = {}
+        self._forward = {}
+        self._cached_bytes = 0
+        for shard_id in range(graph.shards):
+            ids = graph.halo_ids(shard_id)
+            if ids.shape[0]:
+                self._halo_ids[shard_id] = ids
+                self._halos[shard_id] = np.zeros(
+                    (self.ncomp, ids.shape[0]), dtype=np.int64
+                )
+
+    def local(self, shard_id):
+        """``(local, io_read)``: one shard's local CSR, cached or from disk."""
+        cached = self._locals.get(shard_id)
+        if cached is not None:
+            return cached, 0
+        local = self.graph.local(shard_id)
+        cost = 6 * local.lindices.nbytes + local.halo.nbytes
+        if cost <= self.cache_bytes - self._cached_bytes:
+            self._locals[shard_id] = local
+            self._cached_bytes += cost
+        return local, local.bytes_read
+
+    def forward(self, shard_id):
+        """``(rows, nbrs, io_read)``: the shard's slots that point to a larger id.
+
+        Every edge is counted once, at its smaller endpoint, in the order of
+        the batch engine's edge arrays.  Local ids keep the global order
+        inside the shard, and the sorted halo splits into ids below ``lo``
+        and ids from ``hi`` up, so no global ids are read.  Cached next to
+        the local CSRs, under the same byte budget, so a conflict count
+        rebuilds no CSR.
+        """
+        slots = self._forward.get(shard_id)
+        if slots is not None:
+            return slots + (0,)
+        local, io_read = self.local(shard_id)
+        nbrs = local.lindices
+        rows = local.csr().rows[: nbrs.shape[0]]
+        split = local.k + int(self.np.searchsorted(local.halo, local.hi))
+        fwd = (nbrs >= split) | ((nbrs > rows) & (nbrs < local.k))
+        slots = (rows[fwd], nbrs[fwd])
+        cost = slots[0].nbytes + slots[1].nbytes
+        if cost <= self.cache_bytes - self._cached_bytes:
+            self._forward[shard_id] = slots
+            self._cached_bytes += cost
+        return slots + (io_read,)
+
+    def shard_state(self, shard_id):
+        """One shard's columns in plane ``src``: owned rows, then its halo."""
+        np = self.np
+        lo, hi = self.graph.ranges[shard_id]
+        halo = self._halos.get(shard_id)
+        state = []
+        for comp, column in enumerate(self.planes.buffer(self.src)):
+            owned = np.array(column[lo:hi])
+            if halo is not None:
+                state.append(np.concatenate([owned, halo[comp]]))
+            else:
+                state.append(owned)
+        return tuple(state)
+
+    def release(self, *bufs):
+        """Drop the resident pages of the given planes (budget discipline)."""
+        if self.release_planes:
+            for buf in bufs:
+                for column in self.planes.buffer(buf):
+                    release_pages(column)
+            self.graph.release_resident()
+
+    def fill_halos(self):
+        """Gather every shard's boundary colors from the ``src`` plane.
+
+        This *is* the halo exchange: the only cross-shard bytes of a round,
+        metered in ``halo_bytes``.  Skipped when the halos already hold that
+        plane: a round writes only the other plane, so the fill of a
+        conflict count serves the next round as well.
+        """
+        if self._halo_plane == self.src:
+            return
+        self._halo_plane = self.src
+        columns = self.planes.buffer(self.src)
+        for shard_id, ids in self._halo_ids.items():
+            halo = self._halos[shard_id]
+            for comp in range(self.ncomp):
+                halo[comp] = columns[comp][ids]
+            self.halo_bytes += 8 * self.ncomp * int(ids.shape[0])
+
+    def _step_shard(self, shard_id, round_index):
+        """One shard, one synchronous round: ``(changed, finalized)``."""
+        src = self.src
+        local, io_read = self.local(shard_id)
+        k = local.k
+        state = self.shard_state(shard_id)
+        new_state = self.stage.step_batch(
+            round_index, state, local.csr(), self.visibility
+        )
+        changed = count_changed(self.np, state, new_state, k)
+        owned_new = tuple(comp[:k] for comp in new_state)
+        for column, owned in zip(self.planes.buffer(1 - src), owned_new):
+            column[local.lo:local.hi] = owned
+        self.io_read += io_read + 8 * k * self.ncomp + local.bytes_read
+        self.io_written += 8 * k * self.ncomp
+        finalized = int(self.stage.batch_is_final(owned_new).sum())
+        self.release(src, 1 - src)
+        return changed, finalized
+
+    def _count_shard(self, shard_id):
+        """Edges at one shard's forward slots with equal colors in plane ``src``.
+
+        Returns the count and the first such edge as ``(u, v, color of u)``
+        in global ids, or None.
+        """
+        rows, nbrs, io_read = self.forward(shard_id)
+        lo, hi = self.graph.ranges[shard_id]
+        state = self.shard_state(shard_id)
+        self.release(self.src)
+        self.io_read += io_read + 8 * (hi - lo) * self.ncomp
+        count, i = equal_pairs(self.np, state, rows, nbrs)
+        if i is None:
+            return count, None
+        row, nbr, k = int(rows[i]), int(nbrs[i]), hi - lo
+        v = lo + nbr if nbr < k else int(self._halo_ids[shard_id][nbr - k])
+        columns = tuple(c[row:row + 1] for c in state)
+        return count, (lo + row, v, scalar_colors(self.stage, columns)[0])
+
+    def run_round(self, round_index):
+        """One synchronous round over every shard: ``(changed, finalized)``.
+
+        Reads plane ``src``, writes the other one, and makes it ``src``.
+        """
+        self.fill_halos()
+        changed = finalized = 0
+        for shard_id in range(self.graph.shards):
+            shard_changed, shard_finalized = self._step_shard(shard_id, round_index)
+            changed += shard_changed
+            finalized += shard_finalized
+        self.src = 1 - self.src
+        return changed, finalized
+
+    def count_conflicts(self):
+        """Conflicting edges of plane ``src``, counted after a round barrier.
+
+        Returns ``(count, first)``: ``first`` is the first such edge in
+        sorted order as ``(u, v, color of u)``, or None — the contract of
+        :meth:`repro.runtime.engine.RoundState.conflicts`.
+        """
+        self.fill_halos()
+        count, first = 0, None
+        for shard_id in range(self.graph.shards):
+            shard_count, edge = self._count_shard(shard_id)
+            count += shard_count
+            if first is None:
+                first = edge
+        return count, first
+
+
 class ShardState(ColumnState):
     """The out-of-core tier: int64 columns split over memory-mapped shards.
 
     Owns, for one run, the double-buffered state planes, the
-    :class:`~repro.parallel.partition.PartitionRunner` that steps the shards,
-    the optional sampling profiler and a scratch directory; :meth:`close`
-    releases all of them.
+    :class:`ShardRunner` that steps the shards, the optional sampling
+    profiler and a scratch directory; :meth:`close` releases all of them.
     """
 
     backend = "oocore"
@@ -271,15 +465,12 @@ class ShardState(ColumnState):
             self.planes = PlaneStore(self.scratch, graph.n, len(state))
         self.planes.release_resident()
 
-        from repro.parallel.partition import PartitionRunner
-
         cache_bytes = (budget // 4) if budget is not None else (256 << 20)
-        runner = self.runner = PartitionRunner(
+        self.runner = ShardRunner(
             graph, self.planes, stage, self.visibility,
-            workers=self.engine.workers, cache_bytes=cache_bytes,
-            release_planes=budget is not None,
+            cache_bytes=cache_bytes, release_planes=budget is not None,
         )
-        runner.io_written += written
+        self.runner.io_written += written
         if self.profiler is not None:
             # Shard-residency gauges ride along with every RSS sample: how
             # much plane/halo state the round loop keeps hot.
@@ -289,7 +480,7 @@ class ShardState(ColumnState):
                 return {
                     "oocore.shards": graph.shards,
                     "oocore.plane_bytes": 16 * graph.n * ncomp,
-                    "oocore.halo_slots": runner._halo_slots,
+                    "oocore.halo_slots": graph.total_halo(),
                     "oocore.cache_bytes": cache_bytes,
                 }
 
@@ -302,7 +493,7 @@ class ShardState(ColumnState):
 
     def conflicts(self):
         # Counted after the round barrier from the plane just written, with
-        # every halo refilled from it (see PartitionRunner.count_conflicts).
+        # every halo refilled from it (see ShardRunner.count_conflicts).
         return self.runner.count_conflicts()
 
     def finish(self, palette_size, rounds_used, metrics, history):
@@ -345,13 +536,11 @@ class ShardState(ColumnState):
             tel.gauge("oocore.peak_rss_bytes", rss)
 
     def close(self):
-        """Stop the profiler, the runner and the planes; delete the scratch."""
+        """Stop the profiler and the planes; delete the scratch."""
         if self.profiler is not None:
             if self.sampling:
                 flight.unregister_sampler("oocore")
             self.profiler.stop()
-        if self.runner is not None:
-            self.runner.close()
         if self.planes is not None:
             self.planes.close()
         shutil.rmtree(self.scratch, ignore_errors=True)

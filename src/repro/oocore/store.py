@@ -435,10 +435,10 @@ class ShardedCSRGraph:
 class PlaneStore:
     """Double-buffered per-component int64 state planes as memmap files.
 
-    The partition round loop reads the *source* buffer and writes the
+    The shard round loop reads the *source* buffer and writes the
     *target*; buffers swap between rounds.  Files live under the engine's
-    scratch directory and are visible to forked workers through the page
-    cache (MAP_SHARED), so no per-round state ever crosses a pipe.
+    scratch directory, so only the shard being stepped needs resident
+    pages.
     """
 
     def __init__(self, directory, n, ncomp):

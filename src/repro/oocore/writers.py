@@ -24,13 +24,15 @@ range, computes each shard's halo table, localizes the neighbor ids into
 
 :func:`shard_static_graph` converts an already-built in-memory graph (any
 family) to the same format; :func:`ensure_sharded` is the disk-cached
-front door the job runner and backend factory use.
+front door the job runner and the CLI use.
 """
 
 import hashlib
 import json
 import os
 import random
+import secrets
+import shutil
 
 from repro.graphgen.generators import _GNP_BLOCK, _np_rng, _np_rng_sync_back
 from repro.oocore.store import (
@@ -398,7 +400,7 @@ def _cache_dir_for(spec, shards):
     )
 
 
-def ensure_sharded(spec, shards=None, cache=True):
+def ensure_sharded(spec, shards=None):
     """A :class:`ShardedCSRGraph` for a job-runner graph spec dict.
 
     Families with a streaming writer (``regular``, ``gnp``) are emitted
@@ -406,29 +408,61 @@ def ensure_sharded(spec, shards=None, cache=True):
     converted.  Results are cached on disk keyed by the spec (generation is
     deterministic), so sweeps reuse the shard files across jobs and even
     across processes.
+
+    An entry is written into a private sibling directory and published with
+    one ``os.rename``, so no caller ever opens, or writes into, a half-written
+    entry.  Of several processes building one cold spec, the first rename
+    wins; the others delete their copies and open the winner's.  An entry
+    that exists but does not open is moved aside and deleted before the
+    rebuild.
     """
     _require_numpy()
     spec = dict(spec)
     directory = _cache_dir_for(spec, shards)
-    if cache and os.path.exists(os.path.join(directory, META_FILE)):
+    if os.path.exists(directory):
         try:
             return ShardedCSRGraph.open(directory)
         except (ValueError, OSError, KeyError):
-            pass  # stale/corrupt cache entry: rebuild below
+            aside = _sibling(directory, "stale")
+            try:
+                os.rename(directory, aside)
+            except OSError:
+                pass  # another caller moved it first
+            shutil.rmtree(aside, ignore_errors=True)
+    private = _sibling(directory, "tmp")
+    os.makedirs(private)
+    try:
+        _write_spec(private, spec, shards)
+        try:
+            os.rename(private, directory)
+        except OSError:
+            # Lost the race: another process published this entry first.
+            if not os.path.exists(os.path.join(directory, META_FILE)):
+                raise
+    finally:
+        shutil.rmtree(private, ignore_errors=True)  # a no-op once published
+    return ShardedCSRGraph.open(directory)
+
+
+def _sibling(directory, tag):
+    """A fresh, unique path next to ``directory`` (same filesystem)."""
+    return "%s.%s-%s" % (directory, tag, secrets.token_hex(8))
+
+
+def _write_spec(path, spec, shards):
+    """Generate ``spec`` into the shard directory ``path``."""
     family = spec.get("family", "regular")
     n = int(spec.get("n", 64))
     seed = spec.get("seed", 1)
-    os.makedirs(directory, exist_ok=True)
     if family == "regular":
-        return write_random_regular(
-            directory, n, int(spec.get("degree", 6)), seed, shards=shards
+        write_random_regular(
+            path, n, int(spec.get("degree", 6)), seed, shards=shards
         )
-    if family == "gnp":
-        return write_gnp(
-            directory, n, float(spec.get("prob", 0.1)), seed, shards=shards
-        )
-    from repro.parallel.jobs import build_graph
+    elif family == "gnp":
+        write_gnp(path, n, float(spec.get("prob", 0.1)), seed, shards=shards)
+    else:
+        from repro.parallel.jobs import build_graph
 
-    return shard_static_graph(
-        build_graph(spec), directory, shards=shards, provenance={"spec": spec}
-    )
+        shard_static_graph(
+            build_graph(spec), path, shards=shards, provenance={"spec": spec}
+        )

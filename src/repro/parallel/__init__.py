@@ -30,15 +30,12 @@ from repro.parallel.jobs import (
     register_algorithm,
     resolve_algorithm,
 )
-from repro.parallel.partition import PartitionRunner
 from repro.parallel.runner import JobRunner, run, run_many, run_sweep, sweep_specs
-from repro.parallel.shm import shm_available
 
 __all__ = [
     "JobOutcome",
     "JobSpec",
     "JobRunner",
-    "PartitionRunner",
     "SelfStabReport",
     "algorithm_names",
     "build_graph",
@@ -50,6 +47,5 @@ __all__ = [
     "run",
     "run_many",
     "run_sweep",
-    "shm_available",
     "sweep_specs",
 ]

@@ -83,9 +83,10 @@ def _materialize_graph(spec):
 # Bounded LRU over materialized graphs.  Generation dominates per-job setup
 # (21s for a random 16-regular graph at n=10^5), and sweeps over seeds or
 # backends keep asking for the same topology; caching the StaticGraph also
-# caches its memoized ``csr()`` — the cross-job CSR cache the shared-memory
-# exporter reads from.  Keys are the *full* spec dict, so a differing seed,
-# degree, or probability is a different entry by construction.
+# caches its memoized ``csr()``.  Each process has its own cache; a forked
+# pool worker starts with a copy of the parent's.  Keys are the *full* spec
+# dict, so a differing seed, degree, or probability is a different entry by
+# construction.
 _GRAPH_CACHE = OrderedDict()
 _CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
@@ -643,18 +644,16 @@ class JobOutcome:
 # -- worker-side execution -----------------------------------------------------------
 
 
-def execute_job(spec, collect_telemetry=False, graph=None, trace=None):
+def execute_job(spec, collect_telemetry=False, trace=None):
     """Run one spec in this process; return the envelope dict.
 
     Never raises: algorithm failures come back as ``ok=False`` with the
     exception type, message, and traceback, so a crashing job cannot take a
     worker (or the pool protocol) down with it.
 
-    ``graph`` short-circuits materialization with an already-built adjacency
-    view — the shared-memory fan-out hands workers an attached
-    :class:`~repro.parallel.shm.SharedGraphView` here.  Results are
-    bit-identical either way: the view answers every query the generated
-    graph would.
+    The graph comes from :func:`build_graph` (this process's cache), or for
+    ``backend="oocore"`` from the disk-cached shard directory of
+    :func:`~repro.oocore.writers.ensure_sharded`.
 
     ``trace`` is the parent collector's
     :meth:`~repro.obs.core.Telemetry.trace_context`: when telemetry is
@@ -667,15 +666,14 @@ def execute_job(spec, collect_telemetry=False, graph=None, trace=None):
     records = []
     try:
         fn = resolve_algorithm(spec.algorithm)
-        if graph is None:
-            if spec.backend == "oocore":
-                # Out-of-core jobs stream the generator into (cached) memmap
-                # shards instead of materializing a StaticGraph in RAM.
-                from repro.oocore.writers import ensure_sharded
+        if spec.backend == "oocore":
+            # Out-of-core jobs stream the generator into (cached) memmap
+            # shards instead of materializing a StaticGraph in RAM.
+            from repro.oocore.writers import ensure_sharded
 
-                graph = ensure_sharded(spec.graph)
-            else:
-                graph = build_graph(spec.graph)
+            graph = ensure_sharded(spec.graph)
+        else:
+            graph = build_graph(spec.graph)
         if collect_telemetry:
             trace = trace or {}
             with obs.capture(
@@ -718,43 +716,12 @@ def execute_job(spec, collect_telemetry=False, graph=None, trace=None):
 
 
 def execute_payload(payload):
-    """Pool entry point for one job: rebuild the spec, execute, return dict.
-
-    When the parent annotated the payload with shared-memory metadata, the
-    graph comes from an attached segment instead of a rebuild, and the final
-    color list leaves through the job's color segment instead of the result
-    pickle.  Every shm failure degrades to the by-value path silently — the
-    envelope is bit-identical either way.
-    """
-    spec = JobSpec.from_dict(payload["spec"])
-    graph = None
-    view = None
-    if payload.get("shm_graph") is not None:
-        from repro.parallel import shm
-
-        try:
-            view = shm.attach_graph(payload["shm_graph"])
-            graph = view
-        except Exception:
-            graph = None
-    try:
-        envelope = execute_job(
-            spec,
-            collect_telemetry=payload.get("telemetry", False),
-            graph=graph,
-            trace=payload.get("trace"),
-        )
-        if payload.get("shm_colors") is not None:
-            from repro.parallel import shm
-
-            try:
-                shm.offload_colors(envelope, payload["shm_colors"])
-            except Exception:
-                pass
-        return envelope
-    finally:
-        if view is not None:
-            view.detach()
+    """Pool entry point for one job: rebuild the spec, execute, return dict."""
+    return execute_job(
+        JobSpec.from_dict(payload["spec"]),
+        collect_telemetry=payload.get("telemetry", False),
+        trace=payload.get("trace"),
+    )
 
 
 def execute_chunk(payloads):

@@ -6,7 +6,10 @@
   the platform offers it, so custom :func:`~repro.parallel.jobs.register_algorithm`
   entries propagate to workers) with *chunked dispatch*: jobs are grouped
   into chunks and each chunk crosses the process boundary once, amortizing
-  pickling over many small jobs.
+  pickling over many small jobs.  A job crosses as its spec dict; each
+  worker builds its graph through its own
+  :func:`~repro.parallel.jobs.build_graph` cache, which a forked pool
+  inherits from the parent as it was at fork time.
 * **inline mode** — the same jobs executed in this process, used for
   ``workers=1`` and as the graceful fallback whenever multiprocessing (or
   NumPy, whose absence makes fork-per-job overhead pointless) is
@@ -97,11 +100,6 @@ class JobRunner:
     mode:
         ``"auto"`` (process pool when useful and available, else inline),
         ``"process"`` (force the pool), or ``"inline"`` (force in-process).
-    shm:
-        ``None`` (zero-copy shared-memory fan-out when available — the
-        default), ``True`` (require it; RuntimeError when unavailable), or
-        ``False`` (force the by-value protocol).  Only meaningful in process
-        mode; results are bit-identical either way.
     watchdog:
         ``None`` (heartbeat monitoring whenever telemetry is live in process
         mode — the default) or ``False`` (never).  ``REPRO_DISABLE_WATCHDOG=1``
@@ -117,7 +115,7 @@ class JobRunner:
         is plain and may be reassigned between ``map_jobs`` calls.
     """
 
-    def __init__(self, workers=None, timeout=None, retries=1, chunk_size=None, mode="auto", shm=None, watchdog=None, on_status=None):
+    def __init__(self, workers=None, timeout=None, retries=1, chunk_size=None, mode="auto", watchdog=None, on_status=None):
         if mode not in ("auto", "process", "inline"):
             raise ValueError("unknown runner mode %r" % mode)
         self.workers = _default_workers() if workers is None else max(1, int(workers))
@@ -125,12 +123,10 @@ class JobRunner:
         self.retries = max(0, int(retries))
         self.chunk_size = chunk_size
         self.mode = mode
-        self.shm = shm
         self.watchdog = watchdog
         self.on_status = on_status
         self._context = None
         self._pool = None
-        self._manager = None
         self._watchdog = None
 
     def _notify(self, spec, status):
@@ -178,14 +174,11 @@ class JobRunner:
             self._pool = None
 
     def close(self):
-        """Release the worker pool and any shared-memory segments (idempotent)."""
+        """Release the worker pool (idempotent)."""
         if self._pool is not None:
             self._pool.close()
             self._pool.join()
             self._pool = None
-        if self._manager is not None:
-            self._manager.close()
-            self._manager = None
 
     def __enter__(self):
         return self
@@ -249,31 +242,6 @@ class JobRunner:
         else:
             size = max(1, -(-len(indices) // (self.workers * 4)))
         return [indices[i:i + size] for i in range(0, len(indices), size)]
-
-    def _shm_plane(self, specs, payloads):
-        """Annotate payloads with shared-memory metadata; None when by-value.
-
-        The plane's segments deliberately outlive ``_reset_pool``: jobs
-        re-dispatched after a timeout attach to the same names.  Everything
-        is released when each job finalizes, with ``close``/``atexit`` as
-        backstops.
-        """
-        if self.shm is False:
-            return None
-        from repro.parallel import shm as shm_mod
-
-        if not shm_mod.shm_available():
-            if self.shm is True:
-                raise RuntimeError(
-                    "shared-memory fan-out requested but unavailable "
-                    "(no multiprocessing.shared_memory, no NumPy, or REPRO_DISABLE_SHM=1)"
-                )
-            return None
-        if self._manager is None:
-            self._manager = shm_mod.SegmentManager()
-        plane = shm_mod.ShmPlane(self._manager)
-        plane.annotate(specs, payloads)
-        return plane
 
     def _make_watchdog(self, tel):
         """A watchdog over a fresh heartbeat board, or None when switched off.
@@ -339,7 +307,6 @@ class JobRunner:
                 if watchdog is not None:
                     payload["heartbeat"] = watchdog.board.path
         self._watchdog = watchdog
-        plane = self._shm_plane(specs, payloads)
 
         try:
             while pending:
@@ -373,8 +340,6 @@ class JobRunner:
                                 next_pending.append(i)
                             else:
                                 envelopes[i] = _timeout_envelope(self.timeout)
-                                if plane is not None:
-                                    plane.finalize(i, envelopes[i])
                                 self._notify(specs[i], "timeout")
                         continue
                     for i, envelope in zip(chunk, results):
@@ -383,14 +348,10 @@ class JobRunner:
                         if not envelope["ok"] and attempts[i] <= self.retries:
                             next_pending.append(i)
                         else:
-                            if plane is not None:
-                                plane.finalize(i, envelope)
                             envelopes[i] = envelope
                             self._notify(specs[i], "done" if envelope["ok"] else "failed")
                 pending = next_pending
         finally:
-            if plane is not None:
-                plane.close()
             if watchdog is not None:
                 watchdog.board.close()
 
@@ -453,14 +414,14 @@ def run(job, **kwargs):
         return runner.submit(job)
 
 
-def run_many(jobs, workers=None, timeout=None, retries=1, chunk_size=None, mode="auto", shm=None):
+def run_many(jobs, workers=None, timeout=None, retries=1, chunk_size=None, mode="auto"):
     """Run a list of jobs across a worker pool; outcomes in input order.
 
     The multi-job entry point of the facade: builds a :class:`JobRunner`,
     maps the jobs, closes the pool.  Bit-identical to running each job with
     :func:`run` — only the wall-clock differs.
     """
-    with JobRunner(workers=workers, timeout=timeout, retries=retries, chunk_size=chunk_size, mode=mode, shm=shm) as runner:
+    with JobRunner(workers=workers, timeout=timeout, retries=retries, chunk_size=chunk_size, mode=mode) as runner:
         return runner.map_jobs(jobs)
 
 
@@ -481,7 +442,7 @@ def sweep_specs(ns, degrees, seeds, algorithm="cor36", backend="auto", family="r
     return specs
 
 
-def run_sweep(ns, degrees, seeds, algorithm="cor36", backend="auto", family="regular", params=None, workers=None, timeout=None, retries=1, mode="auto", shm=None):
+def run_sweep(ns, degrees, seeds, algorithm="cor36", backend="auto", family="regular", params=None, workers=None, timeout=None, retries=1, mode="auto"):
     """Sweep the parameter grid across workers; outcomes in grid order."""
     return run_many(
         sweep_specs(ns, degrees, seeds, algorithm=algorithm, backend=backend, family=family, params=params),
@@ -489,5 +450,4 @@ def run_sweep(ns, degrees, seeds, algorithm="cor36", backend="auto", family="reg
         timeout=timeout,
         retries=retries,
         mode=mode,
-        shm=shm,
     )

@@ -150,11 +150,13 @@ class CSRAdjacency:
     def from_arrays(cls, n, indptr, indices):
         """Rebuild a CSR view from bare ``indptr``/``indices`` arrays.
 
-        The shared-memory fan-out plane ships exactly those two arrays; the
+        An out-of-core shard's local CSR
+        (:meth:`~repro.oocore.store.ShardLocal.csr`) is built this way.  The
         derived columns (``rows``, ``degrees``, ``edge_u``/``edge_v``) are
-        recomputed here, producing the same values ``from_graph`` would —
-        forward slots in row-major order enumerate the edges in the sorted
-        ``u < v`` order of ``StaticGraph.edges``.
+        recomputed here, producing the same values ``from_graph`` would on
+        the graph with these arrays — forward slots in row-major order
+        enumerate the edges in the sorted ``u < v`` order of
+        ``StaticGraph.edges``.
         """
         np = _require_numpy()
         degrees = np.diff(indptr)

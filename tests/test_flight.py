@@ -260,8 +260,10 @@ class TestSamplingProfiler:
         with obs.capture() as tel:
             profiler = flight.SamplingProfiler(tel, interval=0.002)
             profiler.start()
-            deadline = time.monotonic() + 0.08
-            while time.monotonic() < deadline:
+            # Stay busy until ten samples are buffered, however loaded the
+            # host; the deadline only guards against a hang.
+            deadline = time.monotonic() + 10.0
+            while len(profiler._samples) < 10 and time.monotonic() < deadline:
                 sum(range(1000))
             assert not tel.events, "sampler must not touch the collector live"
             count = profiler.stop()

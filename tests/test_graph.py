@@ -100,6 +100,20 @@ class TestStaticGraph:
         assert sum(g.degree(v) for v in g.vertices()) == 2 * g.m
 
 
+class TestCSRAdjacency:
+    def test_csr_from_arrays_matches_fresh_csr(self):
+        from repro.graphgen import random_regular
+        from repro.runtime.csr import CSRAdjacency, numpy_available
+
+        if not numpy_available():
+            pytest.skip("the CSR view needs NumPy")
+        fresh = random_regular(60, 4, seed=7).csr()
+        rebuilt = CSRAdjacency.from_arrays(fresh.n, fresh.indptr.copy(), fresh.indices.copy())
+        for field in ("indptr", "indices", "rows", "degrees", "edge_u", "edge_v"):
+            assert getattr(rebuilt, field).tolist() == getattr(fresh, field).tolist()
+        assert rebuilt.n == fresh.n and rebuilt.m == fresh.m
+
+
 class TestDynamicGraph:
     def test_vertices_lifecycle(self):
         g = DynamicGraph(5, 3)

@@ -128,20 +128,6 @@ class TestStageParity:
             )
         assert str(oocore_err.value) == str(batch_err.value)
 
-    def test_pool_mode_parity(self):
-        from repro.linial.core import LinialColoring
-        from repro.oocore.engine import OocoreColoringEngine
-        from repro.runtime.fast_engine import BatchColoringEngine
-
-        graph = random_regular(80, 5, seed=1)
-        sharded = _sharded(graph, shards=4)
-        initial = list(range(graph.n))
-        batch = BatchColoringEngine(graph).run(LinialColoring(), initial)
-        oocore = OocoreColoringEngine(sharded, workers=2).run(
-            LinialColoring(), initial
-        )
-        assert oocore.int_colors == batch.int_colors
-
     def test_in_memory_graph_is_auto_sharded(self):
         from repro.linial.core import LinialColoring
         from repro.oocore.engine import OocoreColoringEngine
@@ -258,6 +244,32 @@ class TestBackendRegistration:
         )
         assert oocore["summary"]["rounds"] == batch["summary"]["rounds"]
 
+    def test_process_pool_builds_no_graph_in_the_parent(self, monkeypatch):
+        # Two oocore jobs on one topology: each worker opens the shard
+        # directory itself, so the parent never holds the whole graph.
+        from repro.parallel import JobSpec, run_many
+        from repro.parallel.jobs import clear_graph_cache, graph_cache_stats
+        from repro.parallel.runner import _multiprocessing_context
+
+        context = _multiprocessing_context()
+        if context is None or context.get_start_method() != "fork":
+            pytest.skip("process mode unavailable")
+        monkeypatch.setenv("REPRO_OOCORE_DIR", tempfile.mkdtemp(prefix="oocore-pool-"))
+        graph = {"family": "regular", "n": 400, "degree": 8, "seed": 4}
+        specs = [
+            JobSpec(algorithm=algorithm, graph=graph, backend="oocore")
+            for algorithm in ("cor36", "exact")
+        ]
+        clear_graph_cache()
+        oocore = run_many(specs, workers=2, mode="process")
+        assert graph_cache_stats()["misses"] == 0
+        batch = run_many(
+            [JobSpec(s.algorithm, graph=graph, backend="batch") for s in specs],
+            mode="inline",
+        )
+        assert all(o.ok for o in oocore), [o.error for o in oocore]
+        assert [o.colors for o in oocore] == [o.colors for o in batch]
+
 
 class TestShardedGreedy:
     @pytest.mark.parametrize("shards", [1, 2, 5])
@@ -299,11 +311,8 @@ class TestTelemetry:
         events = [e for e in tel.events if e.get("type") == "engine.run"]
         assert events and events[-1]["backend"] == "oocore"
 
-    @pytest.mark.parametrize(
-        "shards,workers",
-        [(1, None), (2, None), (3, None), (4, None), (2, 2), (4, 2)],
-    )
-    def test_engine_run_records_match_every_tier(self, shards, workers):
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_engine_run_records_match_every_tier(self, shards):
         # Per-round changed/finalized/conflicts rows included: a cross-shard
         # edge must be counted from both endpoints' new colors.
         from repro import obs
@@ -325,7 +334,7 @@ class TestTelemetry:
         reference = records(ColoringEngine(graph))
         assert records(BatchColoringEngine(graph)) == reference
         sharded = _sharded(graph, shards=shards)
-        assert records(OocoreColoringEngine(sharded, workers=workers)) == reference
+        assert records(OocoreColoringEngine(sharded)) == reference
 
 
 class TestCLI:

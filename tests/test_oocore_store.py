@@ -247,6 +247,79 @@ class TestEnsureSharded:
         sharded = ensure_sharded({"family": "cycle", "n": 12}, shards=2)
         _assert_same_csr(cycle_graph(12), sharded)
 
+    def test_entry_is_written_privately_then_published(self, monkeypatch):
+        from repro.oocore import writers
+
+        monkeypatch.setenv("REPRO_OOCORE_DIR", _tmp())
+        written = []
+        finalize = writers.finalize_shards
+
+        def recording(path, *args, **kwargs):
+            written.append(os.path.abspath(path))
+            return finalize(path, *args, **kwargs)
+
+        monkeypatch.setattr(writers, "finalize_shards", recording)
+        spec = {"family": "regular", "n": 40, "degree": 4, "seed": 2}
+        sharded = ensure_sharded(spec, shards=2)
+        assert len(written) == 1 and written[0] != sharded.path
+        assert not os.path.exists(written[0])
+        assert os.listdir(os.path.dirname(sharded.path)) == [
+            os.path.basename(sharded.path)
+        ]
+        _assert_same_csr(random_regular(40, 4, seed=2), sharded)
+
+    def test_concurrent_cold_callers_share_one_entry(self, monkeypatch):
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method required")
+        monkeypatch.setenv("REPRO_OOCORE_DIR", _tmp())
+        spec = {"family": "regular", "n": 3000, "degree": 6, "seed": 8}
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(2)
+        results = context.Queue()
+
+        def build():
+            try:
+                barrier.wait(timeout=30)
+                sharded = ensure_sharded(spec, shards=4)
+                results.put((
+                    sharded.path,
+                    sharded._indptr_memmap().tolist(),
+                    sharded._indices_memmap().tolist(),
+                ))
+            except Exception as exc:
+                results.put(repr(exc))
+
+        workers = [context.Process(target=build) for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        got = [results.get(timeout=120) for _ in workers]
+        for worker in workers:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        csr = random_regular(3000, 6, seed=8).csr()
+        for result in got:
+            assert not isinstance(result, str), result
+            path, indptr, indices = result
+            assert indptr == csr.indptr.tolist()
+            assert indices == csr.indices.tolist()
+        assert got[0][0] == got[1][0]
+        assert os.listdir(os.path.dirname(got[0][0])) == [
+            os.path.basename(got[0][0])
+        ]
+
+    def test_corrupt_entry_is_replaced(self, monkeypatch):
+        monkeypatch.setenv("REPRO_OOCORE_DIR", _tmp())
+        spec = {"family": "regular", "n": 30, "degree": 4, "seed": 5}
+        path = ensure_sharded(spec, shards=3).path
+        with open(os.path.join(path, "meta.json"), "w") as handle:
+            handle.write("{torn")
+        sharded = ensure_sharded(spec, shards=3)
+        assert sharded.path == path
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
+        _assert_same_csr(random_regular(30, 4, seed=5), sharded)
+
 
 class TestPlaneStore:
     def test_double_buffer_round_trip(self):

@@ -32,9 +32,14 @@ def _fork_available():
     return context is not None and getattr(context, "get_start_method", lambda: "")() == "fork"
 
 
-def _specs(count, n=120, degree=6):
+def _specs(count, n=120, degree=6, topology=None):
+    """``count`` jobs; ``topology`` pins one graph seed across all of them."""
     return [
-        JobSpec(algorithm="cor36", graph={"family": "regular", "n": n, "degree": degree, "seed": s}, seed=s)
+        JobSpec(
+            algorithm="cor36",
+            graph={"family": "regular", "n": n, "degree": degree, "seed": s if topology is None else topology},
+            seed=s,
+        )
         for s in range(1, count + 1)
     ]
 
@@ -73,6 +78,17 @@ class TestDeterminism:
             _deterministic(o) for o in sequential
         ]
         assert all(o.ok for o in sequential)
+
+    def test_shared_topology_jobs_bit_identical(self):
+        if not numpy_available() or not _fork_available():
+            pytest.skip("process mode unavailable")
+        # Three jobs on one topology: each worker builds the graph from the
+        # spec through its own cache, and must agree with the inline run.
+        specs = _specs(3, topology=1)
+        inline = run_many(specs, mode="inline")
+        process = run_many(specs, workers=2, mode="process")
+        assert [_deterministic(o) for o in process] == [_deterministic(o) for o in inline]
+        assert all(o.ok for o in inline)
 
     def test_chunked_dispatch_preserves_order_and_results(self):
         if not numpy_available() or not _fork_available():
