@@ -27,8 +27,10 @@ Run directly (``python benchmarks/bench_oocore.py``), via pytest
 (``pytest benchmarks/bench_oocore.py -s``), or as the CI smoke check
 (``python benchmarks/bench_oocore.py --smoke``: tiny graph, four shards,
 tight explicit budget, parity asserted, nothing written).
-``--telemetry PATH`` appends the tier's shard-I/O and halo counters as
-JSONL — CI uploads it as an artifact.
+``--telemetry PATH`` writes the smoke's telemetry stream as JSONL (events,
+then the snapshot with the tier's shard-I/O counters and residency gauges),
+the format ``repro-coloring obs summary`` reads — CI uploads it as an
+artifact.
 """
 
 import json
@@ -265,15 +267,7 @@ def run_smoke(telemetry_path=None):
     finally:
         os.environ.pop("REPRO_OOCORE_BUDGET", None)
     if telemetry_path:
-        snapshot = tel.snapshot()
-        with open(telemetry_path, "w") as handle:
-            for event in tel.events:
-                handle.write(json.dumps(event) + "\n")
-            for kind in ("counters", "gauges", "histograms"):
-                for record in snapshot.get(kind, []):
-                    handle.write(
-                        json.dumps(dict(record, record_kind=kind)) + "\n"
-                    )
+        obs.write_jsonl(tel, telemetry_path)
         print("smoke: telemetry written to %s" % telemetry_path)
 
 

@@ -24,7 +24,7 @@ import contextlib
 import os
 import sys
 
-from repro import graphgen, obs
+from repro import obs
 from repro.analysis import (
     is_maximal_independent_set,
     is_maximal_matching,
@@ -39,6 +39,7 @@ from repro.recipes import (
     one_plus_eps_delta_coloring,
 )
 from repro.edge import edge_coloring_congest
+from repro.parallel import build_graph
 from repro.runtime import Visibility
 from repro.runtime.backends import backend_names
 
@@ -62,24 +63,6 @@ def _add_graph_arguments(parser):
     parser.add_argument("--cols", type=int, default=8, help="grid cols")
     parser.add_argument("--radius", type=float, default=0.15, help="unit-disk radius")
     parser.add_argument("--seed", type=int, default=1, help="generator seed")
-
-
-def _build_graph(args):
-    if args.family == "regular":
-        return graphgen.random_regular(args.n, args.degree, seed=args.seed)
-    if args.family == "gnp":
-        return graphgen.gnp_graph(args.n, args.prob, seed=args.seed)
-    if args.family == "cycle":
-        return graphgen.cycle_graph(args.n)
-    if args.family == "path":
-        return graphgen.path_graph(args.n)
-    if args.family == "grid":
-        return graphgen.grid_graph(args.rows, args.cols)
-    if args.family == "unit-disk":
-        return graphgen.unit_disk_graph(args.n, args.radius, seed=args.seed)
-    if args.family == "tree":
-        return graphgen.random_tree(args.n, seed=args.seed)
-    raise ValueError("unknown family %r" % args.family)
 
 
 @contextlib.contextmanager
@@ -230,7 +213,7 @@ def _cmd_color(args, out):
 
         graph = ensure_sharded(_graph_spec(args), shards=args.shards)
     else:
-        graph = _build_graph(args)
+        graph = build_graph(_graph_spec(args))
     visibility = Visibility.SET_LOCAL if args.set_local else None
     with _telemetry_sink(args, out):
         if args.algorithm == "cor36":
@@ -265,7 +248,7 @@ def _cmd_color(args, out):
 
 
 def _cmd_edge_color(args, out):
-    graph = _build_graph(args)
+    graph = build_graph(_graph_spec(args))
     result = edge_coloring_congest(graph, exact=not args.no_exact)
     assert is_proper_edge_coloring(graph, result.edge_colors)
     if args.json:
@@ -287,7 +270,7 @@ def _cmd_edge_color(args, out):
 
 
 def _cmd_mis(args, out):
-    graph = _build_graph(args)
+    graph = build_graph(_graph_spec(args))
     result = locally_iterative_mis(graph)
     assert is_maximal_independent_set(graph, result.members)
     out.write("graph: n=%d m=%d Delta=%d\n" % (graph.n, graph.m, graph.max_degree))
@@ -298,7 +281,7 @@ def _cmd_mis(args, out):
 
 
 def _cmd_matching(args, out):
-    graph = _build_graph(args)
+    graph = build_graph(_graph_spec(args))
     result = locally_iterative_maximal_matching(graph)
     assert is_maximal_matching(graph, result.edges)
     out.write("graph: n=%d m=%d Delta=%d\n" % (graph.n, graph.m, graph.max_degree))
@@ -317,7 +300,7 @@ def _cmd_trace(args, out):
     from repro.runtime.backends import resolve_backend
     from repro.trace import format_trace, trace_run
 
-    graph = _build_graph(args)
+    graph = build_graph(_graph_spec(args))
     initial = list(range(graph.n))
     palette = graph.n
     if args.stage == "hybrid":
@@ -922,6 +905,8 @@ def main(argv=None, out=None):
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "profile", False) and not getattr(args, "telemetry", None):
+        parser.error("--profile needs --telemetry PATH: the samples land in that stream")
     return args.func(args, out or sys.stdout)
 
 

@@ -25,8 +25,8 @@ or process-wide (as the CLI's ``--telemetry out.jsonl`` does)::
 
 See ``docs/observability.md`` for the event schema and the bench-regression
 workflow built on top of these records.  :mod:`repro.obs.flight` adds the
-flight-recorder layer on top: Chrome-trace timeline export, the sampling
-profiler (``REPRO_PROFILE=1``), and the pool-worker health watchdog.
+flight-recorder layer on top: Chrome-trace timeline export and the
+sampling profiler (``REPRO_PROFILE=1``).
 """
 
 from repro.obs.core import (
@@ -53,9 +53,7 @@ from repro.obs.exporters import (
     write_jsonl,
 )
 from repro.obs.flight import (
-    HeartbeatBoard,
     SamplingProfiler,
-    WorkerWatchdog,
     chrome_trace,
     maybe_profiler,
     write_chrome_trace,
@@ -63,7 +61,6 @@ from repro.obs.flight import (
 from repro.obs.routing import RoutedTelemetry, route
 
 __all__ = [
-    "HeartbeatBoard",
     "Histogram",
     "JsonlWriter",
     "NullTelemetry",
@@ -71,7 +68,6 @@ __all__ = [
     "SamplingProfiler",
     "Span",
     "Telemetry",
-    "WorkerWatchdog",
     "active",
     "capture",
     "chrome_trace",

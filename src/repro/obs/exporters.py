@@ -39,7 +39,6 @@ NONDETERMINISTIC_FIELDS = frozenset(
         "source",
         "trace_id",
         "worker",
-        "stalled_seconds",
         "rss_bytes",
         "cpu_seconds",
         "interval",
@@ -47,18 +46,10 @@ NONDETERMINISTIC_FIELDS = frozenset(
     )
 )
 
-# Whole record types that only exist because of wall-clock behavior (which
-# worker got which chunk when, how memory moved): dropped entirely by
+# Whole record types that only exist because of wall-clock behavior (how
+# memory moved between profiler ticks): dropped entirely by
 # comparable_view — their very presence and count is nondeterministic.
-NONDETERMINISTIC_EVENT_TYPES = frozenset(
-    (
-        "profile.sample",
-        "worker.heartbeat",
-        "worker.stalled",
-        "worker.recovered",
-        "worker.restarted",
-    )
-)
+NONDETERMINISTIC_EVENT_TYPES = frozenset(("profile.sample",))
 
 
 class JsonlWriter:
@@ -150,8 +141,8 @@ def comparable_view(records):
     equality (the acceptance contract of the batch engines extends to their
     telemetry).  Flight-recorder stamps (``ts`` / ``pid`` / ``source`` /
     ``trace_id`` / per-worker fields) are stripped, and records that exist
-    only because of scheduling or resource behavior (profiler samples,
-    heartbeats, stall notices) are dropped outright.
+    only because of resource behavior (profiler samples) are dropped
+    outright.
     """
     def strip(value):
         if isinstance(value, dict):

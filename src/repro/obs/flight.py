@@ -1,6 +1,6 @@
-"""Flight recorder: trace timelines, a sampling profiler, a worker watchdog.
+"""Flight recorder: trace timelines and a sampling profiler.
 
-Three pieces, all layered on the :mod:`repro.obs.core` registry and all
+Two pieces, both layered on the :mod:`repro.obs.core` registry and both
 opt-in (a disabled collector pays its usual single flag check and nothing
 here runs at all):
 
@@ -16,55 +16,34 @@ timeline export
 
 sampling profiler
     :class:`SamplingProfiler` is a background thread that buffers periodic
-    readings — RSS, CPU time, graph-cache occupancy, plus anything
-    registered via :func:`register_sampler` (the oocore engine adds
-    shard-residency gauges) — and flushes them into the collector as
-    ``profile.sample`` events at :meth:`~SamplingProfiler.stop`.  Buffering
-    keeps the registry single-threaded and the instrumented run unlocked.
-    Enabled by ``REPRO_PROFILE=1`` (CLI: ``--profile``); the cadence is
+    readings — RSS, CPU time, graph-cache occupancy — and flushes them into
+    the collector as ``profile.sample`` events at
+    :meth:`~SamplingProfiler.stop`.  Buffering keeps the registry
+    single-threaded and the instrumented run unlocked.  Enabled by
+    ``REPRO_PROFILE=1`` (CLI: ``--profile``); the cadence is
     ``REPRO_PROFILE_INTERVAL`` seconds.
-
-worker health watchdog
-    Pool workers touch a :class:`HeartbeatBoard` file between chunks
-    (:func:`beat` — one tiny write, no locks, crash-proof); the parent's
-    :class:`WorkerWatchdog` polls the board while waiting on results and
-    surfaces ``worker.stalled`` / ``worker.restarted`` events and per-worker
-    counters long before the per-job timeout fires.  Stall threshold:
-    ``REPRO_STALL_SECONDS`` (clamped under the runner timeout);
-    ``REPRO_DISABLE_WATCHDOG=1`` switches the whole mechanism off.
 """
 
 import json
 import os
-import shutil
-import tempfile
 import threading
 import time
 
 from repro.obs.core import active
 
 __all__ = [
-    "HeartbeatBoard",
     "SamplingProfiler",
-    "WorkerWatchdog",
-    "beat",
     "chrome_trace",
     "cpu_seconds",
     "maybe_profiler",
     "profile_interval",
     "profiler_enabled",
-    "register_sampler",
     "rss_bytes",
-    "stall_seconds",
-    "unregister_sampler",
-    "watchdog_enabled",
     "write_chrome_trace",
 ]
 
 _PROFILE_ENV = "REPRO_PROFILE"
 _INTERVAL_ENV = "REPRO_PROFILE_INTERVAL"
-_STALL_ENV = "REPRO_STALL_SECONDS"
-_WATCHDOG_ENV = "REPRO_DISABLE_WATCHDOG"
 
 _TRUTHY = ("1", "true", "yes", "on")
 
@@ -83,22 +62,6 @@ def profile_interval(default=0.05):
         except ValueError:
             pass
     return default
-
-
-def stall_seconds(default=5.0):
-    """Heartbeat age that counts as a stall (``REPRO_STALL_SECONDS``)."""
-    raw = os.environ.get(_STALL_ENV, "").strip()
-    if raw:
-        try:
-            return max(float(raw), 0.05)
-        except ValueError:
-            pass
-    return default
-
-
-def watchdog_enabled():
-    """Whether the pool watchdog may run (``REPRO_DISABLE_WATCHDOG=1`` off)."""
-    return os.environ.get(_WATCHDOG_ENV, "").strip().lower() not in _TRUTHY
 
 
 # -- resource readings ----------------------------------------------------------------
@@ -135,27 +98,6 @@ def cpu_seconds():
     return times.user + times.system
 
 
-# -- extra sample sources -------------------------------------------------------------
-
-_SAMPLERS = {}
-
-
-def register_sampler(name, fn):
-    """Register a callable contributing extra fields to every profiler sample.
-
-    ``fn`` takes no arguments and returns a dict of JSON-scalar fields (or
-    None); failures are swallowed so a broken gauge can never kill a run.
-    The oocore engine registers its shard-residency gauges here for the
-    duration of a run.
-    """
-    _SAMPLERS[name] = fn
-
-
-def unregister_sampler(name):
-    """Remove a sampler registered with :func:`register_sampler`."""
-    _SAMPLERS.pop(name, None)
-
-
 class SamplingProfiler:
     """Opt-in background sampler feeding ``profile.sample`` telemetry events.
 
@@ -189,14 +131,6 @@ class SamplingProfiler:
             sample["graph_cache_bytes"] = stats["bytes"]
         except Exception:
             pass
-        for fn in list(_SAMPLERS.values()):
-            try:
-                extra = fn()
-            except Exception:
-                continue
-            if extra:
-                for key, value in extra.items():
-                    sample.setdefault(key, value)
         self._samples.append(sample)
 
     def _loop(self):
@@ -262,152 +196,6 @@ def maybe_profiler(telemetry=None):
     profiler = SamplingProfiler(telemetry)
     telemetry._flight_profiler = profiler
     return profiler.start()
-
-
-# -- worker heartbeats ----------------------------------------------------------------
-
-
-def beat(board_path, ident=None):
-    """Worker-side heartbeat: one tiny file write, silently best-effort.
-
-    Writes the current ``time.monotonic()`` (system-wide on Linux, so the
-    parent's watchdog can age it against its own clock) to
-    ``<board_path>/<pid>``.  Failures are swallowed: a heartbeat must never
-    be able to fail a job.
-    """
-    if not board_path:
-        return
-    ident = os.getpid() if ident is None else ident
-    try:
-        with open(os.path.join(board_path, str(ident)), "w") as handle:
-            handle.write(repr(time.monotonic()))
-    except OSError:
-        pass
-
-
-class HeartbeatBoard:
-    """A directory of per-worker heartbeat files shared parent <-> workers.
-
-    File-based on purpose: it works across fork without shared memory or
-    NumPy, a crashed worker simply stops writing, and a torn write is one
-    unparseable file the reader skips until the next beat lands.
-    """
-
-    def __init__(self, path=None):
-        if path is None:
-            self.path = tempfile.mkdtemp(prefix="repro-hb-")
-            self._owns = True
-        else:
-            self.path = path
-            self._owns = False
-
-    def beat(self, ident=None):
-        """Record a heartbeat for ``ident`` (default: this pid)."""
-        beat(self.path, ident)
-
-    def read(self):
-        """Latest beat per worker: ``{pid: monotonic_seconds}``."""
-        beats = {}
-        try:
-            names = os.listdir(self.path)
-        except OSError:
-            return beats
-        for name in names:
-            try:
-                with open(os.path.join(self.path, name)) as handle:
-                    beats[int(name)] = float(handle.read())
-            except (OSError, ValueError):
-                continue  # torn write or foreign file: wait for the next beat
-        return beats
-
-    def clear(self):
-        """Drop every recorded beat (after a pool rebuild: fresh pids)."""
-        try:
-            names = os.listdir(self.path)
-        except OSError:
-            return
-        for name in names:
-            try:
-                os.unlink(os.path.join(self.path, name))
-            except OSError:
-                pass
-
-    def close(self):
-        """Remove the board directory if this instance created it."""
-        if self._owns:
-            shutil.rmtree(self.path, ignore_errors=True)
-            self._owns = False
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-class WorkerWatchdog:
-    """Parent-side monitor turning heartbeat silence into telemetry.
-
-    :meth:`poll` is called from the runner's result-wait loop; a worker
-    whose last beat is older than ``stall_after`` gets one
-    ``worker.stalled`` event (plus a ``parallel.worker.stalls`` counter
-    bump) — *before* the job timeout machinery fires, which is the whole
-    point.  After the pool is torn down and rebuilt the runner calls
-    :meth:`notice_restart`, which emits ``worker.restarted`` for every
-    worker that was stalled and resets the board for the fresh pids.
-    """
-
-    def __init__(self, telemetry, board, stall_after=None, clock=time.monotonic):
-        self.telemetry = telemetry
-        self.board = board
-        self.stall_after = stall_seconds() if stall_after is None else max(
-            float(stall_after), 0.05
-        )
-        self.poll_interval = max(self.stall_after / 4.0, 0.02)
-        self._clock = clock
-        self._last = {}
-        self._stalled = set()
-        self.stalls = 0
-        self.restarts = 0
-
-    def poll(self):
-        """Scan the board once; returns the sorted list of stalled pids."""
-        now = self._clock()
-        telemetry = self.telemetry
-        for pid, ts in self.board.read().items():
-            previous = self._last.get(pid)
-            if previous is None or ts > previous:
-                self._last[pid] = ts
-                if pid in self._stalled:
-                    # It came back on its own before the timeout tore it down.
-                    self._stalled.discard(pid)
-                    telemetry.event("worker.recovered", worker=pid)
-                continue
-            age = now - ts
-            if age >= self.stall_after and pid not in self._stalled:
-                self._stalled.add(pid)
-                self.stalls += 1
-                telemetry.event(
-                    "worker.stalled", worker=pid, stalled_seconds=age
-                )
-                telemetry.counter("parallel.worker.stalls")
-        return sorted(self._stalled)
-
-    def record_job(self, worker):
-        """Count one delivered job against ``worker`` (utilization tally)."""
-        if worker is not None:
-            self.telemetry.counter("parallel.worker.jobs", worker=worker)
-
-    def notice_restart(self):
-        """The pool was rebuilt: stalled workers are gone, board is stale."""
-        for pid in sorted(self._stalled):
-            self.restarts += 1
-            self.telemetry.event("worker.restarted", worker=pid)
-            self.telemetry.counter("parallel.worker.restarts")
-        self._stalled.clear()
-        self._last.clear()
-        self.board.clear()
 
 
 # -- Chrome-trace / Perfetto export ---------------------------------------------------

@@ -432,7 +432,6 @@ class ShardState(ColumnState):
             prefix="repro-oocore-planes-", dir=engine._scratch_base
         )
         self.planes = self.runner = self.profiler = None
-        self.sampling = False
 
     def encode(self, stage, initial):
         initial = self.np.asarray(initial, dtype=self.np.int64)
@@ -442,8 +441,8 @@ class ShardState(ColumnState):
         tel = obs.active()
         if tel.enabled:
             # REPRO_PROFILE=1 turns the single end-of-run VmHWM reading into
-            # a real memory timeline: RSS/CPU samples plus shard-residency
-            # gauges every REPRO_PROFILE_INTERVAL seconds.
+            # a real memory timeline: RSS/CPU samples every
+            # REPRO_PROFILE_INTERVAL seconds.
             self.profiler = flight.maybe_profiler(tel)
         # Encode shard by shard; the first shard reveals the component count
         # so the planes can be sized.
@@ -471,21 +470,6 @@ class ShardState(ColumnState):
             cache_bytes=cache_bytes, release_planes=budget is not None,
         )
         self.runner.io_written += written
-        if self.profiler is not None:
-            # Shard-residency gauges ride along with every RSS sample: how
-            # much plane/halo state the round loop keeps hot.
-            ncomp = self.planes.ncomp
-
-            def _residency():
-                return {
-                    "oocore.shards": graph.shards,
-                    "oocore.plane_bytes": 16 * graph.n * ncomp,
-                    "oocore.halo_slots": graph.total_halo(),
-                    "oocore.cache_bytes": cache_bytes,
-                }
-
-            flight.register_sampler("oocore", _residency)
-            self.sampling = True
         return finalized
 
     def advance(self, round_index):
@@ -527,10 +511,15 @@ class ShardState(ColumnState):
         return result, self.overflow(decoded, palette_size)
 
     def record(self, tel, stage):
-        runner = self.runner
+        runner, graph = self.runner, self.graph
         tel.counter("oocore.shard_io.bytes_read", runner.io_read, stage=stage.name)
         tel.counter("oocore.shard_io.bytes_written", runner.io_written, stage=stage.name)
         tel.counter("oocore.halo.bytes", runner.halo_bytes, stage=stage.name)
+        # Shard residency: how much plane/halo state the round loop keeps hot.
+        tel.gauge("oocore.shards", graph.shards, stage=stage.name)
+        tel.gauge("oocore.plane_bytes", 16 * graph.n * runner.ncomp, stage=stage.name)
+        tel.gauge("oocore.halo_slots", graph.total_halo(), stage=stage.name)
+        tel.gauge("oocore.cache_bytes", runner.cache_bytes, stage=stage.name)
         rss = peak_rss_bytes()
         if rss is not None:
             tel.gauge("oocore.peak_rss_bytes", rss)
@@ -538,8 +527,6 @@ class ShardState(ColumnState):
     def close(self):
         """Stop the profiler and the planes; delete the scratch."""
         if self.profiler is not None:
-            if self.sampling:
-                flight.unregister_sampler("oocore")
             self.profiler.stop()
         if self.planes is not None:
             self.planes.close()

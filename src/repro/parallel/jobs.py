@@ -660,7 +660,7 @@ def execute_job(spec, collect_telemetry=False, trace=None):
     collected, the worker-side capture joins that trace and labels its lane
     with the job id, so the exported records land on a distinct
     ``(pid, source)`` timeline lane after stitching.  The envelope carries
-    the executing ``worker`` pid for the parent's utilization counters.
+    the executing ``worker`` pid for the parent's ``parallel.job`` event.
     """
     start = time.perf_counter()
     records = []
@@ -725,20 +725,5 @@ def execute_payload(payload):
 
 
 def execute_chunk(payloads):
-    """Pool entry point for a chunk: one IPC round-trip, many jobs.
-
-    When the parent attached a heartbeat board to the payloads, the worker
-    beats before every job and once after the chunk, so the parent's
-    watchdog can tell "still grinding through the chunk" from "wedged".
-    """
-    board = payloads[0].get("heartbeat") if payloads else None
-    if board is None:
-        return [execute_payload(payload) for payload in payloads]
-    from repro.obs import flight
-
-    results = []
-    for payload in payloads:
-        flight.beat(board)
-        results.append(execute_payload(payload))
-    flight.beat(board)
-    return results
+    """Pool entry point for a chunk: one IPC round-trip, many jobs."""
+    return [execute_payload(payload) for payload in payloads]

@@ -31,20 +31,12 @@ into the parent stream *in job order* (tagged ``job=<job_id>``), then logs
 one ``parallel.job`` event per job — so ``--telemetry out.jsonl`` on a
 parallel CLI run produces a single merged stream.  Payloads also carry the
 parent collector's trace context, so worker records share the run's
-``trace_id`` and land on per-job ``(pid, source)`` timeline lanes.
-
-**Worker health watchdog**: while telemetry is live, pool payloads carry a
-:class:`~repro.obs.flight.HeartbeatBoard` path that workers touch between
-chunk jobs; the parent polls the board while waiting on results and emits
-``worker.stalled`` — *before* the per-job timeout fires — plus
-``worker.restarted`` after a timeout pool rebuild and per-worker
-utilization counters (``parallel.worker.jobs``).  ``REPRO_DISABLE_WATCHDOG=1``
-(or ``watchdog=False``) switches the machinery off; with telemetry disabled
-it never engages at all.
+``trace_id`` and land on per-job ``(pid, source)`` timeline lanes.  Each
+``parallel.job`` event carries the job's worker pid, seconds and
+``timed_out`` flag, and ``parallel.timeouts`` counts the expired budgets.
 """
 
 import os
-import time
 
 from repro.obs import core as obs
 from repro.parallel.jobs import (
@@ -93,17 +85,9 @@ class JobRunner:
         only in process mode — inline execution cannot preempt a job.
     retries:
         Additional attempts for a job that errors or times out (default 1).
-    chunk_size:
-        Jobs per pool task.  Default: jobs split evenly, four chunks per
-        worker (ceiling 1); forced to 1 when ``timeout`` is set so a reset
-        charges exactly the offending job.
     mode:
         ``"auto"`` (process pool when useful and available, else inline),
         ``"process"`` (force the pool), or ``"inline"`` (force in-process).
-    watchdog:
-        ``None`` (heartbeat monitoring whenever telemetry is live in process
-        mode — the default) or ``False`` (never).  ``REPRO_DISABLE_WATCHDOG=1``
-        forces it off regardless.
     on_status:
         Optional callback ``fn(spec, status)`` observing per-job lifecycle
         transitions: ``"running"`` when a job is dispatched (again on each
@@ -115,19 +99,16 @@ class JobRunner:
         is plain and may be reassigned between ``map_jobs`` calls.
     """
 
-    def __init__(self, workers=None, timeout=None, retries=1, chunk_size=None, mode="auto", watchdog=None, on_status=None):
+    def __init__(self, workers=None, timeout=None, retries=1, mode="auto", on_status=None):
         if mode not in ("auto", "process", "inline"):
             raise ValueError("unknown runner mode %r" % mode)
         self.workers = _default_workers() if workers is None else max(1, int(workers))
         self.timeout = timeout
         self.retries = max(0, int(retries))
-        self.chunk_size = chunk_size
         self.mode = mode
-        self.watchdog = watchdog
         self.on_status = on_status
         self._context = None
         self._pool = None
-        self._watchdog = None
 
     def _notify(self, spec, status):
         """Report one lifecycle transition to ``on_status`` (never raises)."""
@@ -210,7 +191,6 @@ class JobRunner:
             return []
         tel = obs.active()
         collect = tel.enabled
-        self._watchdog = None
         if self._use_pool():
             outcomes = self._map_pool(specs, collect)
         else:
@@ -234,59 +214,17 @@ class JobRunner:
         return outcomes
 
     def _chunks(self, indices):
-        """Split pending job indices into dispatch chunks."""
+        """Split pending job indices into dispatch chunks.
+
+        Four chunks per worker amortize pickling over many small jobs; with a
+        ``timeout`` each chunk holds one job, so a reset charges exactly the
+        offending job.
+        """
         if self.timeout is not None:
             size = 1
-        elif self.chunk_size is not None:
-            size = max(1, int(self.chunk_size))
         else:
             size = max(1, -(-len(indices) // (self.workers * 4)))
         return [indices[i:i + size] for i in range(0, len(indices), size)]
-
-    def _make_watchdog(self, tel):
-        """A watchdog over a fresh heartbeat board, or None when switched off.
-
-        The stall threshold is clamped under the per-job timeout (when one is
-        set): a ``worker.stalled`` event that can only fire after the timeout
-        already killed the pool would be useless.
-        """
-        if self.watchdog is False or not tel.enabled:
-            return None
-        from repro.obs import flight
-
-        if not flight.watchdog_enabled():
-            return None
-        stall = flight.stall_seconds()
-        if self.timeout is not None:
-            stall = min(stall, max(float(self.timeout) * 0.5, 0.05))
-        return flight.WorkerWatchdog(tel, flight.HeartbeatBoard(), stall_after=stall)
-
-    def _wait(self, handle, njobs, watchdog):
-        """Wait for one chunk's results, polling the watchdog meanwhile.
-
-        Without a watchdog this is a plain blocking ``get``.  With one, the
-        wait is sliced into ``poll_interval`` steps so heartbeat silence
-        surfaces as ``worker.stalled`` long before the chunk deadline;
-        ``multiprocessing.TimeoutError`` is raised once the full per-chunk
-        budget expires, exactly like the blocking path.
-        """
-        import multiprocessing
-
-        total = self.timeout * njobs if self.timeout is not None else None
-        if watchdog is None:
-            return handle.get(total)
-        deadline = None if total is None else time.monotonic() + total
-        while True:
-            step = watchdog.poll_interval
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise multiprocessing.TimeoutError
-                step = min(step, remaining)
-            try:
-                return handle.get(step)
-            except multiprocessing.TimeoutError:
-                watchdog.poll()
 
     def _map_pool(self, specs, collect):
         import multiprocessing
@@ -296,64 +234,54 @@ class JobRunner:
         timed_out = [False] * len(specs)
         envelopes = [None] * len(specs)
         pending = list(range(len(specs)))
-        watchdog = None
         if collect:
             tel = obs.active()
             trace = tel.trace_context() if hasattr(tel, "trace_context") else None
-            watchdog = self._make_watchdog(tel)
-            for payload in payloads:
-                if trace is not None:
+            if trace is not None:
+                for payload in payloads:
                     payload["trace"] = trace
-                if watchdog is not None:
-                    payload["heartbeat"] = watchdog.board.path
-        self._watchdog = watchdog
 
-        try:
-            while pending:
-                pool = self._ensure_pool()
-                handles = [
-                    (chunk, pool.apply_async(execute_chunk, ([payloads[i] for i in chunk],)))
-                    for chunk in self._chunks(pending)
-                ]
-                for chunk, _handle in handles:
+        while pending:
+            pool = self._ensure_pool()
+            handles = [
+                (chunk, pool.apply_async(execute_chunk, ([payloads[i] for i in chunk],)))
+                for chunk in self._chunks(pending)
+            ]
+            for chunk, _handle in handles:
+                for i in chunk:
+                    self._notify(specs[i], "running")
+            next_pending = []
+            aborted = False
+            for chunk, handle in handles:
+                if aborted:
+                    # The pool died reclaiming an earlier stuck worker; these
+                    # chunks were lost undelivered — re-dispatch uncharged.
+                    next_pending.extend(chunk)
+                    continue
+                try:
+                    # A chunk holds one job whenever a timeout is set.
+                    results = handle.get(self.timeout)
+                except multiprocessing.TimeoutError:
+                    self._reset_pool()
+                    aborted = True
                     for i in chunk:
-                        self._notify(specs[i], "running")
-                next_pending = []
-                aborted = False
-                for chunk, handle in handles:
-                    if aborted:
-                        # The pool died reclaiming an earlier stuck worker; these
-                        # chunks were lost undelivered — re-dispatch uncharged.
-                        next_pending.extend(chunk)
-                        continue
-                    try:
-                        results = self._wait(handle, len(chunk), watchdog)
-                    except multiprocessing.TimeoutError:
-                        self._reset_pool()
-                        if watchdog is not None:
-                            watchdog.notice_restart()
-                        aborted = True
-                        for i in chunk:
-                            attempts[i] += 1
-                            timed_out[i] = True
-                            if attempts[i] <= self.retries:
-                                next_pending.append(i)
-                            else:
-                                envelopes[i] = _timeout_envelope(self.timeout)
-                                self._notify(specs[i], "timeout")
-                        continue
-                    for i, envelope in zip(chunk, results):
                         attempts[i] += 1
-                        timed_out[i] = False
-                        if not envelope["ok"] and attempts[i] <= self.retries:
+                        timed_out[i] = True
+                        if attempts[i] <= self.retries:
                             next_pending.append(i)
                         else:
-                            envelopes[i] = envelope
-                            self._notify(specs[i], "done" if envelope["ok"] else "failed")
-                pending = next_pending
-        finally:
-            if watchdog is not None:
-                watchdog.board.close()
+                            envelopes[i] = _timeout_envelope(self.timeout)
+                            self._notify(specs[i], "timeout")
+                    continue
+                for i, envelope in zip(chunk, results):
+                    attempts[i] += 1
+                    timed_out[i] = False
+                    if not envelope["ok"] and attempts[i] <= self.retries:
+                        next_pending.append(i)
+                    else:
+                        envelopes[i] = envelope
+                        self._notify(specs[i], "done" if envelope["ok"] else "failed")
+            pending = next_pending
 
         return [
             JobOutcome(spec, envelopes[i], attempts[i], timed_out=timed_out[i])
@@ -362,7 +290,6 @@ class JobRunner:
 
     def _stitch(self, tel, outcomes):
         """Merge worker telemetry segments into the parent stream, in job order."""
-        watchdog = self._watchdog
         for outcome in outcomes:
             if outcome.telemetry:
                 tel.absorb(outcome.telemetry, job=outcome.spec.job_id)
@@ -371,8 +298,6 @@ class JobRunner:
                 tel.counter("parallel.retries", value=outcome.attempts - 1)
             if outcome.timed_out:
                 tel.counter("parallel.timeouts")
-            if watchdog is not None:
-                watchdog.record_job(outcome.worker)
             tel.event(
                 "parallel.job",
                 job=outcome.spec.job_id,
@@ -414,14 +339,14 @@ def run(job, **kwargs):
         return runner.submit(job)
 
 
-def run_many(jobs, workers=None, timeout=None, retries=1, chunk_size=None, mode="auto"):
+def run_many(jobs, workers=None, timeout=None, retries=1, mode="auto"):
     """Run a list of jobs across a worker pool; outcomes in input order.
 
     The multi-job entry point of the facade: builds a :class:`JobRunner`,
     maps the jobs, closes the pool.  Bit-identical to running each job with
     :func:`run` — only the wall-clock differs.
     """
-    with JobRunner(workers=workers, timeout=timeout, retries=retries, chunk_size=chunk_size, mode=mode) as runner:
+    with JobRunner(workers=workers, timeout=timeout, retries=retries, mode=mode) as runner:
         return runner.map_jobs(jobs)
 
 

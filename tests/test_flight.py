@@ -1,14 +1,13 @@
-"""The flight recorder: timeline export, sampling profiler, worker watchdog.
+"""The flight recorder: timeline export and the sampling profiler.
 
-Three layers under test.  The Chrome-trace exporter must place spans from
+Two layers under test.  The Chrome-trace exporter must place spans from
 different processes on distinct ``(pid, source)`` lanes with monotonic
-timestamps; the sampling profiler must deliver a dense RSS/CPU timeline
-without touching the collector from its background thread until ``stop``;
-and the watchdog must surface a deliberately-stalled worker *before* the
-job-timeout machinery reclaims it.  The JSONL torn-tail repair and the
-``comparable_view`` stripping contract (flight stamps never break parity
-checks) ride along, as does the multi-stream ``absorb`` merge that the
-``obs summary`` / ``obs timeline`` CLI builds on.
+timestamps, and the sampling profiler must deliver a dense RSS/CPU timeline
+without touching the collector from its background thread until ``stop``.
+The JSONL torn-tail repair and the ``comparable_view`` stripping contract
+(flight stamps never break parity checks) ride along, as does the
+multi-stream ``absorb`` merge that the ``obs summary`` / ``obs timeline``
+CLI builds on.
 """
 
 import io
@@ -22,7 +21,7 @@ import pytest
 from repro import obs
 from repro.obs import flight
 from repro.cli import main as cli_main
-from repro.parallel import JobRunner, JobSpec, register_algorithm, run_many
+from repro.parallel import JobSpec, register_algorithm, run_many
 from repro.parallel.jobs import _ALGORITHMS
 from repro.parallel.runner import _multiprocessing_context
 from repro.runtime.csr import numpy_available
@@ -221,10 +220,6 @@ class TestComparableView:
         records = [
             {"type": "engine.run", "seq": 0, "ts": 1.0, "rounds_used": 2},
             {"type": "profile.sample", "seq": 1, "ts": 1.1, "rss_bytes": 10},
-            {"type": "worker.stalled", "seq": 2, "worker": 7},
-            {"type": "worker.restarted", "seq": 3, "worker": 7},
-            {"type": "worker.recovered", "seq": 4, "worker": 7},
-            {"type": "worker.heartbeat", "seq": 5, "worker": 7},
         ]
         view = obs.comparable_view(records)
         assert [r["type"] for r in view] == ["engine.run"]
@@ -301,32 +296,6 @@ class TestSamplingProfiler:
             profiler.stop()
             assert obs.maybe_profiler(tel) is not None  # slot freed after stop
 
-    def test_registered_sampler_fields_appear(self):
-        flight.register_sampler("test.gauge", lambda: {"custom_depth": 7})
-        try:
-            with obs.capture() as tel:
-                profiler = flight.SamplingProfiler(tel, interval=0.001)
-                profiler.start()
-                time.sleep(0.01)
-                profiler.stop()
-        finally:
-            flight.unregister_sampler("test.gauge")
-        samples = [r for r in tel.events if r["type"] == "profile.sample"]
-        assert samples and all(s["custom_depth"] == 7 for s in samples)
-
-    def test_broken_sampler_is_swallowed(self):
-        def boom():
-            raise RuntimeError("bad gauge")
-
-        flight.register_sampler("test.broken", boom)
-        try:
-            with obs.capture() as tel:
-                with flight.SamplingProfiler(tel, interval=0.001):
-                    time.sleep(0.005)
-        finally:
-            flight.unregister_sampler("test.broken")
-        assert any(r["type"] == "profile.sample" for r in tel.events)
-
 
 # -- Chrome-trace export ---------------------------------------------------------------
 
@@ -392,160 +361,10 @@ class TestChromeTrace:
         assert trace["displayTimeUnit"] == "ms"
 
 
-# -- worker heartbeats and the watchdog ------------------------------------------------
-
-
-class TestHeartbeatBoard:
-    def test_beat_read_clear(self):
-        with flight.HeartbeatBoard() as board:
-            board.beat(ident=111)
-            board.beat(ident=222)
-            beats = board.read()
-            assert set(beats) == {111, 222}
-            assert all(isinstance(v, float) for v in beats.values())
-            board.clear()
-            assert board.read() == {}
-        assert not os.path.exists(board.path)
-
-    def test_torn_write_is_skipped(self):
-        with flight.HeartbeatBoard() as board:
-            board.beat(ident=1)
-            with open(os.path.join(board.path, "2"), "w") as handle:
-                handle.write("12.")  # parseable float prefix is fine
-            with open(os.path.join(board.path, "3"), "w") as handle:
-                handle.write("")  # torn to nothing
-            beats = board.read()
-            assert 1 in beats and 3 not in beats
-
-    def test_beat_never_raises_on_dead_board(self):
-        flight.beat("/nonexistent/board/path")  # must not raise
-        flight.beat(None)
-        flight.beat("")
-
-
-class TestWorkerWatchdog:
-    def _watchdog(self, tel, stall=0.5):
-        board = flight.HeartbeatBoard()
-        return flight.WorkerWatchdog(tel, board, stall_after=stall), board
-
-    def test_stall_detected_once_then_recovery(self):
-        clock = [0.0]
-        with obs.capture() as tel:
-            board = flight.HeartbeatBoard()
-            dog = flight.WorkerWatchdog(
-                tel, board, stall_after=1.0, clock=lambda: clock[0]
-            )
-            with board:
-                with open(os.path.join(board.path, "77"), "w") as handle:
-                    handle.write("0.0")
-                assert dog.poll() == []  # first sighting: fresh
-                clock[0] = 2.0
-                assert dog.poll() == [77]  # aged past the threshold
-                assert dog.poll() == [77]  # still stalled, but only one event
-                with open(os.path.join(board.path, "77"), "w") as handle:
-                    handle.write("1.9")
-                assert dog.poll() == []  # came back on its own
-        stalls = [r for r in tel.events if r["type"] == "worker.stalled"]
-        assert len(stalls) == 1
-        assert stalls[0]["worker"] == 77
-        assert stalls[0]["stalled_seconds"] >= 1.0
-        assert any(r["type"] == "worker.recovered" for r in tel.events)
-        counters = {
-            row["name"]: row["value"] for row in tel.snapshot()["counters"]
-        }
-        assert counters["parallel.worker.stalls"] == 1
-
-    def test_restart_notice_emits_per_stalled_worker(self):
-        clock = [10.0]
-        with obs.capture() as tel:
-            board = flight.HeartbeatBoard()
-            dog = flight.WorkerWatchdog(
-                tel, board, stall_after=0.5, clock=lambda: clock[0]
-            )
-            with board:
-                with open(os.path.join(board.path, "5"), "w") as handle:
-                    handle.write("10.0")
-                dog.poll()
-                clock[0] = 12.0
-                assert dog.poll() == [5]
-                dog.notice_restart()
-                assert dog.restarts == 1
-                assert board.read() == {}  # board cleared for fresh pids
-        restarted = [r for r in tel.events if r["type"] == "worker.restarted"]
-        assert [r["worker"] for r in restarted] == [5]
-
-    def test_record_job_tallies_utilization(self):
-        with obs.capture() as tel:
-            dog, board = self._watchdog(tel)
-            with board:
-                dog.record_job(101)
-                dog.record_job(101)
-                dog.record_job(202)
-                dog.record_job(None)  # inline outcome: no worker
-        rows = {
-            (row["tags"].get("worker")): row["value"]
-            for row in tel.snapshot()["counters"]
-            if row["name"] == "parallel.worker.jobs"
-        }
-        assert rows == {101: 2, 202: 1}
-
-
 # -- end-to-end through the pool -------------------------------------------------------
 
 
 class TestPoolIntegration:
-    def test_stalled_worker_surfaces_before_timeout(self, scratch_algorithm):
-        if not _fork_available():
-            pytest.skip("fork start method required to inherit the sleeper")
-
-        def slow(graph, backend="auto", seed=1, **params):
-            time.sleep(30)
-
-        scratch_algorithm("flight-slow", slow)
-        spec = JobSpec(algorithm="flight-slow", graph={"family": "path", "n": 4})
-        os.environ["REPRO_STALL_SECONDS"] = "0.2"
-        try:
-            with obs.capture() as tel:
-                with JobRunner(
-                    workers=2, timeout=1.5, retries=0, mode="process"
-                ) as runner:
-                    outcomes = runner.map_jobs([spec])
-        finally:
-            del os.environ["REPRO_STALL_SECONDS"]
-        assert outcomes[0].timed_out
-        stalled = [r for r in tel.events if r["type"] == "worker.stalled"]
-        assert stalled, "watchdog must fire before the 1.5s timeout"
-        # The stall notice predates the pool teardown that the timeout forces.
-        restarted = [r for r in tel.events if r["type"] == "worker.restarted"]
-        assert restarted and stalled[0]["seq"] < restarted[0]["seq"]
-        counters = {
-            row["name"]: row["value"] for row in tel.snapshot()["counters"]
-        }
-        assert counters["parallel.worker.stalls"] >= 1
-        assert counters["parallel.worker.restarts"] >= 1
-
-    def test_watchdog_disabled_by_env(self, scratch_algorithm):
-        if not _fork_available():
-            pytest.skip("fork start method required to inherit the sleeper")
-
-        def slow(graph, backend="auto", seed=1, **params):
-            time.sleep(30)
-
-        scratch_algorithm("flight-slow2", slow)
-        spec = JobSpec(algorithm="flight-slow2", graph={"family": "path", "n": 4})
-        os.environ["REPRO_DISABLE_WATCHDOG"] = "1"
-        os.environ["REPRO_STALL_SECONDS"] = "0.2"
-        try:
-            with obs.capture() as tel:
-                with JobRunner(
-                    workers=2, timeout=0.8, retries=0, mode="process"
-                ) as runner:
-                    runner.map_jobs([spec])
-        finally:
-            del os.environ["REPRO_DISABLE_WATCHDOG"]
-            del os.environ["REPRO_STALL_SECONDS"]
-        assert not any(r["type"] == "worker.stalled" for r in tel.events)
-
     def test_worker_spans_from_two_pids_on_distinct_lanes(
         self, scratch_algorithm, tmp_path
     ):
@@ -567,7 +386,7 @@ class TestPoolIntegration:
             for s in (1, 2)
         ]
         with obs.capture(source="main") as tel:
-            run_many(specs, workers=2, mode="process", chunk_size=1)
+            run_many(specs, workers=2, mode="process")
         jsonl = tmp_path / "pool.jsonl"
         obs.write_jsonl(tel, str(jsonl))
         trace_path = tmp_path / "pool-trace.json"
@@ -582,7 +401,8 @@ class TestPoolIntegration:
             for e in trace["traceEvents"]
             if e.get("ph") == "X" and e["name"] == "traced.work"
         ]
-        # Two workers, 0.3s each, chunk_size=1: both pids must appear.
+        # Two jobs on two workers travel one per chunk, 0.3s each: both
+        # pids must appear.
         pids = {e["pid"] for e in spans}
         assert len(pids) == 2, "expected spans from two worker pids"
         lanes = {(e["pid"], e["tid"]) for e in spans}
@@ -621,28 +441,37 @@ class TestOocoreProfiling:
         )
         assert max(s["rss_bytes"] for s in samples) > 0
 
-    def test_engine_run_registers_residency_sampler(self, monkeypatch):
-        from repro.linial.core import LinialColoring
-        from repro.oocore.engine import OocoreColoringEngine
-        from repro.oocore.writers import ensure_sharded
+    def test_engine_run_registers_residency_sampler(self, monkeypatch, tmp_path):
+        # The front door starts the profiler before the engine can, so the
+        # residency values must not ride on the engine's own profiler: every
+        # oocore stage run records them as snapshot gauges.
+        import repro
 
         monkeypatch.setenv("REPRO_PROFILE", "1")
         monkeypatch.setenv("REPRO_PROFILE_INTERVAL", "0.001")
-        sharded = ensure_sharded(
-            {"family": "regular", "n": 4000, "degree": 4, "seed": 3}, shards=4
-        )
+        monkeypatch.setenv("REPRO_OOCORE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_OOCORE_SHARDS", "4")
+        n = 4000
         with obs.capture() as tel:
-            OocoreColoringEngine(sharded).run(
-                LinialColoring(), list(range(sharded.n))
-            )
-        samples = [r for r in tel.events if r["type"] == "profile.sample"]
-        assert samples
-        with_residency = [s for s in samples if "oocore.shards" in s]
-        assert with_residency, "oocore residency sampler never contributed"
-        assert with_residency[0]["oocore.shards"] == 4
-        assert with_residency[0]["oocore.plane_bytes"] > 0
-        # Sampler unregistered after the run: a later profile is clean.
-        assert "oocore" not in flight._SAMPLERS
+            outcome = repro.run({
+                "algorithm": "cor36",
+                "graph": {"family": "regular", "n": n, "degree": 4, "seed": 3},
+                "backend": "oocore",
+            })
+        assert outcome.ok, outcome.error
+        assert any(r["type"] == "profile.sample" for r in tel.events)
+        gauges = {
+            (row["name"], row["tags"].get("stage")): row["value"]
+            for row in tel.snapshot()["gauges"]
+        }
+        stages = [r["stage"] for r in tel.events if r["type"] == "engine.run"]
+        assert stages
+        for stage in stages:
+            assert gauges[("oocore.shards", stage)] == 4
+            plane_bytes = gauges[("oocore.plane_bytes", stage)]
+            assert plane_bytes > 0 and plane_bytes % (16 * n) == 0
+            assert gauges[("oocore.halo_slots", stage)] > 0
+            assert gauges[("oocore.cache_bytes", stage)] > 0
 
 
 # -- the telemetry-overhead gate -------------------------------------------------------
@@ -725,3 +554,20 @@ class TestCliSurface:
         assert "REPRO_PROFILE" not in os.environ  # scoped to the command
         records = obs.read_jsonl(str(jsonl))
         assert any(r.get("type") == "profile.sample" for r in records)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["color", "--n", "24", "--degree", "4"],
+            ["sweep", "--n", "24", "--degree", "4"],
+            ["selfstab", "--n", "12", "--delta", "3"],
+        ],
+        ids=["color", "sweep", "selfstab"],
+    )
+    def test_profile_without_telemetry_is_rejected(self, argv, capsys):
+        # The samples land in the --telemetry stream; without one, --profile
+        # would record nothing.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv + ["--profile"])
+        assert exit_info.value.code == 2
+        assert "--profile needs --telemetry" in capsys.readouterr().err

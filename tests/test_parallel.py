@@ -7,6 +7,7 @@ a stuck worker, bounded retries, the inline fallback, telemetry stitched
 into the parent stream — is exercised around that invariant.
 """
 
+import os
 import time
 
 import pytest
@@ -93,11 +94,20 @@ class TestDeterminism:
     def test_chunked_dispatch_preserves_order_and_results(self):
         if not numpy_available() or not _fork_available():
             pytest.skip("process mode unavailable")
-        specs = _specs(5, n=60, degree=4)
-        plain = run_many(specs, workers=2, mode="process")
-        chunked = run_many(specs, workers=2, mode="process", chunk_size=2)
-        assert [_deterministic(o) for o in plain] == [_deterministic(o) for o in chunked]
-        assert [o.spec.seed for o in chunked] == [s.seed for s in specs]
+        # Nine jobs on two workers travel in chunks of two; a timeout makes
+        # every chunk one job.
+        specs = _specs(9, n=60, degree=4)
+        indices = list(range(len(specs)))
+        assert [len(c) for c in JobRunner(workers=2)._chunks(indices)] == [2, 2, 2, 2, 1]
+        assert [len(c) for c in JobRunner(workers=2, timeout=60)._chunks(indices)] == [1] * 9
+        chunked = run_many(specs, workers=2, mode="process")
+        single = run_many(specs, workers=2, timeout=60, mode="process")
+        inline = run_many(specs, mode="inline")
+        expected = [_deterministic(o) for o in inline]
+        assert [_deterministic(o) for o in chunked] == expected
+        assert [_deterministic(o) for o in single] == expected
+        for outcomes in (chunked, single, inline):
+            assert [o.spec.seed for o in outcomes] == [s.seed for s in specs]
 
     def test_inline_mode_matches_process_mode(self):
         specs = _specs(3, n=60, degree=4)
@@ -134,10 +144,14 @@ class TestTimeout:
         stuck = JobSpec(algorithm="sleeper", graph={"family": "path", "n": 4})
         fine = JobSpec(algorithm="cor36", graph={"family": "regular", "n": 60, "degree": 4, "seed": 1}, seed=1)
         with JobRunner(workers=2, timeout=0.5, retries=0, mode="process") as runner:
-            outcomes = runner.map_jobs([stuck, fine])
+            with obs.capture() as tel:
+                outcomes = runner.map_jobs([stuck, fine])
             assert not outcomes[0].ok
             assert outcomes[0].timed_out
             assert outcomes[0].error["kind"] == "TimeoutError"
+            # The timeout is the record of the stuck worker.
+            assert tel.counter_value("parallel.timeouts") == 1
+            assert [e["timed_out"] for e in tel.events_of("parallel.job")] == [True, False]
             # The pool was terminated to reclaim the stuck worker; the
             # runner must still finish (and re-run) the undelivered job.
             assert outcomes[1].ok
@@ -228,6 +242,9 @@ class TestTelemetryStitching:
         seqs = [e["seq"] for e in tel.events]
         assert seqs == sorted(seqs) == list(range(len(seqs)))
         assert all("source_seq" in e for e in engine_events)
+        if numpy_available() and _fork_available():
+            # Process mode: each job names the pool worker that ran it.
+            assert all(e["worker"] not in (None, os.getpid()) for e in job_events)
 
     def test_no_parent_collector_means_no_worker_capture(self):
         envelope = execute_job(_specs(1, n=40, degree=4)[0], collect_telemetry=False)
