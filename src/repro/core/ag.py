@@ -148,7 +148,9 @@ class AdditiveGroupColoring(LocallyIterativeColoring):
     #
     # State: (a, b) as two int64 arrays.  The conflict test is pure existence
     # over the neighborhood, so the kernel is identical in LOCAL and
-    # SET-LOCAL (multiplicities never matter).
+    # SET-LOCAL (multiplicities never matter).  A final vertex (a == 0, b in
+    # [0, q) as encoded) is a fixed point of the rule, so a round reads only
+    # the working vertices' CSR slots.
 
     def batch_encode_initial(self, initial):
         """Vectorized ``encode_initial``: int64 input colors to the state arrays."""
@@ -163,13 +165,18 @@ class AdditiveGroupColoring(LocallyIterativeColoring):
         return (initial // q, initial % q)
 
     def step_batch(self, round_index, state, csr, visibility):
-        """Vectorized ``step``: advance every vertex one round on the CSR view."""
+        """Vectorized ``step``: advance the working vertices one round."""
         import numpy as np
 
         a, b = state
-        conflict = csr.any_per_vertex(csr.gather(b) == csr.owner_values(b))
-        new_a = np.where(conflict, a, 0)
-        new_b = np.where(conflict, (b + a) % self.q, b)
+        working = np.flatnonzero(a)
+        slots, owner = csr.subset_slots(working)
+        work_a, work_b = a[working], b[working]
+        hit = b[csr.indices[slots]] == work_b[owner]
+        conflict = np.bincount(owner[hit], minlength=working.shape[0]) > 0
+        new_a, new_b = a.copy(), b.copy()
+        new_a[working] = np.where(conflict, work_a, 0)
+        new_b[working] = np.where(conflict, (work_b + work_a) % self.q, work_b)
         return (new_a, new_b)
 
     def batch_is_final(self, state):

@@ -73,11 +73,11 @@ class StandardColorReduction(LocallyIterativeColoring):
     # -- batch protocol (see repro.runtime.fast_engine) -------------------------
     #
     # State: the current color as a single int64 array.  Only the acting
-    # color class does any work: a boolean occupancy matrix (one row per
-    # acting vertex, one column per color in [0, target)) is scattered
-    # straight from the CSR neighborhood, and the smallest missing color is
-    # an argmin over it.  Membership in the taken set ignores multiplicity,
-    # so the kernel is identical in LOCAL and SET-LOCAL.
+    # color class does any work, and only its CSR slots are read: a boolean
+    # occupancy matrix (one row per acting vertex, one column per color in
+    # [0, target)) is scattered from those slots, and the smallest missing
+    # color is an argmin over it.  Membership in the taken set ignores
+    # multiplicity, so the kernel is identical in LOCAL and SET-LOCAL.
 
     def batch_encode_initial(self, initial):
         """Vectorized ``encode_initial`` (identity, like the scalar path)."""
@@ -92,15 +92,12 @@ class StandardColorReduction(LocallyIterativeColoring):
         acting_color = self.start_palette - 1 - round_index
         if acting_color < self.target:
             return state
-        acting = colors == acting_color
-        count = int(acting.sum())
-        if count == 0:
+        acting = np.flatnonzero(colors == acting_color)
+        if acting.shape[0] == 0:
             return state
-        compact = np.cumsum(acting) - 1
-        occupied = np.zeros((count, self.target), dtype=bool)
-        slot_sel = acting[csr.rows]
-        neighbor = csr.gather(colors)[slot_sel]
-        owner = compact[csr.rows[slot_sel]]
+        occupied = np.zeros((acting.shape[0], self.target), dtype=bool)
+        slots, owner = csr.subset_slots(acting)
+        neighbor = colors[csr.indices[slots]]
         in_target = (neighbor >= 0) & (neighbor < self.target)
         occupied[owner[in_target], neighbor[in_target]] = True
         if bool(occupied.all(axis=1).any()):

@@ -47,7 +47,7 @@ from repro.runtime.engine import RunResult, Visibility, drive
 from repro.runtime.fast_engine import (
     ColumnState,
     batch_supported,
-    count_changed,
+    changed_rows,
     equal_pairs,
     scalar_colors,
 )
@@ -355,7 +355,7 @@ class ShardRunner:
         new_state = self.stage.step_batch(
             round_index, state, local.csr(), self.visibility
         )
-        changed = count_changed(self.np, state, new_state, k)
+        changed = int(changed_rows(self.np, state, new_state, k).sum())
         owned_new = tuple(comp[:k] for comp in new_state)
         for column, owned in zip(self.planes.buffer(1 - src), owned_new):
             column[local.lo:local.hi] = owned

@@ -49,10 +49,10 @@ __all__ = [
 def _initial_id_coloring(graph):
     """The trivial n-coloring from unique IDs (normalized to ranks)."""
     ids = graph.ids
-    if isinstance(ids, range) and ids == range(graph.n):
-        # Identity ids (every generated graph, every sharded graph): the
-        # ranks are the ids.  Skips an O(n log n) Python sort that dominates
-        # setup at out-of-core sizes.
+    if ids == range(graph.n) or ids == tuple(range(graph.n)):
+        # Identity ids (every generated graph: a tuple on a StaticGraph, a
+        # range on a sharded one): the ranks are the ids.  Skips an
+        # O(n log n) Python sort and rank loop.
         return list(range(graph.n))
     order = sorted(range(graph.n), key=lambda v: ids[v])
     rank = [0] * graph.n

@@ -176,6 +176,22 @@ class CSRAdjacency:
         """Per-slot owner view: ``owner_values(x)[i] == x[rows[i]]``."""
         return values[self.rows]
 
+    def subset_slots(self, vertices):
+        """``(slots, owner)``: the CSR slots of a vertex subset, in order.
+
+        ``vertices`` is an int64 array of vertex ids.  ``slots`` concatenates
+        ``range(indptr[v], indptr[v + 1])`` for each ``v`` in turn, so
+        ``indices[slots]`` are those vertices' neighbors; ``owner[i]`` is the
+        position in ``vertices`` of the vertex owning ``slots[i]``.  A kernel
+        that only touches a few vertices pays for their slots, not all 2m.
+        """
+        np = _require_numpy()
+        starts = self.indptr[vertices]
+        counts = self.indptr[vertices + 1] - starts
+        owner = np.repeat(np.arange(vertices.shape[0], dtype=np.int64), counts)
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return np.arange(owner.shape[0], dtype=np.int64) + shift, owner
+
     def count_per_vertex(self, slot_mask):
         """Count True slots per owning vertex (empty neighborhoods count 0)."""
         np = _require_numpy()

@@ -54,7 +54,7 @@ __all__ = [
     "BatchColoringEngine",
     "ColumnState",
     "batch_supported",
-    "count_changed",
+    "changed_rows",
     "equal_pairs",
     "scalar_colors",
     "scalar_replay_round",
@@ -99,12 +99,13 @@ def scalar_colors(stage, state):
     return list(zip(*(component.tolist() for component in state)))
 
 
-def count_changed(np, old_state, new_state, k):
-    """How many of the first ``k`` rows differ between two batch states."""
+def changed_rows(np, old_state, new_state, k):
+    """Boolean mask of the first ``k`` rows that differ between two batch
+    states; its sum is a round's ``changed`` count."""
     changed = np.zeros(k, dtype=bool)
     for old, new in zip(old_state, new_state):
         changed |= old[:k] != new[:k]
-    return int(changed.sum())
+    return changed
 
 
 def equal_pairs(np, state, a, b):
@@ -119,7 +120,12 @@ def equal_pairs(np, state, a, b):
 
 
 class ColumnState(RoundState):
-    """The batch tier: the coloring as parallel int64 columns of length ``n``."""
+    """The batch tier: the coloring as parallel int64 columns of length ``n``.
+
+    The conflict count follows the changed rows: after a round that starts
+    from a state with no monochromatic edge, :meth:`conflicts` looks only at
+    the edges of the rows that round changed.
+    """
 
     backend = "batch"
 
@@ -134,27 +140,44 @@ class ColumnState(RoundState):
         self.stage = stage
         self.csr = self.graph.csr()
         self.state = stage.batch_encode_initial(initial)
+        # The conflict count of ``state`` (None: not counted), and the rows
+        # the last round changed, kept only when the state before that round
+        # had a count of 0.
+        self.count = self.changed = None
         return self._finalized()
 
     def advance(self, round_index):
         new_state = self.stage.step_batch(
             round_index, self.state, self.csr, self.visibility
         )
-        changed = count_changed(self.np, self.state, new_state, self.graph.n)
+        changed = changed_rows(self.np, self.state, new_state, self.graph.n)
         self.state = new_state
-        return changed, self._finalized()
+        self.changed = changed if self.count == 0 else None
+        self.count = None
+        return int(changed.sum()), self._finalized()
 
     def _finalized(self):
         return int(self.stage.batch_is_final(self.state).sum())
 
     def conflicts(self):
-        csr = self.csr
-        count, i = equal_pairs(self.np, self.state, csr.edge_u, csr.edge_v)
+        np, csr = self.np, self.csr
+        if self.count is None and self.changed is not None:
+            # No edge was monochromatic before this round, so only an edge
+            # at a changed row can be one now.
+            rows = np.flatnonzero(self.changed)
+            slots, owner = csr.subset_slots(rows)
+            if not equal_pairs(np, self.state, rows[owner], csr.indices[slots])[0]:
+                self.count = 0
+        if self.count == 0:
+            return 0, None
+        # Not counted, or not 0: all m edges, which also names the first
+        # monochromatic one.
+        self.count, i = equal_pairs(np, self.state, csr.edge_u, csr.edge_v)
         if i is None:
             return 0, None
         u, v = int(csr.edge_u[i]), int(csr.edge_v[i])
         columns = tuple(c[u:u + 1] for c in self.state)
-        return count, (u, v, scalar_colors(self.stage, columns)[0])
+        return self.count, (u, v, scalar_colors(self.stage, columns)[0])
 
     def snapshot(self):
         return scalar_colors(self.stage, self.state)

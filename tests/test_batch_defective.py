@@ -10,6 +10,7 @@ knob that parameterizes the whole sublinear family.
 
 import pytest
 
+from repro import obs
 from repro.analysis.invariants import coloring_defect
 from repro.defective.kuhn_edge import (
     kuhn_defective_edge_arrays,
@@ -63,15 +64,33 @@ def _run_defective(graph, tolerance, backend):
     )
 
 
+def cross_tier_cases():
+    for graph in graphs():
+        for tolerance in (1, 2, 4):
+            yield graph, tolerance
+    # bek's first stage (tolerance Delta // 4) here leaves 1 and then 37
+    # monochromatic edges: conflict rows that stay non-zero from one round
+    # to the next.
+    yield random_regular(4000, 32, seed=7), 8
+
+
 class TestDefectiveLinialParity:
     @requires_numpy
     def test_cross_tier_summaries_and_metrics(self):
         _skip_without_numpy()
-        for graph in graphs():
-            for tolerance in (1, 2, 4):
+        for graph, tolerance in cross_tier_cases():
+            with obs.capture() as ref_tel:
                 ref = _run_defective(graph, tolerance, "reference")
+            with obs.capture() as bat_tel:
                 bat = _run_defective(graph, tolerance, "batch")
-                assert ref.to_dict() == bat.to_dict(), (graph.n, tolerance)
+            assert ref.to_dict() == bat.to_dict(), (graph.n, tolerance)
+            assert obs.comparable_view(
+                bat_tel.events_of("engine.run")
+            ) == obs.comparable_view(ref_tel.events_of("engine.run")), (
+                graph.n, tolerance,
+            )
+        (last,) = bat_tel.events_of("engine.run")
+        assert [row["conflicts"] for row in last["rounds"]] == [1, 37]
 
     @requires_numpy
     def test_defect_stays_within_stage_bound(self):

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro import graphgen
+from repro import graphgen, obs
 from repro.core import (
     AdditiveGroupColoring,
     AdditiveGroupZN,
@@ -22,7 +22,7 @@ from repro.core import (
 )
 from repro.recipes import delta_plus_one_coloring
 from repro.core.reductions import StandardColorReduction
-from repro.errors import PaletteOverflowError
+from repro.errors import ImproperColoringError, PaletteOverflowError
 from repro.linial.core import LinialColoring
 from repro.runtime import (
     BatchColoringEngine,
@@ -31,6 +31,7 @@ from repro.runtime import (
     Visibility,
     batch_supported,
 )
+from repro.runtime.algorithm import LocallyIterativeColoring
 from repro.runtime.backends import resolve_backend
 from repro.runtime.csr import numpy_available
 
@@ -51,7 +52,8 @@ def _skip_without_numpy():
 
 
 def assert_equivalent_runs(graph, make_stage, initial, palette, visibility):
-    """Run both engines and compare every observable output."""
+    """Run both engines and compare every observable output, the per-round
+    ``engine.run`` telemetry rows included."""
     reference = ColoringEngine(
         graph,
         visibility=visibility,
@@ -64,8 +66,13 @@ def assert_equivalent_runs(graph, make_stage, initial, palette, visibility):
         check_proper_each_round=make_stage().maintains_proper,
         record_history=True,
     )
-    ref_result = reference.run(make_stage(), initial, in_palette_size=palette)
-    bat_result = batch.run(make_stage(), initial, in_palette_size=palette)
+    with obs.capture() as ref_tel:
+        ref_result = reference.run(make_stage(), initial, in_palette_size=palette)
+    with obs.capture() as bat_tel:
+        bat_result = batch.run(make_stage(), initial, in_palette_size=palette)
+    assert obs.comparable_view(
+        bat_tel.events_of("engine.run")
+    ) == obs.comparable_view(ref_tel.events_of("engine.run"))
     assert bat_result.history == ref_result.history
     assert bat_result.colors == ref_result.colors
     assert bat_result.int_colors == ref_result.int_colors
@@ -209,6 +216,93 @@ def test_batch_engine_palette_overflow_matches():
             engine_cls(graph).run(OverflowAG(), initial)
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1] == messages[2]
+
+
+class ScriptedStage(LocallyIterativeColoring):
+    """Recolors by a fixed script: in round ``r`` every vertex of color
+    ``c`` takes color ``script[r][c]``; every other vertex keeps its own."""
+
+    name = "scripted"
+
+    def __init__(self, script, maintains_proper):
+        super().__init__()
+        self.script = script
+        self.maintains_proper = maintains_proper
+
+    @property
+    def out_palette_size(self):
+        return self.info.in_palette_size
+
+    @property
+    def rounds_bound(self):
+        return 3
+
+    def step(self, round_index, color, neighbor_colors):
+        return self.script.get(round_index, {}).get(color, color)
+
+    def batch_encode_initial(self, initial):
+        """Identity, like the scalar path."""
+        return (initial,)
+
+    def step_batch(self, round_index, state, csr, visibility):
+        """Vectorized ``step``."""
+        (colors,) = state
+        new_colors = colors.copy()
+        for color, recolor in self.script.get(round_index, {}).items():
+            new_colors[colors == color] = recolor
+        return (new_colors,)
+
+    def batch_is_final(self, state):
+        """Never final, like the scalar path."""
+        return state[0] < 0
+
+    def batch_decode_final(self, state):
+        """Identity, like the scalar path."""
+        return state[0]
+
+    def batch_to_scalar(self, state):
+        """Plain ints, like the scalar path."""
+        return state[0].tolist()
+
+
+@requires_numpy
+def test_conflict_created_mid_run_raises_identically():
+    """A proper run that turns improper in round 1 fails the same way on
+    both tiers; on the batch tier, only the changed rows are looked at."""
+    _skip_without_numpy()
+    graph = graphgen.cycle_graph(9)
+    # Round 0 keeps the identity coloring; round 1 makes the edges (0, 1),
+    # (2, 3), (4, 5) and (6, 7) monochromatic.
+    script = {1: {1: 0, 3: 2, 5: 4, 7: 6}}
+    errors = []
+    for engine_cls in (ColoringEngine, BatchColoringEngine):
+        engine = engine_cls(graph, check_proper_each_round=True)
+        stage = ScriptedStage(script, maintains_proper=True)
+        with pytest.raises(ImproperColoringError) as excinfo:
+            engine.run(stage, list(range(graph.n)))
+        error = excinfo.value
+        errors.append((error.round_index, error.edge, error.color, str(error)))
+    assert errors[0] == errors[1]
+    assert errors[0][:3] == (1, (0, 1), 0)
+
+
+@requires_numpy
+def test_conflict_at_unchanged_rows_is_still_counted():
+    """A monochromatic edge whose ends stop changing stays in the count,
+    though later rounds change only rows away from it."""
+    _skip_without_numpy()
+    graph = graphgen.cycle_graph(9)
+    # Round 0 makes the edge (0, 1) monochromatic; round 1 recolors vertex
+    # 4 only, which makes no new conflict.
+    script = {0: {1: 0}, 1: {4: 8}}
+    records = []
+    for engine_cls in (ColoringEngine, BatchColoringEngine):
+        stage = ScriptedStage(script, maintains_proper=False)
+        with obs.capture() as tel:
+            engine_cls(graph).run(stage, list(range(graph.n)))
+        records.append(obs.comparable_view(tel.events_of("engine.run")))
+    assert records[0] == records[1]
+    assert [row["conflicts"] for row in records[0][0]["rounds"]] == [1, 1, 1]
 
 
 @requires_numpy

@@ -114,6 +114,46 @@ class TestCSRAdjacency:
         assert rebuilt.n == fresh.n and rebuilt.m == fresh.m
 
 
+    def test_subset_slots_concatenates_the_rows(self):
+        from repro.graphgen import gnp_graph
+        from repro.runtime.csr import numpy_or_none
+
+        np = numpy_or_none()
+        if np is None:
+            pytest.skip("the CSR view needs NumPy")
+        csr = gnp_graph(40, 0.05, seed=5).csr()
+        assert csr.degrees[[3, 19]].tolist() == [0, 0]  # degree-0 rows
+        for vertices in ([], [3], [0, 3, 8, 19, 39], list(range(40)), [12, 2, 12]):
+            subset = np.asarray(vertices, dtype=np.int64)
+            slots, owner = csr.subset_slots(subset)
+            expected = [
+                u for v in vertices
+                for u in csr.indices[csr.indptr[v]:csr.indptr[v + 1]].tolist()
+            ]
+            assert csr.indices[slots].tolist() == expected
+            assert owner.tolist() == [
+                i for i, v in enumerate(vertices) for _ in range(csr.degrees[v])
+            ]
+
+    def test_subset_slots_of_halo_rows_are_empty(self):
+        from repro.runtime.csr import CSRAdjacency, numpy_or_none
+
+        np = numpy_or_none()
+        if np is None:
+            pytest.skip("the CSR view needs NumPy")
+        # A shard-local CSR: owned rows 0..2 (a path), halo rows 3..4 with
+        # degree 0.
+        indptr = np.array([0, 2, 4, 5, 5, 5], dtype=np.int64)
+        indices = np.array([1, 3, 0, 2, 1], dtype=np.int64)
+        csr = CSRAdjacency.from_arrays(5, indptr, indices)
+        slots, owner = csr.subset_slots(np.array([3, 4], dtype=np.int64))
+        assert slots.size == 0 and owner.size == 0
+        slots, owner = csr.subset_slots(np.array([4, 1, 3], dtype=np.int64))
+        assert slots.tolist() == [2, 3] and owner.tolist() == [1, 1]
+        empty = csr.subset_slots(np.zeros(0, dtype=np.int64))
+        assert [part.tolist() for part in empty] == [[], []]
+
+
 class TestDynamicGraph:
     def test_vertices_lifecycle(self):
         g = DynamicGraph(5, 3)

@@ -159,6 +159,35 @@ class TestDegenerateGraphs:
             assert max(result.colors) <= graph.max_degree
 
 
+class TestInitialIdColoring:
+    """The trivial n-coloring the recipes start from when given none."""
+
+    def test_identity_ids_skip_the_sort(self, monkeypatch):
+        import types
+
+        import repro.recipes as recipes
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("identity ids must not be sorted")
+
+        monkeypatch.setattr(recipes, "sorted", no_sort, raising=False)
+        generated = random_regular(40, 4, seed=3)  # ids: a tuple
+        sharded = types.SimpleNamespace(n=7, ids=range(7))  # as ShardedCSRGraph
+        for graph in (generated, sharded):
+            assert recipes._initial_id_coloring(graph) == list(range(graph.n))
+        result = delta_plus_one_coloring(generated)
+        assert is_proper_coloring(generated, result.colors)
+
+    def test_other_ids_are_ranked(self):
+        from repro.recipes import _initial_id_coloring
+        from repro.runtime.graph import StaticGraph
+
+        graph = StaticGraph(4, [(0, 1), (1, 2), (2, 3)], ids=[30, 10, 40, 20])
+        assert _initial_id_coloring(graph) == [2, 0, 3, 1]
+        shifted = StaticGraph(3, [(0, 1)], ids=[1, 2, 3])
+        assert _initial_id_coloring(shifted) == [0, 1, 2]
+
+
 class TestPropertyBased:
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=25, deadline=None)
