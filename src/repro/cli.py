@@ -322,24 +322,19 @@ def _cmd_trace(args, out):
 
 
 def _cmd_selfstab(args, out):
-    import random
-
+    from repro.graphgen import gnp_graph
     from repro.runtime.backends import resolve_backend
     from repro.runtime.graph import DynamicGraph
     from repro.selfstab import FaultCampaign, SelfStabExactColoring
 
-    rng = random.Random(args.seed)
+    # G(n, p)'s edges in row-major order, each kept while both ends are under
+    # the degree cap; the order decides which edges survive.
     graph = DynamicGraph(args.n, args.delta)
     for v in range(args.n):
         graph.add_vertex(v)
-    for u in range(args.n):
-        for v in range(u + 1, args.n):
-            if (
-                rng.random() < args.prob
-                and graph.degree(u) < args.delta
-                and graph.degree(v) < args.delta
-            ):
-                graph.add_edge(u, v)
+    for u, v in gnp_graph(args.n, args.prob, args.seed).edges:
+        if graph.degree(u) < args.delta and graph.degree(v) < args.delta:
+            graph.add_edge(u, v)
 
     algorithm = SelfStabExactColoring(args.n, args.delta)
     engine = resolve_backend("selfstab", args.backend)(graph, algorithm)

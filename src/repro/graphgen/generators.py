@@ -146,21 +146,17 @@ def _np_rng_sync_back(rng, np_state):
 _GNP_BLOCK = 1 << 22
 
 
-def gnp_graph(n, p, seed):
-    """Erdos–Renyi G(n, p)."""
-    rng = random.Random(seed)
-    np = numpy_or_none()
-    if np is None:
-        edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-        ]
-        return StaticGraph(n, edges)
-    state = _np_rng(rng, np)
-    edges = []
+def _gnp_blocks(np, n, p, seed):
+    """G(n, p)'s edges as ``(i, j)`` array blocks, in row-major order.
+
+    One uniform draw per pair ``(i, j)``, ``j > i``, in the scalar loop's
+    order, at most ``_GNP_BLOCK`` draws per block (or one whole row);
+    blocks without an edge are skipped.  The single draw loop behind
+    :func:`gnp_graph` and :func:`repro.oocore.writers.write_gnp`.
+    """
+    state = _np_rng(random.Random(seed), np)
     start_row = 0
     while start_row < n - 1:
-        # Rows [start_row, end_row): one uniform draw per pair (i, j), j > i,
-        # in the scalar loop's row-major order.
         end_row = start_row
         count = 0
         while end_row < n - 1 and count + (n - 1 - end_row) <= _GNP_BLOCK:
@@ -176,64 +172,103 @@ def gnp_graph(n, p, seed):
         if hits.size:
             row_idx = np.searchsorted(starts, hits, side="right") - 1
             i_arr = row_idx + start_row
-            j_arr = i_arr + 1 + (hits - starts[row_idx])
-            edges.extend(zip(i_arr.tolist(), j_arr.tolist()))
+            yield i_arr, i_arr + 1 + (hits - starts[row_idx])
         start_row = end_row
-    return StaticGraph(n, edges)
 
 
-def random_regular(n, d, seed):
-    """Random d-regular graph: seeded stub matching plus switch repair.
+def gnp_graph(n, p, seed):
+    """Erdos–Renyi G(n, p): one uniform draw per pair ``(i, j)``, ``i < j``."""
+    np = numpy_or_none()
+    if np is None:
+        rng = random.Random(seed)
+        edges = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+        ]
+        return StaticGraph(n, edges)
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    edges.extend(np.column_stack(block) for block in _gnp_blocks(np, n, p, seed))
+    return StaticGraph(n, np.concatenate(edges))
 
-    ``n * d`` must be even and ``0 <= d < n``.  Shuffles the ``n * d`` vertex
-    stubs with one uniform key per stub, pairs them up, then repairs
-    self-loops and duplicate edges with random degree-preserving switches
-    (each commit strictly shrinks the defect set).  The key draws and the
-    stable sort are vectorized under NumPy; the repair phase is shared, so
-    the graph is identical in both modes.
+
+def _regular_edges(n, d, seed):
+    """The sorted edges of :func:`random_regular`'s graph.
+
+    An ``(m, 2)`` int64 array under NumPy, else a list of pairs.  The one
+    core behind :func:`random_regular` and
+    :func:`repro.oocore.writers.write_random_regular`: only the bookkeeping
+    differs between the two modes, never a draw.  Under NumPy the stub
+    keys are drawn and argsorted as arrays, and the multiplicities of the
+    initial pairs live in a sorted base table; ``counts`` then holds only
+    the repair's changes.  Without NumPy ``counts`` holds them all.
     """
     if n * d % 2:
         raise ValueError("n * d must be even for a d-regular graph")
     if not 0 <= d < n:
         raise ValueError("need 0 <= d < n (got d=%d, n=%d)" % (d, n))
-    if d == 0:
-        return StaticGraph(n, [])
-    if d == n - 1:
-        return complete_graph(n)
-    rng = random.Random(seed)
-    stub_count = n * d
     np = numpy_or_none()
+    if d == n - 1:  # the complete graph, which no switch could repair
+        if np is None:
+            return [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return np.column_stack(np.triu_indices(n, 1))
+    rng = random.Random(seed)
+    npairs = n * d // 2
+    counts = {}  # edge key u * n + v (u < v) -> multiplicity beyond the base
+
+    def key(a, b):
+        return a * n + b if a < b else b * n + a
+
     if np is None:
-        keys = [rng.random() for _ in range(stub_count)]
-        order = sorted(range(stub_count), key=keys.__getitem__)
+        draws = [rng.random() for _ in range(2 * npairs)]
+        order = sorted(range(2 * npairs), key=draws.__getitem__)
         owners = [stub // d for stub in order]
+        pu, pv = owners[0::2], owners[1::2]
+        for u, v in zip(pu, pv):
+            if u != v:
+                counts[key(u, v)] = counts.get(key(u, v), 0) + 1
+        stack = [
+            t
+            for t in range(npairs - 1, -1, -1)
+            if pu[t] == pv[t] or counts[key(pu[t], pv[t])] > 1
+        ]
+
+        def base_count(k):
+            return 0
+
     else:
         state = _np_rng(rng, np)
-        keys = state.random_sample(stub_count)
+        owners = np.argsort(state.random_sample(2 * npairs), kind="stable")
         _np_rng_sync_back(rng, state)
-        owners = (np.argsort(keys, kind="stable") // d).tolist()
-    npairs = stub_count // 2
-    pairs = [(owners[2 * t], owners[2 * t + 1]) for t in range(npairs)]
+        owners //= d
+        pu, pv = owners[0::2], owners[1::2]
+        simple = pu != pv
+        pair_keys = (np.minimum(pu, pv) * n + np.maximum(pu, pv))[simple]
+        uniq, base = np.unique(pair_keys, return_counts=True)
+        defect = ~simple
+        defect[simple] = base[np.searchsorted(uniq, pair_keys)] > 1
+        stack = np.flatnonzero(defect)[::-1].tolist()
+        del simple, pair_keys, defect
 
-    def norm(u, v):
-        return (u, v) if u < v else (v, u)
+        def base_count(k):
+            i = int(np.searchsorted(uniq, k))
+            return int(base[i]) if i < uniq.shape[0] and uniq[i] == k else 0
 
-    counts = {}
-    for u, v in pairs:
-        if u != v:
-            key = norm(u, v)
-            counts[key] = counts.get(key, 0) + 1
-    stack = [
-        t
-        for t in range(npairs - 1, -1, -1)
-        if pairs[t][0] == pairs[t][1] or counts[norm(*pairs[t])] > 1
-    ]
+    def count(a, b):
+        k = key(a, b)
+        return base_count(k) + counts.get(k, 0)
+
+    def bump(a, b, by):
+        k = key(a, b)
+        counts[k] = counts.get(k, 0) + by
+
+    # Repair the self-loops and repeated edges in ascending pair order, with
+    # random degree-preserving switches; each commit strictly shrinks the
+    # defect set.
     attempts = 0
     limit = 200 * npairs + 1000
     while stack:
         t = stack.pop()
-        u, v = pairs[t]
-        if u != v and counts[norm(u, v)] == 1:
+        u, v = int(pu[t]), int(pv[t])
+        if u != v and count(u, v) == 1:
             continue  # healed by an earlier switch
         while True:
             attempts += 1
@@ -245,27 +280,51 @@ def random_regular(n, d, seed):
             s = rng.randrange(npairs)
             if s == t:
                 continue
-            x, y = pairs[s]
+            x, y = int(pu[s]), int(pv[s])
             # Switch (u, v), (x, y) -> (u, y), (x, v) when it stays simple.
             if u == y or x == v:
                 continue
             if u != v:
-                counts[norm(u, v)] -= 1
+                bump(u, v, -1)
             if x != y:
-                counts[norm(x, y)] -= 1
-            new_a, new_b = norm(u, y), norm(x, v)
-            if new_a != new_b and not counts.get(new_a) and not counts.get(new_b):
-                counts[new_a] = 1
-                counts[new_b] = 1
-                pairs[t] = (u, y)
-                pairs[s] = (x, v)
+                bump(x, y, -1)
+            if key(u, y) != key(x, v) and not count(u, y) and not count(x, v):
+                bump(u, y, 1)
+                bump(x, v, 1)
+                pv[t], pv[s] = y, v
                 break
             if u != v:
-                counts[norm(u, v)] += 1
+                bump(u, v, 1)
             if x != y:
-                counts[norm(x, y)] += 1
-    edges = sorted(key for key, count in counts.items() if count)
-    return StaticGraph(n, edges)
+                bump(x, y, 1)
+    # Every multiplicity is 0 or 1 now; the surviving keys in numeric order
+    # are the edges in lexicographic order.
+    if np is None:
+        return [divmod(k, n) for k in sorted(k for k, c in counts.items() if c)]
+    added = []
+    for k, change in counts.items():
+        i = int(np.searchsorted(uniq, k))
+        if i < uniq.shape[0] and uniq[i] == k:
+            base[i] += change
+        elif change:
+            added.append(k)
+    kept = uniq[base > 0]
+    added = np.array(sorted(added), dtype=np.int64)
+    keys = np.insert(kept, np.searchsorted(kept, added), added)
+    return np.column_stack(np.divmod(keys, n))
+
+
+def random_regular(n, d, seed):
+    """Random d-regular graph: seeded stub matching plus switch repair.
+
+    ``n * d`` must be even and ``0 <= d < n``.  Shuffles the ``n * d`` vertex
+    stubs with one uniform key per stub, pairs them up, then repairs
+    self-loops and duplicate edges with random degree-preserving switches
+    (each commit strictly shrinks the defect set).  One core builds the
+    edges with and without NumPy, and for the out-of-core writer, so the
+    graph is identical in every mode.
+    """
+    return StaticGraph(n, _regular_edges(n, d, seed))
 
 
 def bounded_degree_random(n, delta, target_edges, seed):

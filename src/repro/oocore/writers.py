@@ -2,20 +2,19 @@
 
 Two generator families are emitted without ever materializing a
 :class:`~repro.runtime.graph.StaticGraph` (whose Python-object adjacency
-costs ~112 bytes per slot):
+costs ~112 bytes per slot).  Each is a second sink for the in-memory
+generator's own core, so the edge set — and therefore every downstream
+color — is the in-memory graph's at any size:
 
-* :func:`write_random_regular` — the stub-matching construction with the
-  switch repair, replayed on flat int64 arrays plus a small defect-delta
-  dict.  Consumes the **identical MT19937 draw sequence** as
-  :func:`repro.graphgen.generators.random_regular` (the same
-  ``_np_rng`` transplant, the same ``rng.randrange`` replay), so the edge
-  set — and therefore every downstream color — is bit-identical at any
-  size where both run.
-* :func:`write_gnp` — G(n, p) in two passes over the *same* per-block
-  uniform draws as :func:`repro.graphgen.generators.gnp_graph`: pass A
-  accumulates degrees, pass B re-runs the stream and scatters neighbors
-  through per-vertex cursors.  Peak scratch is one RNG block, independent
-  of the edge count.
+* :func:`write_random_regular` hands the sorted edges of
+  ``repro.graphgen.generators._regular_edges``, the core behind
+  :func:`~repro.graphgen.generators.random_regular`, to
+  :func:`write_edge_arrays`.
+* :func:`write_gnp` walks ``_gnp_blocks``, the block loop behind
+  :func:`~repro.graphgen.generators.gnp_graph`, twice: pass A accumulates
+  degrees, pass B re-runs the stream and scatters neighbors through
+  per-vertex cursors.  Peak scratch is one RNG block, independent of the
+  edge count.
 
 Both finish through :func:`finalize_shards`, which partitions the vertex
 range, computes each shard's halo table, localizes the neighbor ids into
@@ -30,11 +29,10 @@ front door the job runner and the CLI use.
 import hashlib
 import json
 import os
-import random
 import secrets
 import shutil
 
-from repro.graphgen.generators import _GNP_BLOCK, _np_rng, _np_rng_sync_back
+from repro.graphgen.generators import _gnp_blocks, _regular_edges
 from repro.oocore.store import (
     COLORS_FILE,
     FORMAT_VERSION,
@@ -50,6 +48,7 @@ from repro.oocore.store import (
     release_pages,
     scratch_root,
 )
+from repro.runtime.csr import fill_csr
 
 __all__ = [
     "ensure_sharded",
@@ -127,33 +126,14 @@ def finalize_shards(path, n, m, indptr, indices, shards=None, provenance=None):
 
 def write_edge_arrays(path, n, u, v, shards=None, provenance=None):
     """Shards from edge endpoint arrays (``u < v`` elementwise, sorted by
-    ``(u, v)``, no duplicates) — the shared CSR fill of both writers.
-
-    The fill reproduces ``StaticGraph``'s sorted neighbor lists exactly:
-    for vertex ``x`` the backward neighbors (edges where ``x`` is the larger
-    endpoint) are all ``< x`` and arrive in ascending order, then the
-    forward ones (all ``> x``), also ascending — one sorted row.
-    """
-    np = _require_numpy()
+    ``(u, v)``, no duplicates), filled by :func:`~repro.runtime.csr.fill_csr`
+    — the rows ``StaticGraph`` would build."""
+    _require_numpy()
     os.makedirs(path, exist_ok=True)
     m = int(u.shape[0])
-    degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
     indptr = _create(path, INDPTR_FILE, n + 1)
-    if n:
-        indptr[0] = 0
-        np.cumsum(degrees, out=indptr[1:])
     indices = _create(path, INDICES_FILE, 2 * m)
-    if m:
-        bwd_count = np.bincount(v, minlength=n)
-        arange = np.arange(m, dtype=np.int64)
-        # Backward half: group by v (stable keeps u ascending within a group).
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        indices[np.asarray(indptr)[vs] + (arange - np.searchsorted(vs, vs))] = u[order]
-        # Forward half: already grouped by u with v ascending.
-        indices[
-            np.asarray(indptr)[u] + bwd_count[u] + (arange - np.searchsorted(u, u))
-        ] = v
+    fill_csr(u, v, indptr, indices)
     graph = finalize_shards(
         path, n, m, indptr, indices, shards=shards, provenance=provenance
     )
@@ -163,127 +143,13 @@ def write_edge_arrays(path, n, u, v, shards=None, provenance=None):
 
 
 def write_random_regular(path, n, d, seed, shards=None):
-    """Stream a random d-regular graph into shards, bit-identical to
-    :func:`repro.graphgen.generators.random_regular`.
-
-    The stub keys, the stable argsort, and every repair draw replay the
-    in-memory generator's exact RNG sequence; only the bookkeeping differs —
-    pair endpoints live in two int64 arrays and the per-edge multiplicities
-    in a sorted base-count table plus a small delta dict touched only by
-    repairs, instead of an O(m) Python dict.
-    """
-    np = _require_numpy()
-    provenance = {"generator": "random_regular", "n": n, "d": d, "seed": seed}
-    if n * d % 2:
-        raise ValueError("n * d must be even for a d-regular graph")
-    if not 0 <= d < n:
-        raise ValueError("need 0 <= d < n (got d=%d, n=%d)" % (d, n))
-    os.makedirs(path, exist_ok=True)
-    if d == 0:
-        return write_edge_arrays(
-            path, n, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-            shards=shards, provenance=provenance,
-        )
-    if d == n - 1:
-        iu, iv = np.triu_indices(n, 1)
-        return write_edge_arrays(
-            path, n, iu.astype(np.int64), iv.astype(np.int64),
-            shards=shards, provenance=provenance,
-        )
-    rng = random.Random(seed)
-    stub_count = n * d
-    state = _np_rng(rng, np)
-    keys = state.random_sample(stub_count)
-    _np_rng_sync_back(rng, state)
-    owners = np.argsort(keys, kind="stable")
-    del keys
-    owners //= d
-    pu = owners[0::2].copy()
-    pv = owners[1::2].copy()
-    del owners
-    npairs = stub_count // 2
-    lo = np.minimum(pu, pv)
-    hi = np.maximum(pu, pv)
-    pair_key = lo * n + hi
-    self_mask = pu == pv
-    del lo, hi
-    uniq, base = np.unique(pair_key[~self_mask], return_counts=True)
-
-    delta = {}
-
-    def count(a, b):
-        key = a * n + b if a < b else b * n + a
-        i = int(np.searchsorted(uniq, key))
-        value = int(base[i]) if i < uniq.shape[0] and uniq[i] == key else 0
-        return value + delta.get(int(key), 0)
-
-    def bump(a, b, by):
-        key = int(a * n + b if a < b else b * n + a)
-        delta[key] = delta.get(key, 0) + by
-
-    # Defective pairs: self-loops, or multiplicity > 1.  The scalar
-    # generator builds its stack descending and pops from the end, i.e.
-    # processes ascending t — same here.
-    idx = np.searchsorted(uniq, pair_key)
-    idx[idx >= uniq.shape[0]] = 0
-    multi = np.zeros(npairs, dtype=bool)
-    if uniq.shape[0]:
-        found = uniq[idx] == pair_key
-        multi[found] = base[idx[found]] > 1
-    stack = np.nonzero(self_mask | multi)[0][::-1].tolist()
-    del pair_key, self_mask, idx, multi
-    attempts = 0
-    limit = 200 * npairs + 1000
-    while stack:
-        t = stack.pop()
-        u, v = int(pu[t]), int(pv[t])
-        if u != v and count(u, v) == 1:
-            continue  # healed by an earlier switch
-        while True:
-            attempts += 1
-            if attempts > limit:
-                raise RuntimeError(
-                    "random_regular(%d, %d, seed=%r) failed to repair the "
-                    "stub matching" % (n, d, seed)
-                )
-            s = rng.randrange(npairs)
-            if s == t:
-                continue
-            x, y = int(pu[s]), int(pv[s])
-            # Switch (u, v), (x, y) -> (u, y), (x, v) when it stays simple.
-            if u == y or x == v:
-                continue
-            if u != v:
-                bump(u, v, -1)
-            if x != y:
-                bump(x, y, -1)
-            new_a = (u, y) if u < y else (y, u)
-            new_b = (x, v) if x < v else (v, x)
-            if new_a != new_b and not count(*new_a) and not count(*new_b):
-                bump(*new_a, 1)
-                bump(*new_b, 1)
-                pu[t], pv[t] = u, y
-                pu[s], pv[s] = x, v
-                break
-            if u != v:
-                bump(u, v, 1)
-            if x != y:
-                bump(x, y, 1)
-    # Effective multiplicities are all 0 or 1 now; the surviving keys,
-    # numerically sorted, are the lexicographically sorted edge list.
-    eff = base.astype(np.int64)
-    extra = []
-    for key, dv in delta.items():
-        i = int(np.searchsorted(uniq, key))
-        if i < uniq.shape[0] and uniq[i] == key:
-            eff[i] += dv
-        elif dv > 0:
-            extra.append(key)
-    final = uniq[eff > 0]
-    if extra:
-        final = np.sort(np.concatenate([final, np.array(extra, dtype=np.int64)]))
+    """Stream a random d-regular graph into shards: the edges of
+    :func:`repro.graphgen.generators.random_regular`, from its own core."""
+    _require_numpy()
+    edges = _regular_edges(n, d, seed)
     return write_edge_arrays(
-        path, n, final // n, final % n, shards=shards, provenance=provenance
+        path, n, edges[:, 0], edges[:, 1], shards=shards,
+        provenance={"generator": "random_regular", "n": n, "d": d, "seed": seed},
     )
 
 
@@ -291,45 +157,18 @@ def write_gnp(path, n, p, seed, shards=None):
     """Stream G(n, p) into shards, bit-identical to
     :func:`repro.graphgen.generators.gnp_graph`.
 
-    Two passes over the identical block-RNG stream: degrees first, then a
-    cursor-scatter fill.  Within a block the edges come out in the scalar
-    loop's row-major ``(i, j)`` order, so every vertex's backward neighbors
-    (ascending ``i``) land before its forward ones (ascending ``j``) — the
-    sorted rows ``StaticGraph`` would build.
+    Two passes over its block loop: degrees first, then a cursor-scatter
+    fill.  Within a block the edges come out in row-major ``(i, j)``
+    order, so every vertex's backward neighbors (ascending ``i``) land
+    before its forward ones (ascending ``j``) — the sorted rows
+    ``StaticGraph`` would build.
     """
     np = _require_numpy()
     provenance = {"generator": "gnp", "n": n, "p": p, "seed": seed}
     os.makedirs(path, exist_ok=True)
-
-    def blocks():
-        rng = random.Random(seed)
-        state = _np_rng(rng, np)
-        start_row = 0
-        while start_row < n - 1:
-            end_row = start_row
-            count = 0
-            while end_row < n - 1 and count + (n - 1 - end_row) <= _GNP_BLOCK:
-                count += n - 1 - end_row
-                end_row += 1
-            if end_row == start_row:  # a single row exceeding the block cap
-                end_row += 1
-                count = n - 1 - start_row
-            lengths = np.arange(
-                n - 1 - start_row, n - 1 - end_row, -1, dtype=np.int64
-            )
-            starts = np.zeros(end_row - start_row, dtype=np.int64)
-            np.cumsum(lengths[:-1], out=starts[1:])
-            hits = np.nonzero(state.random_sample(count) < p)[0]
-            if hits.size:
-                row_idx = np.searchsorted(starts, hits, side="right") - 1
-                i_arr = row_idx + start_row
-                j_arr = i_arr + 1 + (hits - starts[row_idx])
-                yield i_arr, j_arr
-            start_row = end_row
-
     degrees = np.zeros(n, dtype=np.int64)
     m = 0
-    for i_arr, j_arr in blocks():
+    for i_arr, j_arr in _gnp_blocks(np, n, p, seed):
         degrees += np.bincount(i_arr, minlength=n)
         degrees += np.bincount(j_arr, minlength=n)
         m += i_arr.shape[0]
@@ -339,7 +178,7 @@ def write_gnp(path, n, p, seed, shards=None):
         np.cumsum(degrees, out=indptr[1:])
     indices = _create(path, INDICES_FILE, 2 * m)
     cursor = np.asarray(indptr)[:-1].copy() if n else degrees
-    for i_arr, j_arr in blocks():
+    for i_arr, j_arr in _gnp_blocks(np, n, p, seed):
         cnt = i_arr.shape[0]
         verts = np.empty(2 * cnt, dtype=np.int64)
         nbrs = np.empty(2 * cnt, dtype=np.int64)

@@ -81,12 +81,12 @@ def _materialize_graph(spec):
 
 
 # Bounded LRU over materialized graphs.  Generation dominates per-job setup
-# (21s for a random 16-regular graph at n=10^5), and sweeps over seeds or
-# backends keep asking for the same topology; caching the StaticGraph also
-# caches its memoized ``csr()``.  Each process has its own cache; a forked
-# pool worker starts with a copy of the parent's.  Keys are the *full* spec
-# dict, so a differing seed, degree, or probability is a different entry by
-# construction.
+# (about 1 s for a random 16-regular graph at n=10^5 on a 2-CPU x86 box),
+# and sweeps over seeds or backends keep asking for the same topology;
+# caching the StaticGraph also caches its memoized ``csr()``.  Each process
+# has its own cache; a forked pool worker starts with a copy of the
+# parent's.  Keys are the *full* spec dict, so a differing seed, degree, or
+# probability is a different entry by construction.
 _GRAPH_CACHE = OrderedDict()
 _CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 

@@ -24,7 +24,7 @@ else in the package works without it.
 
 import os
 
-__all__ = ["CSRAdjacency", "numpy_or_none", "numpy_available"]
+__all__ = ["CSRAdjacency", "fill_csr", "numpy_or_none", "numpy_available"]
 
 _DISABLE_ENV = "REPRO_DISABLE_NUMPY"
 
@@ -58,6 +58,37 @@ def _require_numpy():
             " (or unset %s)" % _DISABLE_ENV
         )
     return np
+
+
+def fill_csr(edge_u, edge_v, indptr, indices):
+    """Write the CSR of sorted unique edges into ``indptr`` and ``indices``.
+
+    ``edge_u``/``edge_v`` are int64 arrays with ``edge_u < edge_v``
+    elementwise, sorted by ``(u, v)``, without repeats; ``indptr`` (length
+    ``n + 1``) and ``indices`` (length ``2 * m``) may be memmaps.  Returns
+    the degree array.  Each row comes out sorted, as ``StaticGraph``'s
+    neighbor tuples are: vertex ``x``'s backward neighbors (edges where
+    ``x`` is the larger endpoint) are all ``< x`` and arrive in ascending
+    order, then its forward ones, also ascending.  The one CSR fill behind
+    ``StaticGraph`` and the out-of-core writers.
+    """
+    np = _require_numpy()
+    n = indptr.shape[0] - 1
+    backward = np.bincount(edge_v, minlength=n)
+    degrees = backward + np.bincount(edge_u, minlength=n)
+    indptr[0] = 0
+    np.cumsum(degrees, out=indptr[1:])
+    starts = np.asarray(indptr)[:-1]
+    arange = np.arange(edge_u.shape[0], dtype=np.int64)
+    # Backward half: group by v (the stable sort keeps u ascending within a group).
+    order = np.argsort(edge_v, kind="stable")
+    vs = edge_v[order]
+    indices[starts[vs] + (arange - np.searchsorted(vs, vs))] = edge_u[order]
+    # Forward half: already grouped by u with v ascending.
+    indices[
+        starts[edge_u] + backward[edge_u] + (arange - np.searchsorted(edge_u, edge_u))
+    ] = edge_v
+    return degrees
 
 
 class CSRAdjacency:

@@ -94,6 +94,22 @@ class TestSelfStabCommand:
         assert "burst 2:" in text
         assert "final palette:" in text
 
+    def test_output_is_pinned(self):
+        # Recorded when the command drew its own G(n, p); at prob 0.2 the
+        # degree cap of 5 drops most edges, so the cap check is exercised.
+        code, text = run_cli(
+            ["selfstab", "--n", "60", "--delta", "5", "--prob", "0.2",
+             "--seed", "7", "--bursts", "3", "--corruptions", "9"]
+        )
+        assert code == 0
+        assert text == (
+            "cold start: stabilized in 17 rounds (bound budget 234)\n"
+            "burst 1: re-stabilized in 16 rounds (legal: True)\n"
+            "burst 2: re-stabilized in 16 rounds (legal: True)\n"
+            "burst 3: re-stabilized in 15 rounds (legal: True)\n"
+            "final palette: 6 <= Delta+1 = 6\n"
+        )
+
 
 class TestParser:
     def test_requires_command(self):

@@ -100,6 +100,101 @@ class TestStaticGraph:
         assert sum(g.degree(v) for v in g.vertices()) == 2 * g.m
 
 
+class TestStaticGraphArrayPath:
+    """The array constructor (ndarray input, or at least ``_BULK_EDGES``
+    pairs), which every generated graph goes through, against the per-edge
+    loop on the same input."""
+
+    N = 400
+
+    @pytest.fixture
+    def np(self):
+        from repro.runtime.csr import numpy_or_none
+
+        np = numpy_or_none()
+        if np is None:
+            pytest.skip("the array path needs NumPy")
+        return np
+
+    @classmethod
+    def sorted_edges(cls):
+        import random
+
+        rng = random.Random(5)
+        edges = set()
+        while len(edges) < 3000:
+            u, v = rng.randrange(cls.N), rng.randrange(cls.N)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        return sorted(edges)
+
+    @staticmethod
+    def per_edge(n, edges, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(StaticGraph, "_BULK_EDGES", float("inf"))
+            graph = StaticGraph(n, [tuple(edge) for edge in edges])
+        assert graph._csr is None  # the per-edge loop builds no CSR
+        return graph
+
+    def assert_same(self, edges, monkeypatch):
+        from repro.runtime.csr import CSRAdjacency
+
+        graph = StaticGraph(self.N, edges)
+        assert graph._csr is not None  # the array path pre-builds the CSR
+        reference = self.per_edge(self.N, edges, monkeypatch)
+        csr, expected = graph.csr(), CSRAdjacency.from_graph(reference)
+        for field in ("indptr", "indices", "rows", "degrees", "edge_u", "edge_v"):
+            assert getattr(csr, field).tolist() == getattr(expected, field).tolist()
+        assert (graph.m, graph.max_degree) == (reference.m, reference.max_degree)
+        assert graph.edges == reference.edges
+        assert [graph.neighbors(v) for v in graph.vertices()] == [
+            reference.neighbors(v) for v in reference.vertices()
+        ]
+        return graph
+
+    def test_sorted_unique_list_and_array(self, np, monkeypatch):
+        edges = self.sorted_edges()
+        for given in (edges, np.array(edges, dtype=np.int64)):
+            assert self.assert_same(given, monkeypatch).m == len(edges)
+
+    def test_shuffled_repeats_and_reversed_pairs_are_deduped(self, np, monkeypatch):
+        import random
+
+        edges = self.sorted_edges()
+        rng = random.Random(9)
+        messy = edges + rng.sample(edges, 500)
+        messy = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in messy]
+        rng.shuffle(messy)
+        for given in (messy, np.array(messy, dtype=np.int64)):
+            assert self.assert_same(given, monkeypatch).m == len(edges)
+
+    def test_sorted_with_adjacent_repeat_is_deduplicated(self, np, monkeypatch):
+        edges = self.sorted_edges()
+        repeated = edges[:100] + [edges[99]] + edges[100:]
+        assert self.assert_same(repeated, monkeypatch).m == len(edges)
+        flipped = [(v, u) for u, v in edges]  # strictly increasing keys
+        assert self.assert_same(flipped, monkeypatch).m == len(edges)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ([(7, 7), (3, 400)], "self-loop (7, 7) not allowed"),
+            ([(3, 400), (7, 7)], "edge (3, 400) out of range for n=400"),
+            ([(-1, 2), (7, 7)], "edge (-1, 2) out of range for n=400"),
+        ],
+    )
+    def test_first_bad_edge_is_named(self, np, monkeypatch, bad, message):
+        edges = self.sorted_edges()
+        edges = edges[:2500] + bad[:1] + edges[2500:2700] + bad[1:] + edges[2700:]
+        for given in (edges, np.array(edges, dtype=np.int64)):
+            with pytest.raises(ValueError) as error:
+                StaticGraph(self.N, given)
+            assert str(error.value) == message
+        with pytest.raises(ValueError) as error:
+            self.per_edge(self.N, edges, monkeypatch)
+        assert str(error.value) == message
+
+
 class TestCSRAdjacency:
     def test_csr_from_arrays_matches_fresh_csr(self):
         from repro.graphgen import random_regular

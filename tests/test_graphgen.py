@@ -1,8 +1,16 @@
 """Tests for the seeded graph generators."""
 
+import hashlib
+
 import pytest
 
 from repro import graphgen
+from repro.graphgen import generators
+from repro.runtime.csr import numpy_available
+
+
+def _digest(graph):
+    return hashlib.sha256(repr(graph.edges).encode()).hexdigest()[:16]
 
 
 class TestDeterministicFamilies:
@@ -129,3 +137,51 @@ class TestExtendedFamilies:
     def test_disjoint_union_empty(self):
         g = graphgen.disjoint_union([])
         assert g.n == 0
+
+
+class TestPinnedGraphs:
+    """Edge-list digests recorded before the in-memory generators and the
+    shard writers shared one core; they must read the same with and
+    without NumPy."""
+
+    @pytest.mark.parametrize(
+        "n,d,seed,digest",
+        [
+            (12, 6, 7, "239e318eb255b5be"),
+            (50, 7, 5, "de6527a03f804672"),
+            (40, 3, 1, "3fd004a39f98dfd0"),
+            (600, 16, 1, "d7c727107e75eb3a"),
+            (4000, 32, 501, "aa0ebebf0273cca3"),
+        ],
+    )
+    def test_random_regular(self, n, d, seed, digest):
+        assert _digest(graphgen.random_regular(n, d, seed)) == digest
+
+    @pytest.mark.parametrize(
+        "n,p,seed,digest",
+        [
+            (50, 0.1, 1, "c93590d7a4916377"),
+            (12, 1.0, 3, "f214c4e45994d7af"),
+            (10, 1.5, 1, "1fa5d606ea08d21e"),
+            (2000, 0.01, 3, "1b9dc1c6957c3b60"),
+        ],
+    )
+    def test_gnp(self, n, p, seed, digest):
+        assert _digest(graphgen.gnp_graph(n, p, seed)) == digest
+
+    def test_gnp_across_blocks(self, monkeypatch, tmp_path):
+        # Seven draws per block split every row of G(30, p) across blocks;
+        # the writer walks the same block loop, so it sees the patch too.
+        monkeypatch.setattr(generators, "_GNP_BLOCK", 7)
+        graph = graphgen.gnp_graph(30, 0.3, 4)
+        assert _digest(graph) == "8a0ca35692126a3c"
+        if not numpy_available():
+            return
+        import numpy as np
+
+        from repro.oocore.writers import write_gnp
+
+        sharded = write_gnp(str(tmp_path), 30, 0.3, 4, shards=3)
+        csr = graph.csr()
+        assert np.array_equal(np.asarray(sharded._indptr_memmap()), csr.indptr)
+        assert np.array_equal(np.asarray(sharded._indices_memmap()), csr.indices)

@@ -1,8 +1,9 @@
 """The out-of-core shard store and streaming writers.
 
-The two load-bearing properties: **bit-identity** — the streaming writers
-emit exactly the CSR the in-memory generators build, including the
-repair-loop tail of ``random_regular`` — and **self-containment** — each
+The two load-bearing properties: **bit-identity** — each streaming writer
+is a second sink for its in-memory generator's core, and its shards hold
+exactly the CSR ``StaticGraph`` builds from the same edges (the digests in
+``test_graphgen.py`` pin the core itself) — and **self-containment** — each
 shard's localized CSR plus its halo table reconstructs the global adjacency
 exactly.
 """
