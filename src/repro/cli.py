@@ -71,35 +71,16 @@ def _telemetry_sink(args, out):
 
     Installs a live collector around the command body, then writes the JSONL
     event stream (plus the aggregate snapshot line) to the requested path.
-    ``--profile`` additionally sets ``REPRO_PROFILE=1`` in the environment —
-    forked workers inherit it — and runs the sampling profiler over the
-    parent process, flushing its samples into the same stream.
     """
-    profiling = getattr(args, "profile", False)
-    saved = os.environ.get("REPRO_PROFILE")
-    if profiling:
-        os.environ["REPRO_PROFILE"] = "1"
-    try:
-        path = getattr(args, "telemetry", None)
-        if not path:
-            yield
-            return
-        with obs.capture() as telemetry:
-            profiler = obs.maybe_profiler(telemetry)
-            try:
-                yield
-            finally:
-                if profiler is not None:
-                    profiler.stop()
-        lines = obs.write_jsonl(telemetry, path)
-        if not getattr(args, "json", False):
-            out.write("telemetry: wrote %d records to %s\n" % (lines, path))
-    finally:
-        if profiling:
-            if saved is None:
-                os.environ.pop("REPRO_PROFILE", None)
-            else:
-                os.environ["REPRO_PROFILE"] = saved
+    path = getattr(args, "telemetry", None)
+    if not path:
+        yield
+        return
+    with obs.capture() as telemetry:
+        yield
+    lines = obs.write_jsonl(telemetry, path)
+    if not getattr(args, "json", False):
+        out.write("telemetry: wrote %d records to %s\n" % (lines, path))
 
 
 def _graph_spec(args):
@@ -141,20 +122,33 @@ def _add_oocore_arguments(parser):
     )
 
 
-def _apply_oocore_args(args):
+@contextlib.contextmanager
+def _oocore_env(args):
     """Fold --oocore/--shards/--memory-budget into the backend + env knobs.
 
     The env variables are the single source of truth the oocore tier reads
-    (so jobs forked by the runner inherit them); the flags just set them.
+    (so jobs forked by the runner inherit them); the flags set them for the
+    command's duration and the caller's values come back afterwards.
     """
+    env = {}
     if getattr(args, "shards", None):
-        os.environ["REPRO_OOCORE_SHARDS"] = str(args.shards)
+        env["REPRO_OOCORE_SHARDS"] = str(args.shards)
     if getattr(args, "memory_budget", None):
         from repro.oocore.store import parse_bytes
 
-        os.environ["REPRO_OOCORE_BUDGET"] = str(parse_bytes(args.memory_budget))
+        env["REPRO_OOCORE_BUDGET"] = str(parse_bytes(args.memory_budget))
     if getattr(args, "oocore", False):
         args.backend = "oocore"
+    saved = {key: os.environ.get(key) for key in env}
+    os.environ.update(env)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
 
 
 def _print_outcomes(args, out, outcomes):
@@ -204,7 +198,6 @@ def _cmd_color_jobs(args, out, workers):
 
 
 def _cmd_color(args, out):
-    _apply_oocore_args(args)
     workers = args.workers if args.workers is not None else 1
     if workers > 1 or args.seeds > 1:
         return _cmd_color_jobs(args, out, workers)
@@ -359,8 +352,6 @@ def _cmd_selfstab(args, out):
 def _cmd_sweep(args, out):
     """Run an ``ns x degrees x seeds`` grid through the sharded job runner."""
     from repro import parallel
-
-    _apply_oocore_args(args)
 
     ns = [int(value) for value in args.n.split(",")]
     degrees = [int(value) for value in args.degree.split(",")]
@@ -576,7 +567,9 @@ def build_parser():
         "sublinear = Theorem 6.4 arbdefective route",
     )
     color.add_argument(
-        "--set-local", action="store_true", help="run in the SET-LOCAL model"
+        "--set-local",
+        action="store_true",
+        help="run in the SET-LOCAL model (cor36 and exact only)",
     )
     color.add_argument(
         "--backend",
@@ -607,12 +600,6 @@ def build_parser():
         metavar="PATH",
         help="collect structured telemetry for the run and write it as "
         "JSONL to PATH (inspect with `repro-coloring obs summary PATH`)",
-    )
-    color.add_argument(
-        "--profile",
-        action="store_true",
-        help="enable the sampling profiler (REPRO_PROFILE=1) in this process "
-        "and every worker; samples land in the --telemetry stream",
     )
     _add_oocore_arguments(color)
     color.set_defaults(func=_cmd_color)
@@ -667,12 +654,6 @@ def build_parser():
         "--telemetry",
         metavar="PATH",
         help="write the merged parent+worker telemetry stream to PATH",
-    )
-    sweep.add_argument(
-        "--profile",
-        action="store_true",
-        help="enable the sampling profiler (REPRO_PROFILE=1) in this process "
-        "and every worker; samples land in the --telemetry stream",
     )
     _add_oocore_arguments(sweep)
     sweep.set_defaults(func=_cmd_sweep)
@@ -732,12 +713,6 @@ def build_parser():
         metavar="PATH",
         help="collect structured telemetry for the demo and write it as "
         "JSONL to PATH",
-    )
-    selfstab.add_argument(
-        "--profile",
-        action="store_true",
-        help="enable the sampling profiler (REPRO_PROFILE=1) for the demo; "
-        "samples land in the --telemetry stream",
     )
     selfstab.set_defaults(func=_cmd_selfstab)
 
@@ -900,9 +875,13 @@ def main(argv=None, out=None):
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "profile", False) and not getattr(args, "telemetry", None):
-        parser.error("--profile needs --telemetry PATH: the samples land in that stream")
-    return args.func(args, out or sys.stdout)
+    if getattr(args, "set_local", False) and args.algorithm == "sublinear":
+        parser.error(
+            "--set-local is not supported with --algorithm sublinear: "
+            "the Theorem 6.4 route runs in LOCAL only"
+        )
+    with _oocore_env(args):
+        return args.func(args, out or sys.stdout)
 
 
 if __name__ == "__main__":

@@ -25,8 +25,7 @@ or process-wide (as the CLI's ``--telemetry out.jsonl`` does)::
 
 See ``docs/observability.md`` for the event schema and the bench-regression
 workflow built on top of these records.  :mod:`repro.obs.flight` adds the
-flight-recorder layer on top: Chrome-trace timeline export and the
-sampling profiler (``REPRO_PROFILE=1``).
+flight-recorder layer on top: Chrome-trace timeline export.
 """
 
 from repro.obs.core import (
@@ -52,12 +51,7 @@ from repro.obs.exporters import (
     summary_table,
     write_jsonl,
 )
-from repro.obs.flight import (
-    SamplingProfiler,
-    chrome_trace,
-    maybe_profiler,
-    write_chrome_trace,
-)
+from repro.obs.flight import chrome_trace, write_chrome_trace
 from repro.obs.routing import RoutedTelemetry, route
 
 __all__ = [
@@ -65,7 +59,6 @@ __all__ = [
     "JsonlWriter",
     "NullTelemetry",
     "RoutedTelemetry",
-    "SamplingProfiler",
     "Span",
     "Telemetry",
     "active",
@@ -78,7 +71,6 @@ __all__ = [
     "event",
     "gauge",
     "histogram",
-    "maybe_profiler",
     "prometheus_text",
     "read_jsonl",
     "route",

@@ -266,8 +266,8 @@ class Telemetry:
 
         Records are stamped with a monotonic ``ts`` plus the collector's
         ``pid`` / ``source`` lane — via ``setdefault``, so callers replaying
-        buffered observations (the sampling profiler) or relaying foreign
-        records keep the original stamps.
+        buffered observations or relaying foreign records keep the original
+        stamps.
         """
         record = {"type": kind, "seq": len(self.events)}
         record.update(fields)

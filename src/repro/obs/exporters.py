@@ -26,8 +26,8 @@ __all__ = [
 # Fields whose values are wall-clock or backend-identity dependent (the
 # batch engine hands palettes off as ndarrays where the reference engine
 # hands off lists), plus the flight-recorder stamps (timestamps, process
-# ids, trace ids, per-worker labels and resource readings); stripped by
-# comparable_view so reference-vs-batch telemetry can be compared exactly.
+# ids, trace ids and per-worker labels); stripped by comparable_view so
+# reference-vs-batch telemetry can be compared exactly.
 NONDETERMINISTIC_FIELDS = frozenset(
     (
         "seconds",
@@ -39,17 +39,8 @@ NONDETERMINISTIC_FIELDS = frozenset(
         "source",
         "trace_id",
         "worker",
-        "rss_bytes",
-        "cpu_seconds",
-        "interval",
-        "samples",
     )
 )
-
-# Whole record types that only exist because of wall-clock behavior (how
-# memory moved between profiler ticks): dropped entirely by
-# comparable_view — their very presence and count is nondeterministic.
-NONDETERMINISTIC_EVENT_TYPES = frozenset(("profile.sample",))
 
 
 class JsonlWriter:
@@ -140,9 +131,7 @@ def comparable_view(records):
     from ``backend="reference"`` and ``backend="batch"`` can be compared for
     equality (the acceptance contract of the batch engines extends to their
     telemetry).  Flight-recorder stamps (``ts`` / ``pid`` / ``source`` /
-    ``trace_id`` / per-worker fields) are stripped, and records that exist
-    only because of resource behavior (profiler samples) are dropped
-    outright.
+    ``trace_id`` / per-worker fields) are stripped too.
     """
     def strip(value):
         if isinstance(value, dict):
@@ -155,11 +144,7 @@ def comparable_view(records):
             return [strip(item) for item in value]
         return value
 
-    return [
-        strip(record)
-        for record in records
-        if record.get("type") not in NONDETERMINISTIC_EVENT_TYPES
-    ]
+    return [strip(record) for record in records]
 
 
 def _prom_name(name):
@@ -215,6 +200,10 @@ def _format_rows(header, rows):
     lines = [fmt % header, fmt % tuple("-" * w for w in widths)]
     lines.extend(fmt % tuple(str(c) for c in row) for row in rows)
     return lines
+
+
+def _tag_text(row):
+    return " ".join("%s=%s" % kv for kv in sorted(row["tags"].items())) or "-"
 
 
 def summary_table(records):
@@ -275,27 +264,20 @@ def summary_table(records):
     snapshots = [r for r in records if r.get("type") == "snapshot"]
     if snapshots:
         snapshot = snapshots[-1]
-        if snapshot["counters"]:
-            rows = [
-                (
-                    row["name"],
-                    " ".join(
-                        "%s=%s" % kv for kv in sorted(row["tags"].items())
-                    ) or "-",
-                    row["value"],
-                )
-                for row in snapshot["counters"]
-            ]
-            sections.append("")
-            sections.append("counters")
-            sections.extend(_format_rows(("name", "tags", "value"), rows))
+        for kind in ("counters", "gauges"):
+            if snapshot[kind]:
+                rows = [
+                    (row["name"], _tag_text(row), row["value"])
+                    for row in snapshot[kind]
+                ]
+                sections.append("")
+                sections.append(kind)
+                sections.extend(_format_rows(("name", "tags", "value"), rows))
         if snapshot["histograms"]:
             rows = [
                 (
                     row["name"],
-                    " ".join(
-                        "%s=%s" % kv for kv in sorted(row["tags"].items())
-                    ) or "-",
+                    _tag_text(row),
                     row["count"],
                     "%.4g" % row["mean"] if row["count"] else "-",
                     "%.4g" % row["min"] if row["min"] is not None else "-",

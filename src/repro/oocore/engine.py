@@ -32,7 +32,6 @@ import shutil
 import tempfile
 
 from repro.obs import core as obs
-from repro.obs import flight
 from repro.oocore.store import (
     MemoryBudgetError,
     PlaneStore,
@@ -419,8 +418,8 @@ class ShardState(ColumnState):
     """The out-of-core tier: int64 columns split over memory-mapped shards.
 
     Owns, for one run, the double-buffered state planes, the
-    :class:`ShardRunner` that steps the shards, the optional sampling
-    profiler and a scratch directory; :meth:`close` releases all of them.
+    :class:`ShardRunner` that steps the shards and a scratch directory;
+    :meth:`close` releases all of them.
     """
 
     backend = "oocore"
@@ -431,19 +430,13 @@ class ShardState(ColumnState):
         self.scratch = tempfile.mkdtemp(
             prefix="repro-oocore-planes-", dir=engine._scratch_base
         )
-        self.planes = self.runner = self.profiler = None
+        self.planes = self.runner = None
 
     def encode(self, stage, initial):
         initial = self.np.asarray(initial, dtype=self.np.int64)
         self.stage = stage
         graph = self.graph
         budget = memory_budget()
-        tel = obs.active()
-        if tel.enabled:
-            # REPRO_PROFILE=1 turns the single end-of-run VmHWM reading into
-            # a real memory timeline: RSS/CPU samples every
-            # REPRO_PROFILE_INTERVAL seconds.
-            self.profiler = flight.maybe_profiler(tel)
         # Encode shard by shard; the first shard reveals the component count
         # so the planes can be sized.
         finalized = written = 0
@@ -525,9 +518,7 @@ class ShardState(ColumnState):
             tel.gauge("oocore.peak_rss_bytes", rss)
 
     def close(self):
-        """Stop the profiler and the planes; delete the scratch."""
-        if self.profiler is not None:
-            self.profiler.stop()
+        """Close the planes; delete the scratch."""
         if self.planes is not None:
             self.planes.close()
         shutil.rmtree(self.scratch, ignore_errors=True)
@@ -542,22 +533,7 @@ def oocore_greedy(graph, order=None):
     an in-shard earlier neighbor would.  Within a shard the standard
     wave-parallel argument applies.  Only the natural order (``order=None``)
     is supported out of core.
-
-    With telemetry live and ``REPRO_PROFILE=1`` set, a sampling profiler
-    records the RSS/CPU timeline of the sweep (``profile.sample`` events).
     """
-    tel = obs.active()
-    profiler = None
-    if tel.enabled:
-        profiler = flight.maybe_profiler(tel)
-    try:
-        return _oocore_greedy_impl(graph, order, tel)
-    finally:
-        if profiler is not None:
-            profiler.stop()
-
-
-def _oocore_greedy_impl(graph, order, tel):
     np = numpy_or_none()
     if np is None:
         raise RuntimeError("oocore greedy needs NumPy")
@@ -648,6 +624,7 @@ def _oocore_greedy_impl(graph, order, tel):
         io_written += 8 * k
         release_pages(plane)
         graph.release_resident()
+    tel = obs.active()
     if tel.enabled:
         tel.counter("oocore.shard_io.bytes_read", io_read, stage="greedy")
         tel.counter("oocore.shard_io.bytes_written", io_written, stage="greedy")

@@ -679,16 +679,7 @@ def execute_job(spec, collect_telemetry=False, trace=None):
             with obs.capture(
                 source=spec.job_id, trace_id=trace.get("trace_id")
             ) as tel:
-                from repro.obs import flight
-
-                profiler = flight.maybe_profiler(tel)
-                try:
-                    result = fn(
-                        graph, backend=spec.backend, seed=spec.seed, **spec.params
-                    )
-                finally:
-                    if profiler is not None:
-                        profiler.stop()
+                result = fn(graph, backend=spec.backend, seed=spec.seed, **spec.params)
             records = list(tel.events) + [tel.snapshot()]
         else:
             result = fn(graph, backend=spec.backend, seed=spec.seed, **spec.params)

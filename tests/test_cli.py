@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import os
 
 import pytest
 
@@ -40,6 +41,14 @@ class TestColorCommand:
             ["color", "--n", "36", "--degree", "4", "--set-local"]
         )
         assert code == 0
+
+    def test_set_local_rejected_for_sublinear(self, capsys):
+        # The Theorem 6.4 route takes no visibility: it would run in LOCAL.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["color", "--n", "40", "--degree", "4",
+                     "--algorithm", "sublinear", "--set-local"])
+        assert exit_info.value.code == 2
+        assert "--set-local is not supported" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "family_args",
@@ -222,6 +231,31 @@ class TestParallelCommands:
         engine_runs = [r for r in records if r.get("type") == "engine.run"]
         assert engine_runs and all("job" in r for r in engine_runs)
         assert any(r.get("type") == "snapshot" for r in records)
+
+    def test_oocore_flags_are_scoped_to_the_command(self):
+        from repro.oocore.store import memory_budget
+        from repro.parallel import register_algorithm
+        from repro.parallel.jobs import _ALGORITHMS
+
+        seen = []
+
+        def probe(graph, backend="auto", seed=1, **params):
+            seen.append((os.environ.get("REPRO_OOCORE_SHARDS"), memory_budget()))
+            return _ALGORITHMS["cor36"](graph, backend=backend, seed=seed)
+
+        register_algorithm("env-probe", probe)
+        before = dict(os.environ)
+        try:
+            code, text = run_cli(
+                ["sweep", "--n", "24", "--degree", "4", "--algorithm", "env-probe",
+                 "--shards", "4", "--memory-budget", "64M"]
+            )
+        finally:
+            _ALGORITHMS.pop("env-probe", None)
+        assert code == 0, text
+        # The job saw both flags; the caller's environment is untouched.
+        assert seen == [("4", 64 << 20)]
+        assert dict(os.environ) == before
 
     def test_color_workers_flag(self):
         code, text = run_cli(

@@ -1,13 +1,12 @@
-"""The flight recorder: timeline export and the sampling profiler.
+"""The flight recorder: timeline export and the memory readings.
 
-Two layers under test.  The Chrome-trace exporter must place spans from
-different processes on distinct ``(pid, source)`` lanes with monotonic
-timestamps, and the sampling profiler must deliver a dense RSS/CPU timeline
-without touching the collector from its background thread until ``stop``.
-The JSONL torn-tail repair and the ``comparable_view`` stripping contract
-(flight stamps never break parity checks) ride along, as does the
-multi-stream ``absorb`` merge that the ``obs summary`` / ``obs timeline``
-CLI builds on.
+The Chrome-trace exporter must place spans from different processes on
+distinct ``(pid, source)`` lanes with monotonic timestamps, and every
+out-of-core run must leave its memory readings (residency gauges, peak RSS)
+in the snapshot.  The JSONL torn-tail repair and the ``comparable_view``
+stripping contract (flight stamps never break parity checks) ride along, as
+does the multi-stream ``absorb`` merge that the ``obs summary`` /
+``obs timeline`` CLI builds on.
 """
 
 import io
@@ -216,86 +215,6 @@ class TestComparableView:
                 assert field not in record
         assert view[0]["path"] == "engine.run"  # structure retained
 
-    def test_nondeterministic_record_types_are_dropped(self):
-        records = [
-            {"type": "engine.run", "seq": 0, "ts": 1.0, "rounds_used": 2},
-            {"type": "profile.sample", "seq": 1, "ts": 1.1, "rss_bytes": 10},
-        ]
-        view = obs.comparable_view(records)
-        assert [r["type"] for r in view] == ["engine.run"]
-
-    def test_profiled_run_comparable_to_unprofiled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        monkeypatch.setenv("REPRO_PROFILE_INTERVAL", "0.002")
-        with obs.capture() as profiled:
-            profiler = obs.maybe_profiler(profiled)
-            with profiled.span("work"):
-                time.sleep(0.01)
-            profiler.stop()
-        monkeypatch.delenv("REPRO_PROFILE")
-        with obs.capture() as plain:
-            with plain.span("work"):
-                time.sleep(0.01)
-        stripped = [
-            {k: v for k, v in r.items() if k != "seconds"}
-            for r in obs.comparable_view(profiled.events)
-        ]
-        stripped_plain = [
-            {k: v for k, v in r.items() if k != "seconds"}
-            for r in obs.comparable_view(plain.events)
-        ]
-        assert stripped == stripped_plain
-
-
-# -- sampling profiler -----------------------------------------------------------------
-
-
-class TestSamplingProfiler:
-    def test_buffers_then_flushes_samples(self):
-        with obs.capture() as tel:
-            profiler = flight.SamplingProfiler(tel, interval=0.002)
-            profiler.start()
-            # Stay busy until ten samples are buffered, however loaded the
-            # host; the deadline only guards against a hang.
-            deadline = time.monotonic() + 10.0
-            while len(profiler._samples) < 10 and time.monotonic() < deadline:
-                sum(range(1000))
-            assert not tel.events, "sampler must not touch the collector live"
-            count = profiler.stop()
-        samples = [r for r in tel.events if r["type"] == "profile.sample"]
-        assert len(samples) == count >= 10
-        for sample in samples:
-            assert sample["rss_bytes"] > 0
-            assert sample["cpu_seconds"] >= 0.0
-        stamps = [s["ts"] for s in samples]
-        assert stamps == sorted(stamps)
-        gauges = {
-            (row["name"]): row["value"] for row in tel.snapshot()["gauges"]
-        }
-        assert gauges["profile.peak_rss_bytes"] == max(
-            s["rss_bytes"] for s in samples
-        )
-        assert gauges["profile.samples"] == len(samples)
-
-    def test_disabled_collector_is_a_no_op(self):
-        profiler = flight.SamplingProfiler(obs.active(), interval=0.001)
-        assert profiler.start() is profiler
-        assert profiler._thread is None
-        assert profiler.stop() == 0
-
-    def test_maybe_profiler_requires_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        with obs.capture() as tel:
-            assert obs.maybe_profiler(tel) is None
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        with obs.capture() as tel:
-            profiler = obs.maybe_profiler(tel)
-            assert profiler is not None
-            # One profiler per collector: nested calls must not double-sample.
-            assert obs.maybe_profiler(tel) is None
-            profiler.stop()
-            assert obs.maybe_profiler(tel) is not None  # slot freed after stop
-
 
 # -- Chrome-trace export ---------------------------------------------------------------
 
@@ -325,18 +244,6 @@ class TestChromeTrace:
             e["args"]["name"] for e in trace["traceEvents"] if e["ph"] == "M"
         ]
         assert "job-1" in names  # lane labelled by source
-
-    def test_samples_become_counter_tracks(self):
-        records = [
-            {"type": "profile.sample", "seq": 0, "ts": 1.0, "pid": 5,
-             "rss_bytes": 1000, "cpu_seconds": 0.5},
-            {"type": "profile.sample", "seq": 1, "ts": 1.1, "pid": 5,
-             "rss_bytes": 2000, "cpu_seconds": 0.6},
-        ]
-        trace = flight.chrome_trace(records)
-        counters = [e for e in trace["traceEvents"] if e["ph"] == "C"]
-        rss = [e for e in counters if e["name"] == "rss_bytes"]
-        assert [e["args"]["rss_bytes"] for e in rss] == [1000, 2000]
 
     def test_unstamped_and_snapshot_records_are_skipped(self):
         records = [
@@ -412,17 +319,15 @@ class TestPoolIntegration:
             assert event["dur"] >= 0.29e6
 
 
-# -- the oocore profiled run (acceptance: >=10 RSS samples at n >= 10^6) ---------------
+# -- the oocore memory readings (snapshot gauges and counters of every run) ------------
 
 
 @pytest.mark.skipif(not numpy_available(), reason="oocore tier needs NumPy")
 class TestOocoreProfiling:
-    def test_profiled_greedy_at_one_million(self, monkeypatch):
+    def test_profiled_greedy_at_one_million(self):
         from repro.oocore.engine import oocore_greedy
         from repro.oocore.writers import ensure_sharded
 
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        monkeypatch.setenv("REPRO_PROFILE_INTERVAL", "0.002")
         sharded = ensure_sharded(
             {"family": "regular", "n": 1_000_000, "degree": 4, "seed": 9}
         )
@@ -430,25 +335,15 @@ class TestOocoreProfiling:
             colors = oocore_greedy(sharded)
         assert len(colors) == 1_000_000
         assert max(colors) <= 4  # first-fit on a 4-regular graph
-        samples = [
-            r
-            for r in tel.events
-            if r["type"] == "profile.sample" and r.get("rss_bytes")
-        ]
-        assert len(samples) >= 10, (
-            "profiled oocore run must record >= 10 RSS samples, got %d"
-            % len(samples)
-        )
-        assert max(s["rss_bytes"] for s in samples) > 0
+        gauges = {row["name"]: row["value"] for row in tel.snapshot()["gauges"]}
+        assert gauges["oocore.peak_rss_bytes"] > 0
+        assert tel.counter_value("oocore.shard_io.bytes_read", stage="greedy") > 0
 
     def test_engine_run_registers_residency_sampler(self, monkeypatch, tmp_path):
-        # The front door starts the profiler before the engine can, so the
-        # residency values must not ride on the engine's own profiler: every
-        # oocore stage run records them as snapshot gauges.
+        # Whichever front door starts it, every oocore stage run records its
+        # shard residency as snapshot gauges tagged with the stage.
         import repro
 
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        monkeypatch.setenv("REPRO_PROFILE_INTERVAL", "0.001")
         monkeypatch.setenv("REPRO_OOCORE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_OOCORE_SHARDS", "4")
         n = 4000
@@ -459,7 +354,6 @@ class TestOocoreProfiling:
                 "backend": "oocore",
             })
         assert outcome.ok, outcome.error
-        assert any(r["type"] == "profile.sample" for r in tel.events)
         gauges = {
             (row["name"], row["tags"].get("stage")): row["value"]
             for row in tel.snapshot()["gauges"]
@@ -541,33 +435,3 @@ class TestCliSurface:
         code, text = run_cli(["obs", "summary", "-"])
         assert code == 0
         assert "engine runs" in text
-
-    def test_profile_flag_samples_the_run(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE_INTERVAL", "0.002")
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        jsonl = tmp_path / "profiled.jsonl"
-        code, _ = run_cli(
-            ["color", "--n", "64", "--degree", "6", "--telemetry", str(jsonl),
-             "--profile"]
-        )
-        assert code == 0
-        assert "REPRO_PROFILE" not in os.environ  # scoped to the command
-        records = obs.read_jsonl(str(jsonl))
-        assert any(r.get("type") == "profile.sample" for r in records)
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["color", "--n", "24", "--degree", "4"],
-            ["sweep", "--n", "24", "--degree", "4"],
-            ["selfstab", "--n", "12", "--delta", "3"],
-        ],
-        ids=["color", "sweep", "selfstab"],
-    )
-    def test_profile_without_telemetry_is_rejected(self, argv, capsys):
-        # The samples land in the --telemetry stream; without one, --profile
-        # would record nothing.
-        with pytest.raises(SystemExit) as exit_info:
-            run_cli(argv + ["--profile"])
-        assert exit_info.value.code == 2
-        assert "--profile needs --telemetry" in capsys.readouterr().err

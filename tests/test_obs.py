@@ -340,11 +340,22 @@ class TestExporters:
 
     def test_summary_table(self):
         tel = self._collect()
+        tel.gauge("cache.bytes", 512, pool="a")
+        tel.gauge("peak", 7)
         text = summary_table(tel)
         assert "engine runs" in text
         assert "additive-group" in text
         assert "pipeline.run/pipeline.stage" in text
         assert "counters" in text
+        lines = text.splitlines()
+        start = lines.index("gauges")
+        # The counters' (name, tags, value) layout, untagged rows as "-".
+        assert [line.split() for line in lines[start + 1:start + 5]] == [
+            ["name", "tags", "value"],
+            ["-----------", "------", "-----"],
+            ["cache.bytes", "pool=a", "512"],
+            ["peak", "-", "7"],
+        ]
 
     def test_summary_table_empty_stream(self):
         assert summary_table([]) == "no telemetry records\n"

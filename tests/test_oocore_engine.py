@@ -342,17 +342,35 @@ class TestCLI:
         import io
 
         from repro.cli import main
+        from repro.obs import read_jsonl
 
+        telemetry = tmp_path / "oocore.jsonl"
+        before = dict(os.environ)
         out = io.StringIO()
         rc = main(
             [
                 "color", "--n", "100", "--degree", "5", "--oocore",
                 "--shards", "4", "--memory-budget", "64M",
+                "--telemetry", str(telemetry),
             ],
             out=out,
         )
         assert rc == 0
         assert "colors used: 6" in out.getvalue()
-        # The flags land in the env knobs the oocore tier reads.
-        assert os.environ.get("REPRO_OOCORE_SHARDS") == "4"
-        assert os.environ.get("REPRO_OOCORE_BUDGET") == str(64 << 20)
+        # The run saw both flags: four shards, and a local-CSR cache of a
+        # quarter of the 64 MiB budget ...
+        gauges = read_jsonl(str(telemetry))[-1]["gauges"]
+        assert {g["value"] for g in gauges if g["name"] == "oocore.shards"} == {4}
+        assert {
+            g["value"] for g in gauges if g["name"] == "oocore.cache_bytes"
+        } == {16 << 20}
+        # ... yet the env knobs the flags set are scoped to the command.
+        assert dict(os.environ) == before
+        # `obs summary` lists the run's memory readings in a gauges table.
+        out = io.StringIO()
+        assert main(["obs", "summary", str(telemetry)], out=out) == 0
+        table = out.getvalue().split("\ngauges\n")[1].split("\n\n")[0]
+        rows = {line.split()[0]: line.split() for line in table.splitlines()[2:]}
+        assert rows["oocore.peak_rss_bytes"][1] == "-"  # untagged
+        assert int(rows["oocore.peak_rss_bytes"][2]) > 0
+        assert rows["oocore.shards"][1:] == ["stage=standard-reduction", "4"]
