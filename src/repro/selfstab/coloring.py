@@ -24,6 +24,7 @@ from repro.selfstab.kernels import (
     ColorBatchOps,
     apply_upper_descent,
     batch_levels,
+    check_error_and_frontier,
     masked_point_search,
 )
 from repro.selfstab.plan import IntervalPlan
@@ -127,12 +128,14 @@ class SelfStabColoring(ColorBatchOps, SelfStabAlgorithm):
     # -- batch protocol (see repro.selfstab.fast_engine) -------------------------
     #
     # One int64 column per vertex holding the global color.  Check-Error is a
-    # CSR equality scatter; each interval's Mod-Linial descent is a masked
-    # point search over a base-q digit matrix (the LinialColoring kernel
-    # shape); the landing step adds the Excl-Linial forbidden scatter over
-    # precomputed rotate/finalize candidates of I_0 neighbors; the AG core is
-    # pure elementwise arithmetic.  All rules are existence-based, so the
-    # kernel is identical in LOCAL and SET-LOCAL.
+    # CSR equality scatter over the dirty rows' slots, and the level step
+    # reads only the non-final rows' slots (kernels.check_error_and_frontier);
+    # each interval's Mod-Linial descent is a masked point search over a
+    # base-q digit matrix (the LinialColoring kernel shape); the landing step
+    # adds the Excl-Linial forbidden scatter over precomputed rotate/finalize
+    # candidates of I_0 neighbors; the AG core is pure elementwise arithmetic.
+    # All rules are existence-based, so the kernel is identical in LOCAL and
+    # SET-LOCAL.
 
     def _np_offsets(self, np):
         arr = self.__dict__.get("_offsets_arr")
@@ -143,43 +146,40 @@ class SelfStabColoring(ColorBatchOps, SelfStabAlgorithm):
 
     def transition_batch_colors(self, colors, ctx):
         """Vectorized ``transition`` over the whole color column."""
-        np, csr = ctx.np, ctx.csr
+        np = ctx.np
         plan, q = self.plan, self.q
-        offsets = plan.offsets
         levels = batch_levels(colors, plan, self._np_offsets(np), np)
-        new = np.empty(colors.shape[0], dtype=np.int64)
+        # Check-Error: invalid or conflicting colors reset to the ID slot;
+        # finalized colors (level 0, a == 0: below q) never move.
+        new, active, slots = check_error_and_frontier(colors, levels, q, plan, ctx)
+        slot_rows, slot_nbrs, slot_levels = slots
 
-        # Check-Error: invalid or conflicting colors reset to the ID slot.
-        conflict = csr.any_per_vertex(csr.gather(colors) == csr.owner_values(colors))
-        reset = (levels < 0) | conflict
-        if bool(reset.any()):
-            new[reset] = offsets[plan.levels - 1] + ctx.vertices[reset]
-        active = ~reset
-        slot_levels = levels[csr.indices]
-
-        apply_upper_descent(new, colors, levels, slot_levels, active, plan, ctx)
+        apply_upper_descent(new, colors, levels, slots, active, plan, ctx)
 
         mask1 = active & (levels == 1)
         if bool(mask1.any()):
-            self._batch_land(new, colors, mask1, slot_levels, ctx)
+            self._batch_land(new, colors, mask1, slots, ctx)
 
         mask0 = active & (levels == 0)
         if bool(mask0.any()):
-            # The uniform AG step, elementwise.  offsets[0] == 0, so the
-            # core-local value is the color itself.
-            a, b = colors // q, colors % q
-            smask = mask0[csr.rows] & (slot_levels == 0)
-            owner_rows = csr.rows[smask]
-            hit = colors[csr.indices[smask]] % q == b[owner_rows]
-            core_conflict = np.zeros(colors.shape[0], dtype=bool)
-            core_conflict[owner_rows[hit]] = True
-            stepped = np.where(core_conflict, a * q + (b + a) % q, b)
-            new[mask0] = stepped[mask0]
+            # The uniform AG step, elementwise over the working core rows.
+            # offsets[0] == 0, so the core-local value is the color itself.
+            sub = np.nonzero(mask0)[0]
+            inv = np.empty(colors.shape[0], dtype=np.int64)
+            inv[sub] = np.arange(sub.size, dtype=np.int64)
+            a, b = colors[sub] // q, colors[sub] % q
+            smask = mask0[slot_rows] & (slot_levels == 0)
+            owner = inv[slot_rows[smask]]
+            hit = colors[slot_nbrs[smask]] % q == b[owner]
+            core_conflict = np.zeros(sub.size, dtype=bool)
+            core_conflict[owner[hit]] = True
+            new[sub] = np.where(core_conflict, a * q + (b + a) % q, b)
         return new
 
-    def _batch_land(self, new, colors, mask1, slot_levels, ctx):
+    def _batch_land(self, new, colors, mask1, slots, ctx):
         """Excl-Linial landing (I_1 -> I_0) with the forbidden set S'."""
-        np, csr = ctx.np, ctx.csr
+        np = ctx.np
+        slot_rows, slot_nbrs, slot_levels = slots
         plan, q = self.plan, self.q
         off1 = plan.offsets[1]
         sub = np.nonzero(mask1)[0]
@@ -187,15 +187,15 @@ class SelfStabColoring(ColorBatchOps, SelfStabAlgorithm):
         inv[sub] = np.arange(sub.size, dtype=np.int64)
         locals_ = colors[sub] - off1
 
-        smask = mask1[csr.rows] & (slot_levels == 1)
-        owner_rows = csr.rows[smask]
-        nbr_locals = colors[csr.indices[smask]] - off1
+        smask = mask1[slot_rows] & (slot_levels == 1)
+        owner_rows = slot_rows[smask]
+        nbr_locals = colors[slot_nbrs[smask]] - off1
         keep = nbr_locals != colors[owner_rows] - off1
 
         # Rotate/finalize candidates of each I_0 neighbor (the set S').
-        cmask = mask1[csr.rows] & (slot_levels == 0)
-        core_rows = inv[csr.rows[cmask]]
-        core_locals = colors[csr.indices[cmask]]  # offsets[0] == 0
+        cmask = mask1[slot_rows] & (slot_levels == 0)
+        core_rows = inv[slot_rows[cmask]]
+        core_locals = colors[slot_nbrs[cmask]]  # offsets[0] == 0
         core_a, core_b = core_locals // q, core_locals % q
         rotate = core_a * q + (core_b + core_a) % q
         finalize = core_b

@@ -33,6 +33,7 @@ from repro.selfstab.kernels import (
     ColorBatchOps,
     apply_upper_descent,
     batch_levels,
+    check_error_and_frontier,
     masked_point_search,
 )
 from repro.selfstab.plan import IntervalPlan
@@ -207,27 +208,23 @@ class SelfStabExactColoring(ColorBatchOps, SelfStabAlgorithm):
 
     def transition_batch_colors(self, colors, ctx):
         """Vectorized ``transition`` over the whole color column."""
-        np, csr = ctx.np, ctx.csr
+        np = ctx.np
         plan = self.plan
         levels = batch_levels(colors, plan, self._np_offsets(np), np)
-        new = np.empty(colors.shape[0], dtype=np.int64)
+        # Final low states ('L', 0, a) sit below N and never move.
+        new, active, slots = check_error_and_frontier(
+            colors, levels, self.n_colors, plan, ctx
+        )
 
-        conflict = csr.any_per_vertex(csr.gather(colors) == csr.owner_values(colors))
-        reset = (levels < 0) | conflict
-        if bool(reset.any()):
-            new[reset] = plan.offsets[plan.levels - 1] + ctx.vertices[reset]
-        active = ~reset
-        slot_levels = levels[csr.indices]
-
-        apply_upper_descent(new, colors, levels, slot_levels, active, plan, ctx)
+        apply_upper_descent(new, colors, levels, slots, active, plan, ctx)
 
         mask1 = active & (levels == 1)
         if bool(mask1.any()):
-            self._batch_land(new, colors, mask1, slot_levels, ctx)
+            self._batch_land(new, colors, mask1, slots, ctx)
 
         mask0 = active & (levels == 0)
         if bool(mask0.any()):
-            self._batch_core(new, colors, mask0, slot_levels, ctx)
+            self._batch_core(new, colors, mask0, slots, ctx)
         return new
 
     def _batch_core_options(self, core_locals, np):
@@ -255,9 +252,10 @@ class SelfStabExactColoring(ColorBatchOps, SelfStabAlgorithm):
         opt2 = np.where(is_low, low_a, high_a)
         return opt1, opt2, has2
 
-    def _batch_land(self, new, colors, mask1, slot_levels, ctx):
+    def _batch_land(self, new, colors, mask1, slots, ctx):
         """Excl-Linial landing into the high range: state (H, x+1, P_v(x))."""
-        np, csr = ctx.np, ctx.csr
+        np = ctx.np
+        slot_rows, slot_nbrs, slot_levels = slots
         plan, p = self.plan, self.p
         two_n = 2 * self.n_colors
         off1 = plan.offsets[1]
@@ -266,15 +264,15 @@ class SelfStabExactColoring(ColorBatchOps, SelfStabAlgorithm):
         inv[sub] = np.arange(sub.size, dtype=np.int64)
         locals_ = colors[sub] - off1
 
-        smask = mask1[csr.rows] & (slot_levels == 1)
-        owner_rows = csr.rows[smask]
-        nbr_locals = colors[csr.indices[smask]] - off1
+        smask = mask1[slot_rows] & (slot_levels == 1)
+        owner_rows = slot_rows[smask]
+        nbr_locals = colors[slot_nbrs[smask]] - off1
         keep = nbr_locals != colors[owner_rows] - off1
 
-        cmask = mask1[csr.rows] & (slot_levels == 0)
-        core_rows = inv[csr.rows[cmask]]
+        cmask = mask1[slot_rows] & (slot_levels == 0)
+        core_rows = inv[slot_rows[cmask]]
         opt1, opt2, has2 = self._batch_core_options(
-            colors[csr.indices[cmask]], np  # offsets[0] == 0
+            colors[slot_nbrs[cmask]], np  # offsets[0] == 0
         )
 
         def forbidden(cand, pending):
@@ -303,53 +301,51 @@ class SelfStabExactColoring(ColorBatchOps, SelfStabAlgorithm):
             ctx.replay()
         new[sub] = plan.offsets[0] + result
 
-    def _batch_core(self, new, colors, mask0, slot_levels, ctx):
-        """The extended high/low hybrid step, elementwise over the core."""
-        np, csr = ctx.np, ctx.csr
+    def _batch_core(self, new, colors, mask0, slots, ctx):
+        """The extended high/low hybrid step over the working core rows."""
+        np = ctx.np
+        slot_rows, slot_nbrs, slot_levels = slots
         n, p = self.n_colors, self.p
         two_n = 2 * n
+        sub = np.nonzero(mask0)[0]
+        inv = np.empty(colors.shape[0], dtype=np.int64)
+        inv[sub] = np.arange(sub.size, dtype=np.int64)
         # offsets[0] == 0: core-local values are the colors themselves.
-        is_low = colors < two_n
-        low_b = colors // n
-        low_a = colors % n
-        high_j = colors - two_n
+        own = colors[sub]
+        is_low = own < two_n
+        low_a = own % n
+        high_j = own - two_n
         high_b = high_j // p + 1
         high_a = high_j % p
         own_a = np.where(is_low, low_a, high_a)
 
-        smask = mask0[csr.rows] & (slot_levels == 0)
-        owner_rows = csr.rows[smask]
-        nb = colors[csr.indices[smask]]
+        smask = mask0[slot_rows] & (slot_levels == 0)
+        owner = inv[slot_rows[smask]]
+        nb = colors[slot_nbrs[smask]]
         nb_is_low = nb < two_n
         nb_b = nb // n
         nb_a = np.where(nb_is_low, nb % n, (nb - two_n) % p)
-        own_low_s = is_low[owner_rows]
-        same_a = nb_a == own_a[owner_rows]
+        own_low_s = is_low[owner]
+        same_a = nb_a == own_a[owner]
         conflict_slot = np.where(
             own_low_s,
             nb_is_low & same_a,
             (~nb_is_low & same_a) | (nb_is_low & (nb_b == 0) & same_a),
         )
-        size = colors.shape[0]
-        conflict = np.zeros(size, dtype=bool)
-        conflict[owner_rows[conflict_slot]] = True
-        low_working = np.zeros(size, dtype=bool)
-        low_working[owner_rows[nb_is_low & (nb_b == 1)]] = True
+        conflict = np.zeros(sub.size, dtype=bool)
+        conflict[owner[conflict_slot]] = True
+        low_working = np.zeros(sub.size, dtype=bool)
+        low_working[owner[nb_is_low & (nb_b == 1)]] = True
 
-        stepped = np.where(
-            is_low,
-            np.where(
-                low_b == 0,
-                colors,
-                np.where(conflict, n + (low_a + 1) % n, low_a),
-            ),
+        new[sub] = np.where(
+            is_low,  # working (b == 1): final low states are not stepped
+            np.where(conflict, n + (low_a + 1) % n, low_a),
             np.where(
                 conflict | low_working | (high_a >= two_n),
                 two_n + (high_b - 1) * p + (high_a + high_b) % p,
                 high_a,  # both low landings encode to the value a itself
             ),
         )
-        new[mask0] = stepped[mask0]
 
     def is_legal(self, graph, rams):
         """Proper (Delta+1)-coloring: every vertex in a final low state."""

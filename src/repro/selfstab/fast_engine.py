@@ -19,6 +19,12 @@ State lives on two clocks:
   columns in place; see ``FaultCampaign``), and are re-encoded from the
   dict only when the epoch changes or a scalar-fallback round ran.
 
+Beside the columns the engine keeps the **dirty** rows: those the last
+batch round changed plus those ``corrupt`` wrote since; every row after a
+re-encode (a new epoch, a scalar round).  Check-Error reads only their CSR
+slots (see ``kernels.check_error_and_frontier``), so a recovery round costs
+the slots of the rows that can move, not all 2m.
+
 The ``rams`` dict stays the source of truth for every scalar consumer
 (``is_legal``, ``final_colors``, direct inspection): it is lazily re-synced
 from the columns on first access after a batch round.
@@ -54,6 +60,7 @@ class BatchSelfStabEngine(SelfStabEngine):
     _state = None
     _noncanon = None
     _epoch = None
+    _dirty = None
     _pending_touched = None
 
     def __init__(self, graph, algorithm, set_visibility=False):
@@ -108,6 +115,7 @@ class BatchSelfStabEngine(SelfStabEngine):
         index = self._epoch[3][vertex]
         for array, value in zip(self._state, columns):
             array[index] = value
+        self._dirty[index] = True
         if canonical:
             self._noncanon.pop(index, None)
         else:
@@ -159,6 +167,7 @@ class BatchSelfStabEngine(SelfStabEngine):
             if encoded is None:
                 return None  # exotic RAM: scalar round, exact parity for free
             self._state, self._noncanon = encoded
+            self._dirty = np.ones(len(raws), dtype=bool)
         return np
 
     def step(self):
@@ -235,10 +244,11 @@ class BatchSelfStabEngine(SelfStabEngine):
             return raws
 
         ctx = BatchContext(
-            np, csr, verts_arr, self.set_visibility, algorithm, raw_values
+            np, csr, verts_arr, self._dirty, self.set_visibility, algorithm, raw_values
         )
         new_state, changed = algorithm.transition_batch(state, ctx)
         self._state = new_state
+        self._dirty = changed
         self._noncanon = {}
         self.round_count += 1
         self._dict_stale = True

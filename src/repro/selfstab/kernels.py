@@ -37,6 +37,7 @@ __all__ = [
     "replay_scalar_round",
     "masked_point_search",
     "batch_levels",
+    "check_error_and_frontier",
     "apply_upper_descent",
     "SENTINEL",
 ]
@@ -72,12 +73,16 @@ def replay_scalar_round(algorithm, raws, csr, vertices, set_visibility):
 class BatchContext:
     """Everything a ``transition_batch`` kernel needs for one round."""
 
-    __slots__ = ("np", "csr", "vertices", "set_visibility", "algorithm", "raw_values")
+    __slots__ = (
+        "np", "csr", "vertices", "dirty", "set_visibility", "algorithm", "raw_values"
+    )
 
-    def __init__(self, np, csr, vertices, set_visibility, algorithm, raw_values):
+    def __init__(self, np, csr, vertices, dirty, set_visibility, algorithm, raw_values):
         self.np = np
         self.csr = csr
         self.vertices = vertices  # int64 array: compact index -> original id
+        # bool mask: rows the last round changed or a fault wrote since
+        self.dirty = dirty
         self.set_visibility = set_visibility
         self.algorithm = algorithm
         self.raw_values = raw_values  # lazy: the scalar RAM list for replay
@@ -171,13 +176,50 @@ def masked_point_search(locals_, q, degree, points, nbr_rows, nbr_locals, encode
     return None
 
 
-def apply_upper_descent(new, colors, levels, slot_levels, active, plan, ctx):
+def check_error_and_frontier(colors, levels, final_size, plan, ctx):
+    """Check-Error, then the CSR slots of the rows the level step moves.
+
+    Check-Error reads only the dirty rows' slots and resets *both* ends of
+    every monochromatic edge it finds.  That finds them all: right after a
+    round no edge joins two unchanged vertices of equal color (both would
+    have reset to their own, distinct ID slots ``offsets[r] + id``), and a
+    fault dirties every row it writes.  The level step then reads the slots
+    of every non-final row (``colors >= final_size``) that did not reset; a
+    final state is a fixed point of the step.  Dirty rows would not do here:
+    a vertex on its own ID slot beside a neighbor corrupted to that value
+    resets to the same value, stays clean, and must still descend.
+
+    Returns ``(new, active, slots)``: ``colors`` with the resets written,
+    the mask of rows the step must still write, and per slot of those rows
+    ``(owner row, neighbor row, neighbor level)``.
+    """
+    np, csr = ctx.np, ctx.csr
+    dirty = np.flatnonzero(ctx.dirty)
+    slots, owner = csr.subset_slots(dirty)
+    own, nbrs = dirty[owner], csr.indices[slots]
+    mono = colors[nbrs] == colors[own]
+    reset = levels < 0
+    reset[own[mono]] = True
+    reset[nbrs[mono]] = True
+    new = colors.copy()
+    if bool(reset.any()):
+        new[reset] = plan.offsets[plan.levels - 1] + ctx.vertices[reset]
+    active = ~reset & (colors >= final_size)
+    rows = np.flatnonzero(active)
+    slots, owner = csr.subset_slots(rows)
+    nbrs = csr.indices[slots]
+    return new, active, (rows[owner], nbrs, levels[nbrs])
+
+
+def apply_upper_descent(new, colors, levels, slots, active, plan, ctx):
     """Mod-Linial descent for every active vertex at level >= 2.
 
     Shared verbatim by the plain and exact colorings (their transitions only
-    differ at levels 1 and 0).  Writes results into ``new`` in place.
+    differ at levels 1 and 0).  ``slots`` is the frontier of
+    :func:`check_error_and_frontier`.  Writes results into ``new`` in place.
     """
-    np, csr = ctx.np, ctx.csr
+    np = ctx.np
+    slot_rows, slot_nbrs, slot_levels = slots
     offsets = plan.offsets
     upper = active & (levels >= 2)
     if not bool(upper.any()):
@@ -190,9 +232,9 @@ def apply_upper_descent(new, colors, levels, slot_levels, active, plan, ctx):
         locals_ = colors[sub] - off
         inv = np.empty(colors.shape[0], dtype=np.int64)
         inv[sub] = np.arange(sub.size, dtype=np.int64)
-        smask = mask[csr.rows] & (slot_levels == level)
-        owner_rows = csr.rows[smask]
-        nbr_locals = colors[csr.indices[smask]] - off
+        smask = mask[slot_rows] & (slot_levels == level)
+        owner_rows = slot_rows[smask]
+        nbr_locals = colors[slot_nbrs[smask]] - off
         keep = nbr_locals != colors[owner_rows] - off
         q = iteration.q
         result = masked_point_search(

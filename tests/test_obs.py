@@ -519,24 +519,25 @@ class TestRegressionGate:
         assert errors
 
     @requires_numpy
-    def test_doctored_baseline_fails_end_to_end(self, tmp_path):
+    def test_doctored_baseline_fails_end_to_end(self, tmp_path, capsys):
         if not numpy_available():
             pytest.skip("NumPy unavailable")
-        # Doctor the committed baseline far below any plausible measurement
-        # (10x, not 2x — cold-vs-warm run variance on a loaded box can reach
-        # 1.5x, exactly the tolerance margin); the gate must exit non-zero.
-        measured = check_regression.measure("engine", [(2000, 16)])
+        # Doctor the committed baseline to a wall time no run can meet: a
+        # baseline derived from a fresh timing lets a scheduler stall in
+        # that timing pass the gate.  The gate must exit non-zero, and for
+        # the wall-clock regression.
         with open(os.path.join(check_regression.REPO_ROOT, "BENCH_engine.json")) as fh:
             baseline = json.load(fh)
         for entry in baseline["entries"]:
-            for m in measured:
-                if (entry["n"], entry["delta"]) == (m["n"], m["delta"]):
-                    entry["batch_seconds"] = m["batch_seconds"] / 10.0
+            entry["batch_seconds"] = 1e-9
         (tmp_path / "BENCH_engine.json").write_text(json.dumps(baseline))
         code = check_regression.main(
             ["--smoke", "--bench", "engine", "--baseline-dir", str(tmp_path)]
         )
+        report = capsys.readouterr().out
         assert code == 1
+        regressions = report.split("REGRESSIONS", 1)[1]
+        assert "engine n=2000 delta=16: wall-clock regression" in regressions, report
 
     @requires_numpy
     def test_committed_baselines_pass_smoke(self, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import graphgen
 from repro.baselines import RankGreedySelfStabColoring
 from repro.runtime.graph import DynamicGraph
 from repro.selfstab import (
@@ -13,7 +14,9 @@ from repro.selfstab import (
     SelfStabColoring,
     SelfStabEngine,
     SelfStabExactColoring,
+    SelfStabMIS,
 )
+from repro.selfstab.adversary import TargetedAttacks
 
 
 def build_dynamic(n, delta_bound, p_edge, seed):
@@ -286,3 +289,55 @@ class TestLemma41ProperEveryRound:
             if not engine.step() and engine.is_legal():
                 break
         assert engine.is_legal()
+
+
+@pytest.mark.parametrize(
+    "factory", [SelfStabColoring, SelfStabExactColoring, SelfStabMIS]
+)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_no_conflict_between_unchanged_vertices(factory, seed):
+    """Right after any round, no edge joins two vertices the round left
+    unchanged that hold equal colors: both would have reset to their own,
+    distinct ID slots.  The batch Check-Error rests on this — it reads only
+    the slots of the rows the last round changed or a fault wrote since.
+    Checked here on the scalar specification, through random bursts,
+    full clones and garbage, right after each burst included."""
+    graph = DynamicGraph.from_static(graphgen.random_regular(120, 6, seed=seed))
+    algorithm = factory(graph.n_bound, graph.delta_bound)
+    engine = SelfStabEngine(graph, algorithm)
+    mis = factory is SelfStabMIS
+    edges = graph.edges()
+    campaign = FaultCampaign(seed)
+    rng = random.Random(seed)
+    garbage = (0, 1, True, -7, None, ("junk", 1), 10 ** 9)
+    checks = 0
+
+    def color(v):
+        ram = engine.rams[v]
+        return ram[0] if mis else ram  # after a step every MIS RAM is a pair
+
+    def recover():
+        nonlocal checks
+        for _ in range(algorithm.stabilization_bound() + 1):
+            changed = engine.step()
+            for u, v in edges:
+                if u not in changed and v not in changed:
+                    assert color(u) != color(v), (u, v)
+                    checks += 1
+            if not changed and engine.is_legal():
+                return
+        raise AssertionError("not stabilized within the bound")
+
+    bursts = (
+        lambda: campaign.corrupt_random_rams(engine, 30),
+        lambda: campaign.corrupt_random_rams(engine, 30),
+        lambda: TargetedAttacks.clone_everything(engine, source=rng.randrange(120)),
+        lambda: campaign.corrupt_many(
+            engine, {rng.randrange(120): rng.choice(garbage) for _ in range(30)}
+        ),
+    )
+    recover()
+    for burst in bursts:
+        burst()
+        recover()
+    assert checks > 10 * len(edges)
