@@ -21,6 +21,7 @@ Examples::
 
 import argparse
 import contextlib
+import json
 import os
 import sys
 
@@ -31,21 +32,16 @@ from repro.analysis import (
     is_proper_coloring,
     is_proper_edge_coloring,
 )
+from repro.api import JobSpec, ServiceClient, ServiceError, run_many
 from repro.apps import locally_iterative_maximal_matching, locally_iterative_mis
 from repro.mathutil import log_star
-from repro.recipes import (
-    delta_plus_one_coloring,
-    delta_plus_one_exact_no_reduction,
-    one_plus_eps_delta_coloring,
-)
-from repro.edge import edge_coloring_congest
-from repro.parallel import build_graph
-from repro.runtime import Visibility
+from repro.parallel import build_graph, sweep_specs
+from repro.parallel.jobs import job_graph
 from repro.runtime.backends import backend_names
 
 __all__ = ["main", "build_parser"]
 
-#: CLI algorithm name -> parallel-registry algorithm name.
+#: CLI algorithm name -> job-registry algorithm name.
 _JOB_ALGORITHMS = {"cor36": "cor36", "exact": "exact", "sublinear": "one-plus-eps"}
 
 
@@ -63,24 +59,6 @@ def _add_graph_arguments(parser):
     parser.add_argument("--cols", type=int, default=8, help="grid cols")
     parser.add_argument("--radius", type=float, default=0.15, help="unit-disk radius")
     parser.add_argument("--seed", type=int, default=1, help="generator seed")
-
-
-@contextlib.contextmanager
-def _telemetry_sink(args, out):
-    """Collect telemetry for one command when ``--telemetry PATH`` is given.
-
-    Installs a live collector around the command body, then writes the JSONL
-    event stream (plus the aggregate snapshot line) to the requested path.
-    """
-    path = getattr(args, "telemetry", None)
-    if not path:
-        yield
-        return
-    with obs.capture() as telemetry:
-        yield
-    lines = obs.write_jsonl(telemetry, path)
-    if not getattr(args, "json", False):
-        out.write("telemetry: wrote %d records to %s\n" % (lines, path))
 
 
 def _graph_spec(args):
@@ -151,12 +129,27 @@ def _oocore_env(args):
                 os.environ[key] = value
 
 
+def _run_jobs(args, out, specs, workers=1, **runner):
+    """Run ``specs`` through :func:`repro.api.run_many`; outcomes in order.
+
+    With ``--telemetry PATH`` a live collector wraps the run, and its JSONL
+    event stream (plus the aggregate snapshot line) is written to ``PATH``.
+    """
+    path = getattr(args, "telemetry", None)
+    if not path:
+        return run_many(specs, workers=workers, **runner)
+    with obs.capture() as telemetry:
+        outcomes = run_many(specs, workers=workers, **runner)
+    lines = obs.write_jsonl(telemetry, path)
+    if not getattr(args, "json", False):
+        out.write("telemetry: wrote %d records to %s\n" % (lines, path))
+    return outcomes
+
+
 def _print_outcomes(args, out, outcomes):
     """Render a list of job outcomes (table or JSON); returns the exit code."""
     failures = [o for o in outcomes if not o.ok]
-    if args.json:
-        import json
-
+    if getattr(args, "json", False):
         out.write(json.dumps([o.to_dict() for o in outcomes], indent=2) + "\n")
         return 1 if failures else 0
     for o in outcomes:
@@ -176,58 +169,32 @@ def _print_outcomes(args, out, outcomes):
     return 1 if failures else 0
 
 
-def _cmd_color_jobs(args, out, workers):
-    """The sharded fan-out path of ``color`` (``--workers`` / ``--seeds``)."""
-    from repro import parallel
-
-    if args.set_local:
-        out.write("error: --set-local is not supported with --workers/--seeds\n")
-        return 2
-    algorithm = _JOB_ALGORITHMS[args.algorithm]
-    specs = []
-    for seed in range(args.seed, args.seed + args.seeds):
-        graph = dict(_graph_spec(args), seed=seed)
-        specs.append(
-            parallel.JobSpec(
-                algorithm=algorithm, graph=graph, backend=args.backend, seed=seed
-            )
-        )
-    with _telemetry_sink(args, out):
-        outcomes = parallel.run_many(specs, workers=workers)
-    return _print_outcomes(args, out, outcomes)
-
-
 def _cmd_color(args, out):
-    workers = args.workers if args.workers is not None else 1
-    if workers > 1 or args.seeds > 1:
-        return _cmd_color_jobs(args, out, workers)
-    if args.backend == "oocore":
-        from repro.oocore.writers import ensure_sharded
-
-        graph = ensure_sharded(_graph_spec(args), shards=args.shards)
-    else:
-        graph = build_graph(_graph_spec(args))
-    visibility = Visibility.SET_LOCAL if args.set_local else None
-    with _telemetry_sink(args, out):
-        if args.algorithm == "cor36":
-            result = delta_plus_one_coloring(
-                graph, visibility=visibility, backend=args.backend
-            )
-            colors, rounds = result.colors, result.rounds_by_stage()
-        elif args.algorithm == "exact":
-            result = delta_plus_one_exact_no_reduction(
-                graph, visibility=visibility, backend=args.backend
-            )
-            colors, rounds = result.colors, result.rounds_by_stage()
-        else:  # sublinear
-            result = one_plus_eps_delta_coloring(graph, backend=args.backend)
-            colors, rounds = result.colors, result.stage_rounds
+    workers = args.workers or 1
+    params = {"visibility": "set-local"} if args.set_local else None
+    specs = [
+        JobSpec(
+            algorithm=_JOB_ALGORITHMS[args.algorithm],
+            graph=dict(_graph_spec(args), seed=seed),
+            backend=args.backend,
+            seed=seed,
+            params=params,
+        )
+        for seed in range(args.seed, args.seed + max(1, args.seeds))
+    ]
+    outcomes = _run_jobs(args, out, specs, workers)
+    if workers > 1 or len(specs) > 1 or not outcomes[0].ok:
+        return _print_outcomes(args, out, outcomes)
+    graph = job_graph(specs[0])
+    colors = outcomes[0].colors
     assert is_proper_coloring(graph, colors)
     if args.json:
-        import json
-
-        out.write(json.dumps(result.to_dict(), indent=2) + "\n")
-        return 0
+        return _print_outcomes(args, out, outcomes)
+    payload = outcomes[0].summary["payload"]
+    # The Theorem 6.4 route reports stage_rounds, the pipelines stages.
+    rounds = payload.get("stage_rounds") or {
+        stage["name"]: stage["rounds"] for stage in payload["stages"]
+    }
     out.write(
         "graph: n=%d m=%d Delta=%d (log* n = %d)\n"
         % (graph.n, graph.m, graph.max_degree, log_star(graph.n))
@@ -241,24 +208,34 @@ def _cmd_color(args, out):
 
 
 def _cmd_edge_color(args, out):
-    graph = build_graph(_graph_spec(args))
-    result = edge_coloring_congest(graph, exact=not args.no_exact)
-    assert is_proper_edge_coloring(graph, result.edge_colors)
+    spec = JobSpec(
+        algorithm="edge",
+        graph=_graph_spec(args),
+        seed=args.seed,
+        params={"exact": False} if args.no_exact else None,
+    )
+    (outcome,) = _run_jobs(args, out, [spec])
+    if not outcome.ok:
+        return _print_outcomes(args, out, [outcome])
+    graph = job_graph(spec)
+    payload = outcome.summary["payload"]
+    edge_colors = {
+        tuple(int(v) for v in key.split("-")): color
+        for key, color in payload["edge_colors"].items()
+    }
+    assert is_proper_edge_coloring(graph, edge_colors)
     if args.json:
-        import json
-
-        out.write(json.dumps(result.to_dict(), indent=2) + "\n")
-        return 0
+        return _print_outcomes(args, out, [outcome])
     out.write(
         "graph: n=%d m=%d Delta=%d\n" % (graph.n, graph.m, graph.max_degree)
     )
     out.write(
         "edge colors: %d (palette %d, 2*Delta-1 = %d)\n"
-        % (result.num_colors, result.palette_size, max(1, 2 * graph.max_degree - 1))
+        % (outcome.num_colors, payload["palette_size"], max(1, 2 * graph.max_degree - 1))
     )
-    out.write("CONGEST rounds: %d\n" % result.total_rounds)
-    out.write("bits per edge:  %d\n" % result.total_bits_per_edge)
-    out.write("max message:    %d bits\n" % result.max_message_bits)
+    out.write("CONGEST rounds: %d\n" % payload["total_rounds"])
+    out.write("bits per edge:  %d\n" % payload["total_bits_per_edge"])
+    out.write("max message:    %d bits\n" % payload["max_message_bits"])
     return 0
 
 
@@ -315,60 +292,51 @@ def _cmd_trace(args, out):
 
 
 def _cmd_selfstab(args, out):
-    from repro.graphgen import gnp_graph
-    from repro.runtime.backends import resolve_backend
-    from repro.runtime.graph import DynamicGraph
-    from repro.selfstab import FaultCampaign, SelfStabExactColoring
+    from repro.selfstab import SelfStabExactColoring
 
-    # G(n, p)'s edges in row-major order, each kept while both ends are under
-    # the degree cap; the order decides which edges survive.
-    graph = DynamicGraph(args.n, args.delta)
-    for v in range(args.n):
-        graph.add_vertex(v)
-    for u, v in gnp_graph(args.n, args.prob, args.seed).edges:
-        if graph.degree(u) < args.delta and graph.degree(v) < args.delta:
-            graph.add_edge(u, v)
-
-    algorithm = SelfStabExactColoring(args.n, args.delta)
-    engine = resolve_backend("selfstab", args.backend)(graph, algorithm)
-    with _telemetry_sink(args, out):
-        rounds = engine.run_to_quiescence()
-        out.write("cold start: stabilized in %d rounds (bound budget %d)\n"
-                  % (rounds, algorithm.stabilization_bound()))
-        campaign = FaultCampaign(args.seed)
-        for burst in range(args.bursts):
-            campaign.corrupt_random_rams(engine, args.corruptions)
-            if args.churn:
-                campaign.churn_edges(engine, removals=args.churn, additions=args.churn)
-            rounds = engine.run_to_quiescence()
-            out.write("burst %d: re-stabilized in %d rounds (legal: %s)\n"
-                      % (burst + 1, rounds, engine.is_legal()))
-    colors = algorithm.final_colors(graph, engine.rams)
-    palette = (max(colors.values()) + 1) if colors else 0
+    # G(n, p) with the --delta degree cap, which is also the ROM-resident
+    # Delta bound churn may rewire up to.
+    spec = JobSpec(
+        algorithm="selfstab",
+        graph={"family": "gnp-capped", "n": args.n, "prob": args.prob,
+               "degree": args.delta, "seed": args.seed},
+        backend=args.backend,
+        seed=args.seed,
+        params={"bursts": args.bursts, "corruptions": args.corruptions,
+                "churn": args.churn, "delta": args.delta},
+    )
+    (outcome,) = _run_jobs(args, out, [spec])
+    if not outcome.ok:
+        return _print_outcomes(args, out, [outcome])
+    payload = outcome.summary["payload"]
+    bound = SelfStabExactColoring(args.n, args.delta).stabilization_bound()
+    out.write("cold start: stabilized in %d rounds (bound budget %d)\n"
+              % (payload["cold_rounds"], bound))
+    # A recovery ends only on a legal fixed point (or the job fails).
+    for burst, rounds in enumerate(payload["burst_rounds"], 1):
+        out.write("burst %d: re-stabilized in %d rounds (legal: %s)\n"
+                  % (burst, rounds, payload["legal"]))
+    colors = payload["colors"]
+    palette = (max(colors) + 1) if colors else 0
     out.write("final palette: %d <= Delta+1 = %d\n" % (palette, args.delta + 1))
     return 0
 
 
 def _cmd_sweep(args, out):
     """Run an ``ns x degrees x seeds`` grid through the sharded job runner."""
-    from repro import parallel
-
-    ns = [int(value) for value in args.n.split(",")]
-    degrees = [int(value) for value in args.degree.split(",")]
-    seeds = list(range(args.seed, args.seed + args.seeds))
-    with _telemetry_sink(args, out):
-        outcomes = parallel.run_sweep(
-            ns,
-            degrees,
-            seeds,
-            algorithm=args.algorithm,
-            backend=args.backend,
-            family=args.family,
-            params={"k": args.k} if getattr(args, "k", None) else None,
-            workers=args.workers if args.workers is not None else 1,
-            timeout=args.timeout,
-            retries=args.retries,
-        )
+    specs = sweep_specs(
+        [int(value) for value in args.n.split(",")],
+        [int(value) for value in args.degree.split(",")],
+        range(args.seed, args.seed + args.seeds),
+        algorithm=args.algorithm,
+        backend=args.backend,
+        family=args.family,
+        params={"k": args.k} if args.k else None,
+    )
+    outcomes = _run_jobs(
+        args, out, specs, args.workers or 1, timeout=args.timeout,
+        retries=args.retries,
+    )
     return _print_outcomes(args, out, outcomes)
 
 
@@ -394,16 +362,12 @@ def _load_records(paths):
 
 def _client(args):
     """A :class:`~repro.service.client.ServiceClient` for ``--address``."""
-    from repro.service.client import ServiceClient
-
     return ServiceClient(args.address)
 
 
 def _print_run_record(args, out, record):
     """Render one run record (one table line, or JSON with ``--json``)."""
     if args.json:
-        import json
-
         out.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
         return
     summary = record.get("summary") or {}
@@ -421,24 +385,17 @@ def _print_run_record(args, out, record):
     )
 
 
+@contextlib.contextmanager
 def _service_errors(out):
-    """Context manager mapping daemon/transport errors to exit-code prose."""
-    import contextlib as _contextlib
-
-    @_contextlib.contextmanager
-    def _guard():
-        from repro.service.client import ServiceError
-
-        try:
-            yield
-        except ServiceError as exc:
-            out.write("error: %s\n" % exc)
-            raise SystemExit(1)
-        except (ConnectionError, FileNotFoundError, OSError) as exc:
-            out.write("error: cannot reach the service: %s\n" % exc)
-            raise SystemExit(1)
-
-    return _guard()
+    """Map daemon/transport errors to exit-code prose."""
+    try:
+        yield
+    except ServiceError as exc:
+        out.write("error: %s\n" % exc)
+        raise SystemExit(1)
+    except (ConnectionError, FileNotFoundError, OSError) as exc:
+        out.write("error: cannot reach the service: %s\n" % exc)
+        raise SystemExit(1)
 
 
 def _cmd_serve(args, out):
@@ -467,14 +424,13 @@ def _cmd_serve(args, out):
 
 def _cmd_submit(args, out):
     """``repro-coloring submit`` — queue one job on a running daemon."""
-    spec = {
-        "algorithm": args.algorithm,
-        "graph": _graph_spec(args),
-        "backend": args.backend,
-        "seed": args.seed,
-    }
-    if args.label:
-        spec["label"] = args.label
+    spec = JobSpec(
+        algorithm=args.algorithm,
+        graph=_graph_spec(args),
+        backend=args.backend,
+        seed=args.seed,
+        label=args.label,
+    ).to_dict()
     with _service_errors(out):
         record = _client(args).submit(spec, wait=args.wait, timeout=args.wait_timeout)
     _print_run_record(args, out, record)
@@ -494,8 +450,6 @@ def _cmd_runs(args, out):
             limit=args.limit,
         )
     if args.json:
-        import json
-
         out.write(json.dumps(records, indent=2, sort_keys=True) + "\n")
         return 0
     for record in records:
@@ -514,8 +468,6 @@ def _cmd_rerun(args, out):
 
 def _cmd_tail(args, out):
     """``repro-coloring tail`` — stream a run's telemetry JSONL records."""
-    import json
-
     with _service_errors(out):
         for record in _client(args).tail(args.ref, follow=args.follow):
             out.write(json.dumps(record, sort_keys=True) + "\n")
@@ -593,7 +545,8 @@ def build_parser():
         help="run K seeds (seed, seed+1, ...) through the job runner",
     )
     color.add_argument(
-        "--json", action="store_true", help="emit the full result as JSON"
+        "--json", action="store_true",
+        help="emit the job outcomes as JSON (the sweep schema)",
     )
     color.add_argument(
         "--telemetry",
@@ -664,7 +617,8 @@ def build_parser():
         "--no-exact", action="store_true", help="stop at O(Delta) colors"
     )
     edge.add_argument(
-        "--json", action="store_true", help="emit the full result as JSON"
+        "--json", action="store_true",
+        help="emit the job outcomes as JSON (the sweep schema)",
     )
     edge.set_defaults(func=_cmd_edge_color)
 

@@ -176,18 +176,39 @@ def _gnp_blocks(np, n, p, seed):
         start_row = end_row
 
 
-def gnp_graph(n, p, seed):
-    """Erdos–Renyi G(n, p): one uniform draw per pair ``(i, j)``, ``i < j``."""
+def _cap_degrees(n, edges, cap):
+    """``edges`` in order, minus each whose end already has ``cap`` kept."""
+    degree = [0] * n
+    kept = []
+    for i, j in edges:
+        if degree[i] < cap and degree[j] < cap:
+            kept.append((i, j))
+            degree[i] += 1
+            degree[j] += 1
+    return kept
+
+
+def gnp_graph(n, p, seed, degree_cap=None):
+    """Erdos–Renyi G(n, p): one uniform draw per pair ``(i, j)``, ``i < j``.
+
+    ``degree_cap`` optionally drops, in row-major order, each edge that
+    would lift an end past the cap (a radio fan-out limit).
+    """
     np = numpy_or_none()
     if np is None:
         rng = random.Random(seed)
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
         ]
-        return StaticGraph(n, edges)
-    edges = [np.zeros((0, 2), dtype=np.int64)]
-    edges.extend(np.column_stack(block) for block in _gnp_blocks(np, n, p, seed))
-    return StaticGraph(n, np.concatenate(edges))
+    else:
+        blocks = [np.zeros((0, 2), dtype=np.int64)]
+        blocks.extend(np.column_stack(block) for block in _gnp_blocks(np, n, p, seed))
+        edges = np.concatenate(blocks)
+        if degree_cap is not None:
+            edges = edges.tolist()
+    if degree_cap is not None:
+        edges = _cap_degrees(n, edges, degree_cap)
+    return StaticGraph(n, edges)
 
 
 def _regular_edges(n, d, seed):
@@ -388,16 +409,9 @@ def unit_disk_graph(n, radius, seed, degree_cap=None):
             if dist <= radius:
                 candidates.append((dist, i, j))
     candidates.sort()
-    degree = [0] * n
-    edges = []
-    for dist, i, j in candidates:
-        if degree_cap is not None and (
-            degree[i] >= degree_cap or degree[j] >= degree_cap
-        ):
-            continue
-        edges.append((i, j))
-        degree[i] += 1
-        degree[j] += 1
+    edges = [(i, j) for _, i, j in candidates]
+    if degree_cap is not None:
+        edges = _cap_degrees(n, edges, degree_cap)
     return StaticGraph(n, edges)
 
 

@@ -236,12 +236,16 @@ def summary_table(records):
     spans = [r for r in records if r.get("type") == "span"]
     if spans:
         rows = [
-            (r.get("path", r.get("name", "?")), "%.4f" % (r.get("seconds") or 0.0))
+            (
+                r.get("path", r.get("name", "?")),
+                r.get("stage", "-"),
+                "%.4f" % (r.get("seconds") or 0.0),
+            )
             for r in spans
         ]
         sections.append("")
         sections.append("spans")
-        sections.extend(_format_rows(("path", "seconds"), rows))
+        sections.extend(_format_rows(("path", "stage", "seconds"), rows))
 
     stabilizations = [r for r in records if r.get("type") == "selfstab.run"]
     if stabilizations:

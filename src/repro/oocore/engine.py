@@ -141,6 +141,7 @@ class OocoreColoringEngine:
                 "record_history is not supported by the oocore engine "
                 "(it is O(rounds * n) resident by definition)"
             )
+        self.visibility = Visibility(visibility)
         self._owned_dir = None
         if not isinstance(graph, ShardedCSRGraph):
             from repro.oocore.writers import shard_static_graph
@@ -149,7 +150,6 @@ class OocoreColoringEngine:
             self._owned_dir = tempfile.mkdtemp(prefix="repro-oocore-", dir=base)
             graph = shard_static_graph(graph, self._owned_dir, shards=shards)
         self.graph = graph
-        self.visibility = visibility
         self.check_proper_each_round = check_proper_each_round
         self.record_history = False
         self._scratch_base = scratch or scratch_root()

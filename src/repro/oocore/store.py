@@ -48,6 +48,7 @@ __all__ = [
     "partition_ranges",
     "peak_rss_bytes",
     "release_pages",
+    "requested_shards",
     "scratch_root",
 ]
 
@@ -107,17 +108,19 @@ def memory_budget():
     return parse_bytes(raw)
 
 
+def requested_shards():
+    """The shard count ``REPRO_OOCORE_SHARDS`` asks for, or None."""
+    try:
+        return max(1, int(os.environ[SHARDS_ENV]))
+    except (KeyError, ValueError):
+        return None
+
+
 def default_shards(n, m):
     """Shard count: ``REPRO_OOCORE_SHARDS`` or a slot-volume heuristic."""
-    raw = os.environ.get(SHARDS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
     # indices + lindices are the per-shard streaming cost: 16 bytes a slot.
     by_volume = (16 * 2 * m + _SHARD_TARGET_BYTES - 1) // _SHARD_TARGET_BYTES
-    return int(max(1, min(_MAX_DEFAULT_SHARDS, by_volume)))
+    return requested_shards() or int(max(1, min(_MAX_DEFAULT_SHARDS, by_volume)))
 
 
 def scratch_root():

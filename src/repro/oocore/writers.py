@@ -46,6 +46,7 @@ from repro.oocore.store import (
     default_shards,
     partition_ranges,
     release_pages,
+    requested_shards,
     scratch_root,
 )
 from repro.runtime.csr import fill_csr
@@ -245,8 +246,9 @@ def ensure_sharded(spec, shards=None):
     Families with a streaming writer (``regular``, ``gnp``) are emitted
     straight to shards; every other family is built in memory once and
     converted.  Results are cached on disk keyed by the spec (generation is
-    deterministic), so sweeps reuse the shard files across jobs and even
-    across processes.
+    deterministic) and the shard count asked for, ``shards`` or else
+    ``REPRO_OOCORE_SHARDS``, so sweeps reuse the shard files across jobs and
+    even across processes.
 
     An entry is written into a private sibling directory and published with
     one ``os.rename``, so no caller ever opens, or writes into, a half-written
@@ -257,6 +259,8 @@ def ensure_sharded(spec, shards=None):
     """
     _require_numpy()
     spec = dict(spec)
+    if shards is None:
+        shards = requested_shards()
     directory = _cache_dir_for(spec, shards)
     if os.path.exists(directory):
         try:

@@ -45,6 +45,7 @@ __all__ = [
     "execute_chunk",
     "graph_cache_stats",
     "graph_key",
+    "job_graph",
     "peek_graph",
     "register_algorithm",
     "resolve_algorithm",
@@ -65,6 +66,10 @@ def _materialize_graph(spec):
         return graphgen.random_regular(n, spec.get("degree", 6), seed=seed)
     if family == "gnp":
         return graphgen.gnp_graph(n, spec.get("prob", 0.1), seed=seed)
+    if family == "gnp-capped":
+        return graphgen.gnp_graph(
+            n, spec.get("prob", 0.1), seed=seed, degree_cap=spec.get("degree", 6)
+        )
     if family == "cycle":
         return graphgen.cycle_graph(n)
     if family == "path":
@@ -169,8 +174,10 @@ def build_graph(spec, cache=True):
     """Materialize a :class:`~repro.runtime.graph.StaticGraph` from a dict.
 
     ``spec`` names a :mod:`repro.graphgen` family plus its parameters, e.g.
-    ``{"family": "regular", "n": 1000, "degree": 8, "seed": 3}``.  The
-    ``edges`` family carries an explicit edge list instead of a generator:
+    ``{"family": "regular", "n": 1000, "degree": 8, "seed": 3}``.
+    ``gnp-capped`` is G(n, ``prob``) with each edge, in row-major order,
+    dropped when it would lift an end past ``degree``.  The ``edges`` family
+    carries an explicit edge list instead of a generator:
     ``{"family": "edges", "n": 4, "edges": [(0, 1), (2, 3)]}``.
 
     Results come from a bounded LRU keyed by the full spec (safe: generation
@@ -209,6 +216,17 @@ def build_graph(spec, cache=True):
         tel.gauge("parallel.graph_cache.entries", len(_GRAPH_CACHE))
         tel.gauge("parallel.graph_cache.bytes", _cache_bytes())
     return graph
+
+
+def job_graph(spec):
+    """The graph a :class:`JobSpec` runs on: for ``backend="oocore"`` the
+    disk-cached memmap shards of :func:`~repro.oocore.writers.ensure_sharded`,
+    else :func:`build_graph` (this process's cache)."""
+    if spec.backend == "oocore":
+        from repro.oocore.writers import ensure_sharded
+
+        return ensure_sharded(spec.graph)
+    return build_graph(spec.graph)
 
 
 # -- the algorithm registry ----------------------------------------------------------
@@ -394,16 +412,11 @@ def _alg_random_trial(graph, backend="auto", seed=1, palette=None, **params):
     return BaselineReport(colors, rounds)
 
 
-def _alg_selfstab_rank(
-    graph, backend="auto", seed=1, bursts=2, corruptions=8, churn=0, **params
-):
+def _alg_selfstab_rank(graph, **params):
     """Rank-greedy self-stabilizing (Delta+1)-coloring under faults."""
     from repro.baselines.selfstab_rank import RankGreedySelfStabColoring
 
-    return _run_selfstab(
-        RankGreedySelfStabColoring, graph, backend, seed, bursts, corruptions,
-        churn
-    )
+    return _run_selfstab(RankGreedySelfStabColoring, graph, **params)
 
 
 class SelfStabReport:
@@ -451,12 +464,20 @@ class SelfStabReport:
 Result.register(SelfStabReport)
 
 
-def _run_selfstab(algorithm_cls, graph, backend, seed, bursts, corruptions, churn):
+def _run_selfstab(
+    algorithm_cls, graph, backend="auto", seed=1, bursts=2, corruptions=8,
+    churn=0, delta=None, **params
+):
+    """Cold start, then ``bursts`` seeded corruption (and churn) bursts.
+
+    ``delta`` is the ROM-resident Delta bound of Section 4 (None: the
+    graph's max degree); churn may add edges up to it.
+    """
     from repro.runtime.backends import resolve_backend
     from repro.runtime.graph import DynamicGraph
     from repro.selfstab import FaultCampaign
 
-    dynamic = DynamicGraph.from_static(graph)
+    dynamic = DynamicGraph.from_static(graph, delta_bound=delta)
     algorithm = algorithm_cls(dynamic.n_bound, dynamic.delta_bound)
     engine = resolve_backend("selfstab", backend)(dynamic, algorithm)
     cold_rounds = engine.run_to_quiescence()
@@ -472,26 +493,18 @@ def _run_selfstab(algorithm_cls, graph, backend, seed, bursts, corruptions, chur
     return SelfStabReport(colors, cold_rounds, burst_rounds, engine.is_legal())
 
 
-def _alg_selfstab_exact(
-    graph, backend="auto", seed=1, bursts=2, corruptions=8, churn=0, **params
-):
+def _alg_selfstab_exact(graph, **params):
     """Theorem 7.5: self-stabilizing exact (Delta+1)-coloring under faults."""
     from repro.selfstab import SelfStabExactColoring
 
-    return _run_selfstab(
-        SelfStabExactColoring, graph, backend, seed, bursts, corruptions, churn
-    )
+    return _run_selfstab(SelfStabExactColoring, graph, **params)
 
 
-def _alg_selfstab_coloring(
-    graph, backend="auto", seed=1, bursts=2, corruptions=8, churn=0, **params
-):
+def _alg_selfstab_coloring(graph, **params):
     """Lemma 4.2: self-stabilizing O(Delta)-coloring under faults."""
     from repro.selfstab import SelfStabColoring
 
-    return _run_selfstab(
-        SelfStabColoring, graph, backend, seed, bursts, corruptions, churn
-    )
+    return _run_selfstab(SelfStabColoring, graph, **params)
 
 
 register_algorithm("cor36", _alg_cor36)
@@ -542,7 +555,10 @@ class JobSpec:
 
     @property
     def job_id(self):
-        """Stable human-readable identity (used to tag stitched telemetry)."""
+        """Stable human-readable identity (used to tag stitched telemetry).
+
+        Params follow the seed as sorted ``key=value`` parts.
+        """
         if self.label:
             return self.label
         graph = self.graph
@@ -551,6 +567,7 @@ class JobSpec:
             if key in graph:
                 parts.append("%s%s" % (key, graph[key]))
         parts.append("s%d" % self.seed)
+        parts.extend("%s=%s" % item for item in sorted(self.params.items()))
         return "-".join(str(part) for part in parts)
 
     def to_dict(self):
@@ -651,9 +668,7 @@ def execute_job(spec, collect_telemetry=False, trace=None):
     exception type, message, and traceback, so a crashing job cannot take a
     worker (or the pool protocol) down with it.
 
-    The graph comes from :func:`build_graph` (this process's cache), or for
-    ``backend="oocore"`` from the disk-cached shard directory of
-    :func:`~repro.oocore.writers.ensure_sharded`.
+    The graph comes from :func:`job_graph`.
 
     ``trace`` is the parent collector's
     :meth:`~repro.obs.core.Telemetry.trace_context`: when telemetry is
@@ -666,14 +681,7 @@ def execute_job(spec, collect_telemetry=False, trace=None):
     records = []
     try:
         fn = resolve_algorithm(spec.algorithm)
-        if spec.backend == "oocore":
-            # Out-of-core jobs stream the generator into (cached) memmap
-            # shards instead of materializing a StaticGraph in RAM.
-            from repro.oocore.writers import ensure_sharded
-
-            graph = ensure_sharded(spec.graph)
-        else:
-            graph = build_graph(spec.graph)
+        graph = job_graph(spec)
         if collect_telemetry:
             trace = trace or {}
             with obs.capture(

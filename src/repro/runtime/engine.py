@@ -205,7 +205,8 @@ class ColoringEngine:
     graph:
         The :class:`~repro.runtime.graph.StaticGraph` to run on.
     visibility:
-        LOCAL (default) or SET_LOCAL.
+        LOCAL (default) or SET_LOCAL, as the member or its value
+        (``"local"`` / ``"set-local"``); anything else raises ValueError.
     check_proper_each_round:
         If True, verify after every round that stages claiming
         ``maintains_proper`` indeed kept the coloring proper, and raise
@@ -223,7 +224,7 @@ class ColoringEngine:
         record_history=False,
     ):
         self.graph = graph
-        self.visibility = visibility
+        self.visibility = Visibility(visibility)
         self.check_proper_each_round = check_proper_each_round
         self.record_history = record_history
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 import os
 
 import pytest
@@ -12,6 +13,13 @@ def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def single_payload(text):
+    """The result payload of a one-job ``--json`` list."""
+    outcomes = json.loads(text)
+    assert len(outcomes) == 1 and outcomes[0]["ok"]
+    return outcomes[0]["summary"]["payload"]
 
 
 class TestColorCommand:
@@ -119,6 +127,22 @@ class TestSelfStabCommand:
             "final palette: 6 <= Delta+1 = 6\n"
         )
 
+    def test_delta_flag_is_the_bound_not_the_realized_degree(self):
+        # The capped G(40, 0.05) has max degree 6; Delta must come from
+        # --delta, which churn may rewire up to (output of the original demo).
+        code, text = run_cli(
+            ["selfstab", "--n", "40", "--delta", "20", "--prob", "0.05",
+             "--churn", "2"]
+        )
+        assert code == 0
+        assert text == (
+            "cold start: stabilized in 5 rounds (bound budget 774)\n"
+            "burst 1: re-stabilized in 5 rounds (legal: True)\n"
+            "burst 2: re-stabilized in 5 rounds (legal: True)\n"
+            "burst 3: re-stabilized in 6 rounds (legal: True)\n"
+            "final palette: 21 <= Delta+1 = 21\n"
+        )
+
 
 class TestParser:
     def test_requires_command(self):
@@ -132,45 +156,37 @@ class TestParser:
 
 class TestJsonOutput:
     def test_color_json(self):
-        import json
-
         code, text = run_cli(
             ["color", "--n", "24", "--degree", "4", "--json"]
         )
         assert code == 0
-        payload = json.loads(text)
+        payload = single_payload(text)
         assert payload["num_colors"] <= 5
         assert "stages" in payload
 
     def test_sublinear_json(self):
-        import json
-
         code, text = run_cli(
             ["color", "--family", "gnp", "--n", "24", "--prob", "0.2",
              "--algorithm", "sublinear", "--json"]
         )
         assert code == 0
-        payload = json.loads(text)
+        payload = single_payload(text)
         assert "stage_rounds" in payload
         assert "ag_side_rounds" in payload
 
     def test_edge_color_json(self):
-        import json
-
         code, text = run_cli(["edge-color", "--n", "16", "--degree", "4", "--json"])
         assert code == 0
-        payload = json.loads(text)
+        payload = single_payload(text)
         assert "edge_colors" in payload
         assert payload["palette_size"] >= 1
 
     def test_color_json_stage_metrics_are_totals_only(self):
         # The JSON summary uses MetricsLog.to_dict(detail=False): per-stage
         # communication totals without the O(rounds) per-round rows.
-        import json
-
         code, text = run_cli(["color", "--n", "24", "--degree", "4", "--json"])
         assert code == 0
-        payload = json.loads(text)
+        payload = single_payload(text)
         assert payload["stages"]
         for stage in payload["stages"]:
             metrics = stage["metrics"]
@@ -190,12 +206,25 @@ class TestParallelCommands:
         assert "jobs: 2 ok, 0 failed" in text
         assert "cor36-regular-n48-degree4-s1" in text
 
-    def test_color_set_local_incompatible_with_jobs(self):
-        code, text = run_cli(
-            ["color", "--n", "32", "--degree", "4", "--seeds", "2", "--set-local"]
-        )
-        assert code == 2
-        assert "--set-local" in text
+    def test_color_set_local_fanout_equals_single_runs(self):
+        # SET-LOCAL is a job parameter, so it composes with the fan-out.
+        def outcomes(extra):
+            code, text = run_cli(
+                ["color", "--n", "32", "--degree", "4", "--set-local", "--json"]
+                + extra
+            )
+            assert code == 0
+            records = json.loads(text)
+            for record in records:
+                assert record["ok"]
+                assert record["job"]["params"] == {"visibility": "set-local"}
+                del record["seconds"]
+            return records
+
+        fanout = outcomes(["--seeds", "2", "--workers", "2"])
+        singles = outcomes(["--seed", "1"]) + outcomes(["--seed", "2"])
+        assert len(fanout) == 2
+        assert fanout == singles
 
     def test_sweep_table(self):
         code, text = run_cli(
@@ -205,8 +234,6 @@ class TestParallelCommands:
         assert "jobs: 4 ok, 0 failed" in text
 
     def test_sweep_json(self):
-        import json
-
         code, text = run_cli(
             ["sweep", "--n", "24", "--degree", "4", "--seeds", "1", "--json"]
         )

@@ -169,6 +169,34 @@ class TestPinnedGraphs:
     def test_gnp(self, n, p, seed, digest):
         assert _digest(graphgen.gnp_graph(n, p, seed)) == digest
 
+    @pytest.mark.parametrize(
+        "n,p,cap,seed,digest",
+        [
+            (60, 0.2, 5, 7, "c0f983afff5eef9f"),
+            (40, 0.15, 6, 1, "23b7302d58e41610"),
+            (40, 0.05, 20, 1, "4b392185c1b7d00a"),
+            (300, 0.05, 8, 2, "575b3c5143e8b626"),
+        ],
+    )
+    def test_gnp_capped(self, n, p, cap, seed, digest):
+        # Recorded from the self-stabilization demo's own filter before it
+        # became the gnp-capped family: G(n, p)'s edges in row-major order,
+        # each kept while both ends are under the cap.
+        from repro.parallel import build_graph
+
+        spec = {"family": "gnp-capped", "n": n, "prob": p, "degree": cap, "seed": seed}
+        graph = build_graph(spec, cache=False)
+        assert _digest(graph) == digest
+        assert graph.max_degree <= cap
+
+    @pytest.mark.parametrize(
+        "n,radius,cap,seed,digest",
+        [(60, 0.4, 5, 1, "87b5f84b5c8f11a8"), (80, 0.3, 4, 2, "7f7c2c23d9210f6c")],
+    )
+    def test_unit_disk_capped(self, n, radius, cap, seed, digest):
+        graph = graphgen.unit_disk_graph(n, radius, seed, degree_cap=cap)
+        assert _digest(graph) == digest
+
     def test_gnp_across_blocks(self, monkeypatch, tmp_path):
         # Seven draws per block split every row of G(30, p) across blocks;
         # the writer walks the same block loop, so it sees the patch too.

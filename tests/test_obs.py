@@ -357,6 +357,18 @@ class TestExporters:
             ["peak", "-", "7"],
         ]
 
+    def test_summary_spans_are_labelled_by_stage(self):
+        lines = summary_table(self._collect()).splitlines()
+        start = lines.index("spans")
+        assert lines[start + 1].split() == ["path", "stage", "seconds"]
+        rows = [line.split() for line in lines[start + 3:lines.index("", start)]]
+        engine_rows = [
+            row[1] for row in rows
+            if row[0] == "pipeline.run/pipeline.stage/engine.run"
+        ]
+        assert engine_rows == ["linial", "additive-group", "standard-reduction"]
+        assert [row[1] for row in rows if row[0] == "pipeline.run"] == ["-"]
+
     def test_summary_table_empty_stream(self):
         assert summary_table([]) == "no telemetry records\n"
 
@@ -395,7 +407,7 @@ class TestMetricsDetail:
     def test_cli_json_uses_detail_false(self):
         code, text = run_cli(["color", "--n", "24", "--degree", "4", "--json"])
         assert code == 0
-        payload = json.loads(text)
+        payload = json.loads(text)[0]["summary"]["payload"]
         for stage in payload["stages"]:
             assert "rounds" not in stage["metrics"]
             assert "total_messages" in stage["metrics"]

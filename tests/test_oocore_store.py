@@ -235,6 +235,17 @@ class TestEnsureSharded:
         assert first.path == second.path
         _assert_same_csr(random_regular(30, 4, seed=5), second)
 
+    def test_env_shard_count_is_part_of_the_key(self, monkeypatch):
+        # A cached entry of another shard count must not answer the request.
+        monkeypatch.setenv("REPRO_OOCORE_DIR", _tmp())
+        spec = {"family": "regular", "n": 30, "degree": 4, "seed": 5}
+        monkeypatch.setenv("REPRO_OOCORE_SHARDS", "4")
+        four = ensure_sharded(spec)
+        monkeypatch.setenv("REPRO_OOCORE_SHARDS", "2")
+        two = ensure_sharded(spec)
+        assert (len(four.ranges), len(two.ranges)) == (4, 2)
+        assert ensure_sharded(spec, shards=2).path == two.path
+
     def test_distinct_specs_distinct_dirs(self, monkeypatch):
         monkeypatch.setenv("REPRO_OOCORE_DIR", _tmp())
         a = ensure_sharded({"family": "regular", "n": 30, "degree": 4, "seed": 5})

@@ -292,6 +292,32 @@ class TestSpecRoundTrip:
         spec = JobSpec(algorithm="cor36", graph={"family": "regular", "n": 99, "degree": 5}, seed=4)
         assert spec.job_id == "cor36-regular-n99-degree5-s4"
 
+    def test_job_id_tells_params_apart(self):
+        graph = {"family": "regular", "n": 99, "degree": 5}
+        pairs = [
+            ("cor36", None, {"visibility": "set-local"}),
+            ("edge", {"exact": True}, {"exact": False}),
+            ("one-plus-eps", None, {"k": 3}),
+        ]
+        for algorithm, first, second in pairs:
+            a = JobSpec(algorithm=algorithm, graph=graph, seed=4, params=first)
+            b = JobSpec(algorithm=algorithm, graph=graph, seed=4, params=second)
+            assert a.job_id != b.job_id
+        spec = JobSpec(graph=graph, seed=4, params={"k": 3, "exact": False})
+        assert spec.job_id == "cor36-regular-n99-degree5-s4-exact=False-k=3"
+
+    def test_selfstab_delta_param_is_the_rom_bound(self):
+        graph = {"family": "gnp-capped", "n": 40, "prob": 0.05, "degree": 20, "seed": 1}
+        realized = build_graph(graph).max_degree
+        default = repro.run(
+            JobSpec(algorithm="selfstab", graph=graph, params={"churn": 2})
+        )
+        wide = repro.run(
+            JobSpec(algorithm="selfstab", graph=graph, params={"churn": 2, "delta": 20})
+        )
+        assert default.ok and wide.ok
+        assert max(default.colors) <= realized < max(wide.colors) <= 20
+
     def test_unknown_graph_family(self):
         with pytest.raises(ValueError, match="unknown graph family"):
             build_graph({"family": "mobius"})

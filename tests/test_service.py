@@ -354,6 +354,41 @@ class TestLiveServer:
             assert final["status"] == "done"
         assert len(client.runs(status="done", n=24)) == 8
 
+    @pytest.mark.parametrize(
+        "algorithm, flags",
+        [("cor36", []), ("exact", ["--set-local"])],
+    )
+    def test_cli_library_and_service_agree(self, live, algorithm, flags):
+        # One spec through every front door: `color --json`, repro.api.run,
+        # and the daemon (by client and by `submit`) give equal summaries.
+        import io
+
+        from repro.api import run
+        from repro.cli import main
+
+        client, _ = live
+        argv = ["--n", "48", "--degree", "4", "--seed", "3", "--algorithm", algorithm]
+
+        def cli(command):
+            out = io.StringIO()
+            assert main(command, out=out) == 0
+            return json.loads(out.getvalue())
+
+        (outcome,) = cli(["color", "--json"] + argv + flags)
+        spec = JobSpec.from_dict(outcome["job"])
+        assert spec.params == ({"visibility": "set-local"} if flags else {})
+        library = run(spec)
+        assert library.ok
+        record = client.submit(spec.to_dict(), wait=True, timeout=60)
+        assert record["status"] == "done"
+        submitted = cli(
+            ["submit", "--address", client.address, "--wait", "--json"] + argv
+        )
+        assert submitted["status"] == "done"
+        assert outcome["summary"] == library.summary == record["summary"]
+        if not flags:  # `submit` has no --set-local
+            assert submitted["summary"] == record["summary"]
+
 
 class TestSchemaVersioning:
     def test_spec_and_summary_are_stamped(self):

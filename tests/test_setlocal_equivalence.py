@@ -8,6 +8,7 @@ the paper's pipelines use.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,9 @@ from repro.core import (
 )
 from repro.graphgen import gnp_graph
 from repro.linial import LinialColoring
+from repro.recipes import delta_plus_one_coloring
 from repro.runtime import ColoringEngine, Visibility
+from repro.runtime.backends import resolve_backend
 from tests.test_agn import two_n_coloring
 
 
@@ -67,3 +70,30 @@ class TestSetLocalEquivalence:
         for factory in (LinialColoring, StandardColorReduction, KuhnWattenhoferReduction):
             local, setlocal = run_both_modes(graph, factory, initial, graph.n)
             assert local == setlocal, factory.__name__
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "reference",
+        pytest.param("batch", marks=pytest.mark.requires_numpy),
+        pytest.param("oocore", marks=pytest.mark.requires_numpy),
+    ],
+)
+class TestVisibilityArgument:
+    """Engines take the Visibility member or its string value, nothing else."""
+
+    def test_value_selects_the_member(self, backend):
+        graph = gnp_graph(20, 0.2, seed=3)
+        factory = resolve_backend("engine", backend)
+        for value, member in (("set-local", Visibility.SET_LOCAL),
+                              ("local", Visibility.LOCAL),
+                              (Visibility.SET_LOCAL, Visibility.SET_LOCAL)):
+            assert factory(graph, visibility=value).visibility is member
+
+    def test_unknown_value_raises(self, backend):
+        graph = gnp_graph(20, 0.2, seed=3)
+        with pytest.raises(ValueError):
+            resolve_backend("engine", backend)(graph, visibility="no-such-model")
+        with pytest.raises(ValueError):
+            delta_plus_one_coloring(graph, visibility="no-such-model", backend=backend)
