@@ -210,6 +210,9 @@ def bek_delta_plus_one(graph, backend="auto"):
     the merge sweeps (``auto``/``batch``/``reference``); results
     are bit-identical across backends.
     """
+    from repro.oocore.store import reject_sharded
+
+    reject_sharded(graph, "bek_delta_plus_one")
     colors, rounds, depth = _recursive_color(graph, 0, backend=backend)
     if graph.n:
         assert is_proper_coloring(graph, colors)

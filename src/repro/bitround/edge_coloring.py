@@ -31,8 +31,9 @@ from repro.bitround.channel import BitChannelNetwork, decode_int, encode_int
 from repro.core.hybrid import ExactDeltaPlusOneHybrid
 from repro.core.ag import ag_prime_for
 from repro.defective.kuhn_edge import kuhn_defective_edge_coloring
+from repro.edge.congest import cole_vishkin_classes, edge_coloring_congest
 from repro.edge.line_graph import build_line_graph
-from repro.linial.cole_vishkin import cole_vishkin_three_coloring
+from repro.linial.cole_vishkin import label_spaces
 from repro.runtime.algorithm import NetworkInfo
 from repro.runtime.backends import resolve_backend
 from repro.runtime.csr import numpy_or_none
@@ -133,18 +134,21 @@ def run_edge_coloring_bit_protocol(graph, exact=True, neighbor_ids_known=False,
     ``backend`` picks the execution tier: the reference tier streams every
     bit through a :class:`~repro.bitround.channel.BitChannelNetwork` and
     checks both endpoints' replicas after every round, while the batch tier
-    runs the same per-phase update rules as array kernels over the line
-    graph's CSR and computes the ledger from the channel's closed form
+    runs :func:`~repro.edge.congest.edge_coloring_congest` on the batch
+    engine and computes the ledger from the channel's closed form
     (``drain()`` returns the widest message any direction carries).  Both
     tiers return bit-identical colors, palettes, and per-phase bit-round
     counts.
 
     Returns a :class:`BitRoundEdgeColoringRun`.
     """
+    from repro.oocore.store import reject_sharded
+
+    reject_sharded(graph, "run_edge_coloring_bit_protocol")
     resolve_backend("engine", backend)  # unknown names fail as in the engines
     np = None if backend == "reference" else numpy_or_none()
     if np is not None and hasattr(graph, "csr"):
-        return _batch(graph, np, exact, neighbor_ids_known)
+        return _batch(graph, exact, neighbor_ids_known)
     if np is None and backend == "batch":
         raise RuntimeError(
             "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
@@ -152,77 +156,31 @@ def run_edge_coloring_bit_protocol(graph, exact=True, neighbor_ids_known=False,
     return _reference(graph, exact, neighbor_ids_known)
 
 
-def _batch(graph, np, exact, neighbor_ids_known):
-    """Array-kernel tier over the line graph; ledgers via drain closed forms."""
-    from repro.defective.kuhn_edge import kuhn_defective_edge_arrays
-    from repro.runtime.engine import Visibility
+def _batch(graph, exact, neighbor_ids_known):
+    """Batch tier: the CONGEST pipeline on the batch engine, the ledger in
+    closed form.
 
-    edges = graph.edges
-    delta = graph.max_degree
-    if not edges:
-        return BitRoundEdgeColoringRun({}, max(1, 2 * delta - 1), {})
+    The ID and Kuhn phases are one message each at the ID and index widths;
+    a CV round carries a label at the width of its label space, which every
+    class shares; AG costs one bit per round and the hybrid two.
+    """
+    result = edge_coloring_congest(
+        graph, exact=exact, neighbor_ids_known=neighbor_ids_known,
+        backend="batch",
+    )
+    if not result.edge_colors:
+        return BitRoundEdgeColoringRun({}, result.palette_size, {})
     rounds = {}
-
-    # -- Phase 0: IDs (one id-width broadcast; every direction is loaded) ------
     if not neighbor_ids_known:
         rounds["id-exchange"] = _bits(graph.n)
-
-    # -- Phase 1: Kuhn pairs (one index-width message per direction) -----------
-    i_arr, j_arr = kuhn_defective_edge_arrays(graph)
-    rounds["kuhn-2-defective"] = _bits(max(1, delta))
-    pair_of = {
-        edge: pair
-        for edge, pair in zip(edges, zip(i_arr.tolist(), j_arr.tolist()))
-    }
-
-    # -- Phase 2: Cole–Vishkin (per round, the widest label crossing) ----------
-    line_graph, edge_index = build_line_graph(graph, backend="batch")
-    k_of, per_edge_history, max_rounds = _cv_class_histories(
-        graph, pair_of, edge_index
-    )
-    histories = list(per_edge_history.values())
+    rounds["kuhn-2-defective"] = _bits(max(1, graph.max_degree))
     rounds["cole-vishkin"] = sum(
-        max(_bits(h[min(r, len(h) - 1)][1]) for h in histories)
-        for r in range(max_rounds)
+        _bits(space) for space in label_spaces(max(2, len(graph.edges)))
     )
-
-    # -- Phase 3: AG, one bit per round ----------------------------------------
-    base = max(1, delta)
-    palette = 3 * base * base
-    k_vec = np.fromiter(
-        (k_of[edge] for edge in edges), dtype=np.int64, count=len(edges)
-    )
-    init = (i_arr * base + j_arr) * 3 + k_vec
-    csr_l = line_graph.csr()
-    q = ag_prime_for(palette, line_graph.max_degree)
-    a = init // q
-    b = init % q
-    ag_rounds = 0
-    while bool((a != 0).any()):
-        conflict = csr_l.any_per_vertex(csr_l.gather(b) == csr_l.owner_values(b))
-        b = np.where(conflict, (b + a) % q, b)
-        a = np.where(conflict, a, 0)
-        ag_rounds += 1
-    rounds["ag"] = ag_rounds
-    colors = b
-    palette = q
-
-    # -- Phase 4: exact hybrid, two bits per round ------------------------------
+    rounds["ag"] = result.rounds_by_stage["ag"]
     if exact:
-        hybrid = ExactDeltaPlusOneHybrid()
-        hybrid.configure(NetworkInfo(line_graph.n, line_graph.max_degree, palette))
-        state = hybrid.batch_encode_initial(colors)
-        hybrid_rounds = 0
-        while not bool(hybrid.batch_is_final(state).all()):
-            state = hybrid.step_batch(hybrid_rounds // 2, state, csr_l,
-                                      Visibility.LOCAL)
-            hybrid_rounds += 2
-        rounds["exact-hybrid"] = hybrid_rounds
-        palette = hybrid.out_palette_size
-        colors = hybrid.batch_decode_final(state)
-
-    edge_colors = dict(zip(edges, colors.tolist()))
-    return BitRoundEdgeColoringRun(edge_colors, palette, rounds)
+        rounds["exact-hybrid"] = 2 * result.rounds_by_stage["exact-hybrid"]
+    return BitRoundEdgeColoringRun(result.edge_colors, result.palette_size, rounds)
 
 
 def _reference(graph, exact, neighbor_ids_known):
@@ -397,61 +355,20 @@ def _reference(graph, exact, neighbor_ids_known):
     return BitRoundEdgeColoringRun(edge_colors, palette, rounds)
 
 
-def _cv_class_histories(graph, pair_of, edge_index):
-    """Per-class CV with full history; the rounds each label update crossed.
-
-    Returns ``(k_of, per_edge_history, max_rounds)`` where
-    ``per_edge_history[edge]`` is the list of ``(label, space)`` the edge's
-    head computed per CV round.  Shared by both execution tiers: the
-    reference tier ships every history row over the channel, the batch tier
-    folds the same rows into the ledger closed form.
-    """
-    from collections import defaultdict
-
-    classes = defaultdict(list)
-    for edge, pair in pair_of.items():
-        classes[pair].append(edge)
-    incident_by_class = defaultdict(lambda: defaultdict(list))
-    for edge, pair in pair_of.items():
-        incident_by_class[pair][edge[0]].append(edge)
-        incident_by_class[pair][edge[1]].append(edge)
-
-    k_of = {}
-    label_space = max(2, len(graph.edges))
-    per_edge_history = {}  # edge -> list of (label, space)
-    max_rounds = 0
-    for pair, class_edges in classes.items():
-        index = {edge: i for i, edge in enumerate(sorted(class_edges))}
-        parents = [None] * len(class_edges)
-        for edge, i in index.items():
-            u, v = edge
-            head = v if graph.ids[v] > graph.ids[u] else u
-            others = [e for e in incident_by_class[pair][head] if e != edge]
-            if others:
-                parents[i] = index[others[0]]
-        labels = [edge_index[edge] for edge in sorted(class_edges)]
-        colors, _, history = cole_vishkin_three_coloring(
-            parents, labels, label_space, return_history=True
-        )
-        for edge, i in index.items():
-            k_of[edge] = colors[i]
-            per_edge_history[edge] = [(row[i], space) for row, space in history]
-        max_rounds = max(max_rounds, len(history))
-    return k_of, per_edge_history, max_rounds
-
-
 def _cole_vishkin_over_channels(graph, network, pair_of, edge_index, views):
     """CV labels computed per class; every label update crosses the channel.
 
     The head endpoint of each edge (incident to the parent edge, so it holds
     both labels) owns the label computation; per CV round it streams the
     *actual updated label* to the tail, whose replica must match — asserted
-    after every round.  Label widths follow the shrinking space schedule, so
-    the bit-rounds consumed equal Lemma 5.2's ledger.
+    after every round.  Label widths follow the shrinking space schedule.
+    The count is the executed one: it differs from the analytic ledger of
+    :func:`repro.edge.congest.edge_coloring_bit_round` (see docs/models.md).
     """
-    k_of, per_edge_history, max_rounds = _cv_class_histories(
-        graph, pair_of, edge_index
+    k_of, per_edge_history = cole_vishkin_classes(
+        graph, pair_of, edge_index, history=True
     )
+    max_rounds = max(len(history) for history in per_edge_history.values())
 
     # Ship every round's label from head to tail; the tail replica decodes
     # and must agree with the computed history.

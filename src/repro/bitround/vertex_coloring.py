@@ -25,10 +25,11 @@ import math
 from repro.bitround.channel import BitChannelNetwork, decode_int, encode_int
 from repro.core.ag import AdditiveGroupColoring
 from repro.core.reductions import StandardColorReduction
-from repro.linial.core import LinialColoring, linial_next_color, linial_round_batch
+from repro.linial.core import LinialColoring, linial_next_color
 from repro.runtime.algorithm import NetworkInfo
 from repro.runtime.backends import resolve_backend
 from repro.runtime.csr import numpy_or_none
+from repro.runtime.pipeline import ColoringPipeline
 from repro.runtime.results import Result
 
 __all__ = ["VertexBitProtocolRun", "run_vertex_coloring_bit_protocol"]
@@ -87,8 +88,8 @@ def run_vertex_coloring_bit_protocol(graph, backend="auto"):
 
     ``backend`` picks the execution tier.  The reference tier pushes every
     bit through a real :class:`BitChannelNetwork` and asserts per-neighbor
-    replica consistency after every round; the batch tier runs the identical
-    update rules as array kernels and computes each phase's bit-round count
+    replica consistency after every round; the batch tier runs the same
+    stages on the batch engine and computes each phase's bit-round count
     from the channel's closed form (``drain()`` returns the longest pending
     queue, i.e. the widest message any direction carries that round).  Both
     tiers return bit-identical colors, round counts, and ledgers.
@@ -105,77 +106,46 @@ def run_vertex_coloring_bit_protocol(graph, backend="auto"):
 
 
 def _batch(graph, np):
-    """Array-kernel tier: same rules, ledgers from the drain closed form."""
-    from repro.runtime.engine import Visibility
+    """Batch tier: the cor36 stages on the batch engine, the ledger in closed form.
 
+    Linial sends one palette-width message per planned iteration; AG sends
+    the pair once, then one bit per executed round.  The reduction protocol
+    runs the full ``q - (Delta + 1)`` schedule, where the engine stops once
+    every color is below the target.  Picks land below the target, so the
+    acting class of each round is fixed by the AG output: a round costs
+    ``1 + width`` bits when its class holds a vertex with neighbors, else the
+    1-bit flag.  An edgeless graph sends nothing.
+    """
     n = graph.n
     if n == 0:
         return VertexBitProtocolRun([], {}, {})
-    delta = graph.max_degree
-    csr = graph.csr()
-    has_edges = csr.indices.shape[0] > 0
-    colors = np.arange(n, dtype=np.int64)
-    palette = max(2, n)
-    rounds = {}
-    bit_rounds = {}
-
-    # -- Phase 1: Linial (one palette-width broadcast per iteration) -----------
-    linial = LinialColoring()
-    linial.configure(NetworkInfo(n, delta, palette))
-    linial_bits = 0
-    for index, iteration in enumerate(linial.plan):
-        if has_edges:
-            linial_bits += _bits(palette)
-        colors = linial_round_batch(
-            linial, index, colors, csr, Visibility.LOCAL,
-            iteration.q, iteration.degree,
-        )
-        palette = iteration.out_palette
-    rounds["linial"] = len(linial.plan)
-    bit_rounds["linial"] = linial_bits
-
-    # -- Phase 2: AG (one pair broadcast, then one bit per round) --------------
-    ag = AdditiveGroupColoring()
-    ag.configure(NetworkInfo(n, delta, palette))
-    q = ag.q
-    ag_bits = _bits(palette) if has_edges else 0
-    a = colors // q
-    b = colors % q
-    ag_rounds = 0
-    while bool((a != 0).any()):
-        conflict = csr.any_per_vertex(csr.gather(b) == csr.owner_values(b))
-        rotated = conflict & (a != 0)
-        b = np.where(rotated, (b + a) % q, b)
-        a = np.where(rotated, a, 0)
-        if has_edges:
-            ag_bits += 1
-        ag_rounds += 1
-    colors = b
-    palette = q
-    rounds["additive-group"] = ag_rounds
-    bit_rounds["additive-group"] = ag_bits
-
-    # -- Phase 3: standard reduction (flag bit + value when anyone acts) -------
-    reduction = StandardColorReduction()
-    reduction.configure(NetworkInfo(n, delta, palette))
-    target = reduction.target
-    width = _bits(palette)
-    red_rounds = 0
-    red_bits = 0
-    deg_pos = csr.degrees > 0
-    state = (colors,)
-    for t in range(max(0, palette - target)):
-        acting = palette - 1 - t
-        if bool(((state[0] == acting) & deg_pos).any()):
-            red_bits += 1 + width
-        elif has_edges:
-            red_bits += 1
-        state = reduction.step_batch(t, state, csr, Visibility.LOCAL)
-        red_rounds += 1
-    rounds["standard-reduction"] = red_rounds
-    bit_rounds["standard-reduction"] = red_bits
-
-    return VertexBitProtocolRun(state[0].tolist(), rounds, bit_rounds)
+    pipeline = ColoringPipeline(
+        [LinialColoring(), AdditiveGroupColoring(), StandardColorReduction()]
+    )
+    run = pipeline.run(
+        graph, np.arange(n, dtype=np.int64), in_palette_size=max(2, n),
+        backend="batch",
+    )
+    (linial, _), (ag, ag_run), (reduction, _) = run.stage_results
+    rounds = {
+        "linial": len(linial.plan),
+        "additive-group": ag_run.rounds_used,
+        "standard-reduction": reduction.rounds_bound,
+    }
+    if graph.m == 0:
+        return VertexBitProtocolRun(run.colors, rounds, dict.fromkeys(rounds, 0))
+    palettes = [max(2, n)] + [iteration.out_palette for iteration in linial.plan]
+    colors = ag_run.int_colors_array
+    acting = np.unique(
+        colors[(graph.csr().degrees > 0) & (colors >= reduction.target)]
+    )
+    bit_rounds = {
+        "linial": sum(_bits(palette) for palette in palettes[:-1]),
+        "additive-group": _bits(palettes[-1]) + ag_run.rounds_used,
+        "standard-reduction": reduction.rounds_bound
+        + acting.shape[0] * _bits(ag.q),
+    }
+    return VertexBitProtocolRun(run.colors, rounds, bit_rounds)
 
 
 def _reference(graph):

@@ -154,14 +154,16 @@ def _print_outcomes(args, out, outcomes):
         return 1 if failures else 0
     for o in outcomes:
         if o.ok:
+            colors = "-" if o.num_colors is None else o.num_colors
             out.write(
-                "%-40s ok  rounds=%-5d colors=%-4d %.3fs\n"
-                % (o.spec.job_id, o.rounds, o.num_colors, o.seconds)
+                "%-40s ok  rounds=%-5d colors=%-4s %.3fs\n"
+                % (o.spec.job_id, o.rounds, colors, o.seconds)
             )
         else:
             state = "timeout" if o.timed_out else o.error["kind"]
             out.write(
-                "%-40s FAILED (%s, %d attempts)\n" % (o.spec.job_id, state, o.attempts)
+                "%-40s FAILED (%s, %d attempt%s)\n"
+                % (o.spec.job_id, state, o.attempts, "s" if o.attempts > 1 else "")
             )
     out.write(
         "jobs: %d ok, %d failed\n" % (len(outcomes) - len(failures), len(failures))
@@ -598,7 +600,7 @@ def build_parser():
     )
     sweep.add_argument(
         "--retries", type=int, default=1,
-        help="extra attempts for a failed or timed-out job",
+        help="re-dispatches of a timed-out job (a failed job runs once)",
     )
     sweep.add_argument(
         "--json", action="store_true", help="emit every outcome as JSON"
@@ -697,7 +699,7 @@ def build_parser():
     )
     serve.add_argument(
         "--retries", type=int, default=1,
-        help="extra attempts for a failed or timed-out job",
+        help="re-dispatches of a timed-out job (a failed job runs once)",
     )
     serve.add_argument(
         "--mode", choices=["auto", "process", "inline"], default="auto",

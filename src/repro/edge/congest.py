@@ -29,7 +29,7 @@ from repro.core.ag import AdditiveGroupColoring
 from repro.core.hybrid import ExactDeltaPlusOneHybrid
 from repro.defective.kuhn_edge import kuhn_defective_edge_coloring
 from repro.edge.line_graph import build_line_graph
-from repro.linial.cole_vishkin import cole_vishkin_three_coloring
+from repro.linial.cole_vishkin import cole_vishkin_three_coloring, label_spaces
 from repro.runtime.results import Result
 
 __all__ = ["EdgeColoringResult", "edge_coloring_congest", "edge_coloring_bit_round"]
@@ -122,8 +122,8 @@ def _bits(x):
     return max(1, math.ceil(math.log2(max(2, x))))
 
 
-def _cole_vishkin_stage(graph, defective_colors, edge_index):
-    """3-color every 2-defective class; return per-edge k in {0,1,2} + ledger.
+def cole_vishkin_classes(graph, defective_colors, edge_index, history=False):
+    """3-color every 2-defective class; return ``(k_of, rows)``.
 
     Each class induces paths/cycles of edges.  Every class edge points at the
     class neighbor at its *head* (the higher-ID endpoint it is oriented
@@ -131,25 +131,30 @@ def _cole_vishkin_stage(graph, defective_colors, edge_index):
     outgoing (two incoming would share the in-index ``j``, two outgoing the
     out-index ``i``), so every class adjacency ``{e, f}`` is covered by
     exactly one pointer — a pseudoforest whose undirected edges are precisely
-    the class adjacencies.  CV runs on all classes in parallel.
-    """
-    edges = graph.edges
-    classes = defaultdict(list)
-    for edge, pair in defective_colors.items():
-        classes[pair].append(edge)
+    the class adjacencies.  CV runs on all classes in parallel, every class
+    on the label space ``max(2, m)``, so all of them share the rounds of
+    :func:`~repro.linial.cole_vishkin.label_spaces`.
 
+    ``k_of`` maps each edge to its CV color in ``{0, 1, 2}``.  With
+    ``history``, ``rows[edge]`` lists the ``(label, space)`` the edge's head
+    computed in each CV round (the Bit-Round reference tier ships them);
+    otherwise ``rows`` is empty.
+    """
+    classes = defaultdict(list)
     # For each vertex and class, the class edges incident to it (<= 2).
     incident_by_class = defaultdict(lambda: defaultdict(list))
     for edge, pair in defective_colors.items():
         u, v = edge
+        classes[pair].append(edge)
         incident_by_class[pair][u].append(edge)
         incident_by_class[pair][v].append(edge)
 
     k_of = {}
-    max_rounds = 0
-    label_space = max(2, len(edges))
+    rows = {}
+    label_space = max(2, len(graph.edges))
     for pair, class_edges in classes.items():
-        index = {edge: i for i, edge in enumerate(sorted(class_edges))}
+        class_edges.sort()
+        index = {edge: i for i, edge in enumerate(class_edges)}
         parents = [None] * len(class_edges)
         for edge, i in index.items():
             u, v = edge
@@ -157,21 +162,15 @@ def _cole_vishkin_stage(graph, defective_colors, edge_index):
             others = [e for e in incident_by_class[pair][head] if e != edge]
             if others:
                 parents[i] = index[others[0]]
-        labels = [edge_index[edge] for edge in sorted(class_edges)]
-        colors, rounds = cole_vishkin_three_coloring(parents, labels, label_space)
-        max_rounds = max(max_rounds, rounds)
+        labels = [edge_index[edge] for edge in class_edges]
+        colors, _, steps = cole_vishkin_three_coloring(
+            parents, labels, label_space, return_history=True
+        )
         for edge, i in index.items():
             k_of[edge] = colors[i]
-
-    # Bit ledger: one label exchange per CV round with shrinking label space.
-    spaces = []
-    space = label_space
-    while space > 6:
-        spaces.append(space)
-        space = 2 * max(1, (space - 1).bit_length())
-    cv_bits = sum(2 * _bits(s) for s in spaces) + 6 * 2 * 2
-    cv_rounds = len(spaces) + 6
-    return k_of, max(max_rounds, cv_rounds), cv_bits
+            if history:
+                rows[edge] = [(row[i], space) for row, space in steps]
+    return k_of, rows
 
 
 def _run_line_stage(line_graph, stage, initial, palette, backend="reference"):
@@ -202,6 +201,9 @@ def edge_coloring_congest(graph, exact=True, neighbor_ids_known=False,
 
     Returns an :class:`EdgeColoringResult`.
     """
+    from repro.oocore.store import reject_sharded
+
+    reject_sharded(graph, "edge_coloring_congest")
     delta = graph.max_degree
     edges = graph.edges
     if not edges:
@@ -220,9 +222,13 @@ def edge_coloring_congest(graph, exact=True, neighbor_ids_known=False,
     bits["kuhn-2-defective"] = 2 * _bits(max(1, delta))
 
     line_graph, edge_index = build_line_graph(graph, backend=backend)
-    k_of, cv_rounds, cv_bits = _cole_vishkin_stage(graph, defective, edge_index)
-    rounds["cole-vishkin"] = cv_rounds
-    bits["cole-vishkin"] = cv_bits
+    k_of, _ = cole_vishkin_classes(graph, defective, edge_index)
+    # One label exchange per CV round, each label at the width of the space
+    # it was drawn from.
+    spaces = label_spaces(max(2, len(edges)))
+    sent = ([max(2, len(edges))] + spaces)[:len(spaces) - 6]
+    rounds["cole-vishkin"] = len(spaces)
+    bits["cole-vishkin"] = sum(2 * _bits(s) for s in sent) + 6 * 2 * 2
 
     # Proper 3 * Delta^2 coloring of the line graph.
     base = max(1, delta)

@@ -22,7 +22,7 @@ the parent index or ``None``), so it serves both edge classes (Section 5) and
 any path/cycle workload directly.
 """
 
-__all__ = ["cole_vishkin_three_coloring"]
+__all__ = ["cole_vishkin_three_coloring", "label_spaces"]
 
 
 def _lowest_differing_bit(x, y):
@@ -66,6 +66,21 @@ def _neighbors_in_pseudoforest(parents):
     return neighbors
 
 
+def label_spaces(label_space):
+    """The label space after each round of :func:`cole_vishkin_three_coloring`.
+
+    A pure function of ``label_space``, so every pseudoforest started from
+    the same space runs the same rounds: the bit-reduction rounds down to at
+    most 6 labels, then the six shift-down and eliminate rounds at 6.
+    """
+    spaces = []
+    space = max(label_space, 2)
+    while space > 6:
+        space = 2 * max(1, (space - 1).bit_length())
+        spaces.append(space)
+    return spaces + [6] * 6
+
+
 def cole_vishkin_three_coloring(parents, initial_labels, label_space, return_history=False):
     """3-color a pseudoforest of maximum (undirected) degree at most 2.
 
@@ -97,13 +112,11 @@ def cole_vishkin_three_coloring(parents, initial_labels, label_space, return_his
     if len(labels) != n:
         raise ValueError("one label per node required")
     rounds = 0
-    space = max(label_space, 2)
     history = []
 
     # Phase 1: iterated bit reduction down to at most 6 labels.
-    while space > 6:
+    for space in label_spaces(label_space)[:-6]:
         labels = _bit_reduction_round(labels, parents)
-        space = 2 * max(1, (space - 1).bit_length())
         rounds += 1
         history.append((list(labels), space))
 

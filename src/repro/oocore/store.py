@@ -47,6 +47,7 @@ __all__ = [
     "parse_bytes",
     "partition_ranges",
     "peak_rss_bytes",
+    "reject_sharded",
     "release_pages",
     "requested_shards",
     "scratch_root",
@@ -432,6 +433,20 @@ class ShardedCSRGraph:
     def __repr__(self):
         return "ShardedCSRGraph(n=%d, m=%d, shards=%d, path=%r)" % (
             self.n, self.m, self.shards, self.path,
+        )
+
+
+def reject_sharded(graph, entry):
+    """Raise :class:`TypeError` when ``graph`` is a :class:`ShardedCSRGraph`.
+
+    ``entry`` names a routine with no out-of-core tier: it walks the whole
+    edge list or CSR in memory, which a sharded graph never materializes.
+    """
+    if isinstance(graph, ShardedCSRGraph):
+        raise TypeError(
+            "%s has no out-of-core tier: it needs an in-memory StaticGraph, "
+            "not a ShardedCSRGraph (run it on backend 'auto', 'batch' or "
+            "'reference')" % entry
         )
 
 

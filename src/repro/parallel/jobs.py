@@ -298,7 +298,7 @@ def _alg_bek(graph, backend="auto", seed=1, **params):
     return bek_delta_plus_one(graph, backend=backend, **params)
 
 
-def _alg_kuhn_wattenhofer(graph, backend="auto", seed=1, **params):
+def _alg_kuhn_wattenhofer(graph, backend="auto", seed=1):
     """Kuhn–Wattenhofer halving reduction from the trivial ID coloring."""
     from repro.baselines.kuhn_wattenhofer import KuhnWattenhoferReduction
     from repro.runtime.backends import resolve_backend
@@ -308,12 +308,10 @@ def _alg_kuhn_wattenhofer(graph, backend="auto", seed=1, **params):
         KuhnWattenhoferReduction(),
         list(range(graph.n)),
         in_palette_size=max(2, graph.n),
-        **params,
     )
 
 
-def _alg_defective(graph, backend="auto", seed=1, tolerance=None, k=None,
-                   **params):
+def _alg_defective(graph, backend="auto", seed=1, tolerance=None, k=None):
     """Lemma 3.4's tolerant Linial stage alone: an m-defective coloring.
 
     ``k`` (alias ``tolerance``) is the defect budget — the same Maus-style
@@ -331,7 +329,6 @@ def _alg_defective(graph, backend="auto", seed=1, tolerance=None, k=None,
         DefectiveLinialColoring(tolerance),
         list(range(graph.n)),
         in_palette_size=max(2, graph.n),
-        **params,
     )
 
 
@@ -391,7 +388,7 @@ class BaselineReport:
 Result.register(BaselineReport)
 
 
-def _alg_greedy(graph, backend="auto", seed=1, order=None, **params):
+def _alg_greedy(graph, backend="auto", seed=1, order=None):
     """Sequential first-fit oracle (wave-parallel on the fast path).
 
     Not distributed: ``rounds`` is the number of sequential vertex visits.
@@ -466,7 +463,7 @@ Result.register(SelfStabReport)
 
 def _run_selfstab(
     algorithm_cls, graph, backend="auto", seed=1, bursts=2, corruptions=8,
-    churn=0, delta=None, **params
+    churn=0, delta=None
 ):
     """Cold start, then ``bursts`` seeded corruption (and churn) bursts.
 

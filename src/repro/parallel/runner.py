@@ -20,9 +20,10 @@ Per-job **timeout**: with ``timeout=T`` set, jobs are dispatched one per
 task and the parent waits at most ``T`` seconds per result; on expiry the
 pool is terminated and rebuilt (the only way to reclaim a stuck worker), the
 offending job is charged one attempt, and undelivered jobs are re-dispatched
-uncharged.  **Bounded retry**: a job that errors or times out is re-run up
-to ``retries`` additional times before its failure becomes the final
-outcome.
+uncharged.  **Bounded retry**: a job that times out is re-dispatched up to
+``retries`` more times before its timeout becomes the final outcome.  An
+error is final at once: a job is a pure function of its spec, so a second
+attempt would fail the same way.
 
 **Telemetry stitching**: when the parent's :mod:`repro.obs` collector is
 live, each worker captures its own collector around the job and ships the
@@ -84,7 +85,10 @@ class JobRunner:
         Per-job wall-clock budget in seconds (None = unlimited).  Enforced
         only in process mode — inline execution cannot preempt a job.
     retries:
-        Additional attempts for a job that errors or times out (default 1).
+        Re-dispatches of a job that times out (default 1).  A job that
+        errors runs once: its spec would fail the same way again.  Only a
+        pool-mode job with a ``timeout`` can time out, so inline runs never
+        use it.
     mode:
         ``"auto"`` (process pool when useful and available, else inline),
         ``"process"`` (force the pool), or ``"inline"`` (force in-process).
@@ -174,12 +178,6 @@ class JobRunner:
         """Run one job; returns its :class:`JobOutcome`."""
         return self.map_jobs([spec])[0]
 
-    def run_sweep(self, ns, degrees, seeds, algorithm="cor36", backend="auto", family="regular", params=None):
-        """Run the cartesian product sweep; see :func:`sweep_specs`."""
-        return self.map_jobs(
-            sweep_specs(ns, degrees, seeds, algorithm=algorithm, backend=backend, family=family, params=params)
-        )
-
     def map_jobs(self, specs):
         """Run every spec; returns outcomes in input order.
 
@@ -202,15 +200,10 @@ class JobRunner:
     def _map_inline(self, specs, collect):
         outcomes = []
         for spec in specs:
-            attempts = 0
-            while True:
-                attempts += 1
-                self._notify(spec, "running")
-                envelope = execute_job(spec, collect_telemetry=collect)
-                if envelope["ok"] or attempts > self.retries:
-                    break
+            self._notify(spec, "running")
+            envelope = execute_job(spec, collect_telemetry=collect)
             self._notify(spec, "done" if envelope["ok"] else "failed")
-            outcomes.append(JobOutcome(spec, envelope, attempts))
+            outcomes.append(JobOutcome(spec, envelope, 1))
         return outcomes
 
     def _chunks(self, indices):
@@ -276,11 +269,8 @@ class JobRunner:
                 for i, envelope in zip(chunk, results):
                     attempts[i] += 1
                     timed_out[i] = False
-                    if not envelope["ok"] and attempts[i] <= self.retries:
-                        next_pending.append(i)
-                    else:
-                        envelopes[i] = envelope
-                        self._notify(specs[i], "done" if envelope["ok"] else "failed")
+                    envelopes[i] = envelope
+                    self._notify(specs[i], "done" if envelope["ok"] else "failed")
             pending = next_pending
 
         return [
@@ -330,8 +320,9 @@ def run(job, **kwargs):
     """Run one job in this process; returns its :class:`JobOutcome`.
 
     ``job`` is a :class:`JobSpec` or its dict form.  Keyword arguments
-    (``retries``, ...) forward to :class:`JobRunner`; single jobs always run
-    inline — there is nothing to shard.
+    forward to :class:`JobRunner`; single jobs always run inline — there is
+    nothing to shard — so ``timeout`` and ``retries`` have no effect here:
+    the job runs exactly once.
     """
     kwargs.setdefault("mode", "inline")
     kwargs.setdefault("workers", 1)

@@ -10,8 +10,12 @@ reference by actually shipping every bit).  The suite covers every protocol
 variant, degenerate topologies, and the no-NumPy dispatch behavior.
 """
 
+import hashlib
+import json
+
 import pytest
 
+from repro import obs
 from repro.bitround.edge_coloring import run_edge_coloring_bit_protocol
 from repro.bitround.vertex_coloring import run_vertex_coloring_bit_protocol
 from repro.edge.congest import edge_coloring_congest
@@ -172,6 +176,81 @@ class TestRegistryParity:
             result = resolve_algorithm(name)(graph, backend="reference", seed=2)
             assert result.rounds > 0
             assert result.num_colors >= 1
+
+
+def _digest(result):
+    payload = json.dumps(result.to_dict(), sort_keys=True).encode()
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
+class TestBatchLedgerPins:
+    """The batch ledgers beyond the parity graphs, pinned by digest.
+
+    The reference tier is too slow to cross-check at these sizes, so each
+    ``to_dict()`` digest was recorded from the batch tier before it ran its
+    stages on the engine: colors, round counts and every ledger entry are
+    the ones the private round loops produced.
+    """
+
+    @requires_numpy
+    @pytest.mark.parametrize(
+        "graph, digest",
+        [
+            (lambda: random_regular(2000, 16, seed=3), "5184ffc72e374220"),
+            (lambda: gnp_graph(1500, 0.01, seed=4), "ef49a63c81f924fd"),
+        ],
+        ids=["regular-2000-16", "gnp-1500"],
+    )
+    def test_vertex_digest(self, graph, digest):
+        _skip_without_numpy()
+        run = run_vertex_coloring_bit_protocol(graph(), backend="batch")
+        assert _digest(run) == digest
+
+    @requires_numpy
+    @pytest.mark.parametrize(
+        "graph, digests",
+        [
+            (
+                lambda: random_regular(600, 8, seed=5),
+                ["c281be4d95536834", "3a33d4711d76a2eb",
+                 "d9c171d7cdc6fdb4", "8f821d5dc39a6548"],
+            ),
+            (
+                lambda: gnp_graph(300, 0.03, seed=6),
+                ["0a4470c1ea2d4385", "9da5bfc1377dc073",
+                 "1a82f56b91bc1b6d", "5e1a47fd57228778"],
+            ),
+        ],
+        ids=["regular-600-8", "gnp-300"],
+    )
+    def test_edge_digests_all_variants(self, graph, digests):
+        _skip_without_numpy()
+        graph = graph()
+        got = [
+            _digest(
+                run_edge_coloring_bit_protocol(
+                    graph, exact=exact, neighbor_ids_known=known, backend="batch"
+                )
+            )
+            for exact in (False, True)
+            for known in (False, True)
+        ]
+        assert got == digests
+
+    @requires_numpy
+    def test_batch_jobs_run_on_the_engine(self):
+        _skip_without_numpy()
+        graph = random_regular(600, 8, seed=5)
+        expected = {
+            "bitround": ["linial", "additive-group", "standard-reduction"],
+            "bitround-edge": ["additive-group", "exact-hybrid"],
+        }
+        for name, stages in expected.items():
+            with obs.capture() as tel:
+                resolve_algorithm(name)(graph, backend="batch", seed=1)
+            runs = tel.events_of("engine.run")
+            assert [run["stage"] for run in runs] == stages, name
+            assert {run["backend"] for run in runs} == {"batch"}, name
 
 
 class TestNoNumpyDispatch:

@@ -304,6 +304,41 @@ class TestParallelCommands:
         with pytest.raises(SystemExit):
             run_cli(["color", "--n", "32", "--degree", "4", "--jobs", "2"])
 
+    def test_sweep_prints_a_dash_for_a_result_without_num_colors(self):
+        from repro.parallel import register_algorithm
+        from repro.parallel.jobs import _ALGORITHMS
+
+        class Bare:
+            """The three result-protocol members and nothing else."""
+
+            def __init__(self, n):
+                self.colors = list(range(n))
+                self.rounds = 3
+
+            def to_dict(self):
+                return {"colors": self.colors, "rounds": self.rounds}
+
+        register_algorithm("bare", lambda graph, backend="auto", seed=1: Bare(graph.n))
+        try:
+            code, text = run_cli(
+                ["sweep", "--n", "24", "--degree", "4", "--algorithm", "bare"]
+            )
+        finally:
+            _ALGORITHMS.pop("bare", None)
+        assert code == 0, text
+        assert "rounds=3     colors=-" in text
+        assert "jobs: 1 ok, 0 failed" in text
+
+    @pytest.mark.requires_numpy
+    def test_oocore_budget_overrun_fails_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_OOCORE_DIR", str(tmp_path))
+        code, text = run_cli(
+            ["color", "--n", "2000", "--degree", "8", "--oocore",
+             "--memory-budget", "1K"]
+        )
+        assert code == 1
+        assert "FAILED (MemoryBudgetError, 1 attempt)" in text
+
     def test_sweep_unknown_algorithm_fails_cleanly(self):
         code, text = run_cli(
             ["sweep", "--n", "24", "--degree", "4", "--algorithm", "nope"]

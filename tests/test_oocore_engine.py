@@ -271,6 +271,20 @@ class TestBackendRegistration:
         assert [o.colors for o in oocore] == [o.colors for o in batch]
 
 
+    @pytest.mark.parametrize("algorithm", ["bek", "edge", "bitround-edge"])
+    def test_in_memory_only_jobs_reject_a_sharded_graph(self, algorithm, monkeypatch):
+        # These jobs walk the whole edge list or CSR; on a sharded graph
+        # they fail at the entry with one typed error, not mid-run.
+        from repro.parallel import JobSpec, execute_job
+
+        monkeypatch.setenv("REPRO_OOCORE_DIR", tempfile.mkdtemp(prefix="oocore-reject-"))
+        graph = {"family": "regular", "n": 200, "degree": 8, "seed": 1}
+        envelope = execute_job(JobSpec(algorithm=algorithm, graph=graph, backend="oocore"))
+        assert not envelope["ok"]
+        assert envelope["error"]["kind"] == "TypeError"
+        assert "has no out-of-core tier" in envelope["error"]["message"]
+
+
 class TestShardedGreedy:
     @pytest.mark.parametrize("shards", [1, 2, 5])
     def test_bit_identical_to_first_fit(self, shards):

@@ -175,6 +175,9 @@ class TestTimeout:
 
 
 class TestRetry:
+    # Only a timeout is re-dispatched: a job is a pure function of its
+    # spec, so an error would repeat on every attempt.
+
     def test_persistent_failure_is_bounded(self, scratch_algorithm):
         def boom(graph, backend="auto", seed=1, **params):
             raise RuntimeError("always broken")
@@ -182,7 +185,7 @@ class TestRetry:
         scratch_algorithm("boom", boom)
         outcome = repro.run({"algorithm": "boom"}, retries=2)
         assert not outcome.ok
-        assert outcome.attempts == 3
+        assert outcome.attempts == 1
         assert outcome.error["kind"] == "RuntimeError"
         assert "always broken" in outcome.error["message"]
 
@@ -199,8 +202,37 @@ class TestRetry:
 
         scratch_algorithm("flaky", flaky)
         outcome = repro.run({"algorithm": "flaky", "graph": {"family": "regular", "n": 60, "degree": 4, "seed": 1}}, retries=1)
-        assert outcome.ok
-        assert outcome.attempts == 2
+        # The first failure is final: the job ran once and was not re-run.
+        assert not outcome.ok
+        assert outcome.attempts == 1
+        assert outcome.error["message"] == "transient"
+        assert calls["count"] == 1
+
+    def test_failure_in_the_pool_runs_once(self, scratch_algorithm):
+        if not _fork_available():
+            pytest.skip("fork start method required to inherit the algorithm")
+
+        def boom(graph, backend="auto", seed=1, **params):
+            raise RuntimeError("always broken")
+
+        scratch_algorithm("boom-pool", boom)
+        specs = [JobSpec(algorithm="boom-pool", graph={"family": "path", "n": 4}, seed=s) for s in (1, 2)]
+        with JobRunner(workers=2, retries=2, mode="process") as runner:
+            outcomes = runner.map_jobs(specs)
+        assert [(o.ok, o.attempts) for o in outcomes] == [(False, 1), (False, 1)]
+
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_misspelled_param_is_a_type_error(self, algorithm):
+        # Every registry wrapper names its params, so a typo cannot run as
+        # the no-params job under its own id.
+        graph = {"family": "regular", "n": 30, "degree": 4, "seed": 1}
+        outcome = repro.run(
+            {"algorithm": algorithm, "graph": graph, "params": {"visiblity": "local"}}
+        )
+        assert not outcome.ok
+        assert outcome.error["kind"] == "TypeError"
+        assert "visiblity" in outcome.error["message"]
+        assert outcome.attempts == 1
 
     def test_unknown_algorithm_is_an_error_outcome(self):
         outcome = repro.run({"algorithm": "no-such-thing"}, retries=0)
