@@ -12,7 +12,7 @@ The v1 surface is the *experiment contract* — specs in, results out:
 * **describe** — :class:`JobSpec` (a run by value) and
   :func:`register_algorithm` / :func:`algorithm_names` to extend the
   algorithm registry, :func:`resolve_backend` / :func:`backend_names` for
-  the execution-backend registry;
+  the execution engines of each backend;
 * **execute** — :func:`run` / :func:`run_many` / :func:`run_sweep` /
   :class:`JobRunner` for in-process execution, :class:`ServiceClient`
   against a ``repro serve`` daemon;

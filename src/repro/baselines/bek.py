@@ -26,6 +26,7 @@ from repro.analysis.invariants import coloring_defect, is_proper_coloring
 from repro.core.reductions import StandardColorReduction
 from repro.defective.vertex import DefectiveLinialColoring
 from repro.linial.core import LinialColoring
+from repro.runtime.backends import choose_tier, resolve_backend
 from repro.runtime.csr import numpy_or_none
 
 __all__ = ["BEKResult", "bek_delta_plus_one"]
@@ -63,17 +64,15 @@ class BEKResult:
         )
 
 
-def _make_engine(graph, backend):
-    from repro.runtime.backends import resolve_backend
-
-    return resolve_backend("engine", backend)(graph)
+def _make_engine(graph, tier):
+    return resolve_backend("engine", tier)(graph)
 
 
-def _base_case(graph, backend):
+def _base_case(graph, tier):
     """Small Delta: Linial + standard reduction (both O(Delta^2)-cheap here)."""
     if graph.n == 0:
         return [], 0
-    engine = _make_engine(graph, backend)
+    engine = _make_engine(graph, tier)
     linial = LinialColoring()
     first = engine.run(linial, list(range(graph.n)))
     reduction = StandardColorReduction()
@@ -83,17 +82,18 @@ def _base_case(graph, backend):
     return second.int_colors, first.rounds_used + second.rounds_used
 
 
-def _recursive_color(graph, depth, parent_delta=None, backend="auto"):
-    """Proper (Delta_G + 1)-coloring of ``graph``; returns (colors, rounds, depth)."""
+def _recursive_color(graph, depth, tier, parent_delta=None):
+    """Proper (Delta_G + 1)-coloring of ``graph`` on ``tier`` (``"batch"`` or
+    ``"reference"``); returns (colors, rounds, depth)."""
     delta = graph.max_degree
     stuck = parent_delta is not None and delta >= parent_delta
     if delta <= _BASE_DELTA or graph.n <= _BASE_DELTA + 2 or stuck:
-        colors, rounds = _base_case(graph, backend)
+        colors, rounds = _base_case(graph, tier)
         return colors, rounds, depth
 
     # Stage 1: p-defective coloring with p = Delta / 4.
     tolerance = max(1, delta // 4)
-    engine = _make_engine(graph, backend)
+    engine = _make_engine(graph, tier)
     defective = DefectiveLinialColoring(tolerance)
     dres = engine.run(defective, list(range(graph.n)))
     class_of = dres.int_colors
@@ -101,7 +101,7 @@ def _recursive_color(graph, depth, parent_delta=None, backend="auto"):
     rounds = dres.rounds_used
 
     # Stage 2: recurse on the classes in parallel.
-    np = None if backend == "reference" else numpy_or_none()
+    np = numpy_or_none() if tier == "batch" else None
     sub_results = {}
     deepest = depth
     max_sub_rounds = 0
@@ -112,7 +112,7 @@ def _recursive_color(graph, depth, parent_delta=None, backend="auto"):
         else:
             subgraph, index = graph.subgraph(members)
         sub_colors, sub_rounds, sub_depth = _recursive_color(
-            subgraph, depth + 1, parent_delta=delta, backend=backend
+            subgraph, depth + 1, tier, parent_delta=delta
         )
         sub_results[cid] = (members, index, sub_colors)
         max_sub_rounds = max(max_sub_rounds, sub_rounds)
@@ -207,13 +207,11 @@ def bek_delta_plus_one(graph, backend="auto"):
 
     The output is verified proper and within ``[0, Delta]`` before returning.
     ``backend`` selects the execution tier for every internal engine run and
-    the merge sweeps (``auto``/``batch``/``reference``); results
-    are bit-identical across backends.
+    the merge sweeps (``auto``/``batch``/``reference``; there is no oocore
+    tier); results are bit-identical across backends.
     """
-    from repro.oocore.store import reject_sharded
-
-    reject_sharded(graph, "bek_delta_plus_one")
-    colors, rounds, depth = _recursive_color(graph, 0, backend=backend)
+    tier = choose_tier(backend, graph)
+    colors, rounds, depth = _recursive_color(graph, 0, tier)
     if graph.n:
         assert is_proper_coloring(graph, colors)
         assert max(colors) <= graph.max_degree

@@ -15,7 +15,7 @@ the sequential sweep, in ``depth(pi)`` array rounds instead of ``n`` Python
 steps.
 """
 
-from repro.runtime.backends import resolve_backend
+from repro.runtime.backends import choose_tier
 from repro.runtime.csr import numpy_or_none
 
 __all__ = ["greedy_coloring"]
@@ -27,36 +27,23 @@ def greedy_coloring(graph, order=None, backend="auto"):
     Returns a list of colors in ``range(Delta + 1)`` (entries stay ``None``
     for vertices a partial ``order`` never visits).  All backends produce
     bit-identical output: ``reference`` is the plain Python sweep, ``batch``
-    the wave-parallel NumPy path, ``auto`` the best available.
+    the wave-parallel NumPy path, ``oocore`` the same waves shard by shard
+    (natural order only), ``auto`` the best available for the graph.
     """
-    resolve_backend("engine", backend)  # unknown names fail as in the engines
-    if backend == "oocore" or type(graph).__name__ == "ShardedCSRGraph":
-        # Out-of-core graphs never materialize a full CSR; the sharded
-        # first-fit sweep is bit-identical to this function's natural order.
+    tier = choose_tier(backend, graph, oocore=True)
+    if tier == "oocore":
         from repro.oocore.engine import oocore_greedy
-        from repro.oocore.store import ShardedCSRGraph
 
-        if not isinstance(graph, ShardedCSRGraph):
-            raise TypeError(
-                "backend='oocore' greedy needs a ShardedCSRGraph; "
-                "shard the graph with repro.oocore.writers first"
-            )
         return oocore_greedy(graph, order=order)
-    n = graph.n
-    np = None if backend == "reference" else numpy_or_none()
-    if np is None:
-        if backend == "batch":
-            raise RuntimeError(
-                "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-            )
+    if tier == "reference":
         return _greedy_reference(graph, order)
+    n = graph.n
     order_list = list(range(n)) if order is None else list(order)
-    csr = graph.csr()
     if sorted(order_list) != list(range(n)):
         # Partial or repeating orders revisit vertices; the wave argument
         # needs a permutation.  These only appear in tiny oracle checks.
         return _greedy_reference(graph, order_list)
-    return _greedy_waves(np, csr, order_list, graph.max_degree + 1)
+    return _greedy_waves(numpy_or_none(), graph.csr(), order_list, graph.max_degree + 1)
 
 
 def _greedy_reference(graph, order):
@@ -84,45 +71,62 @@ def _greedy_waves(np, csr, order_list, palette):
     e_counts = csr.count_per_vertex(earlier)
     e_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(e_counts, out=e_indptr[1:])
-    e_indices = csr.indices[earlier].astype(np.int32)
     l_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(csr.degrees - e_counts, out=l_indptr[1:])
-    l_indices = csr.indices[~earlier].astype(np.int32)
-
-    def gather(indptr, indices, rows, repeats):
-        """Concatenated rows of a CSR half, plus ``repeats`` spread per slot."""
-        starts = indptr[rows]
-        lens = indptr[rows + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        shift = np.cumsum(lens) - lens
-        slot = np.repeat(starts - shift, lens) + np.arange(total, dtype=np.int64)
-        spread = np.repeat(repeats, lens) if repeats is not None else None
-        return indices[slot], spread
-
-    indeg = e_counts.copy()
     colors = np.full(n, -1, dtype=np.int32)
-    # Kahn-style frontier sweep: a vertex enters the wave exactly when its
-    # last earlier neighbor gets colored, so each wave touches only its own
-    # adjacency slots — total work O(m), not O(m * depth).
+    first_fit_waves(
+        np,
+        (e_indptr, csr.indices[earlier].astype(np.int32)),
+        (l_indptr, csr.indices[~earlier].astype(np.int32)),
+        e_counts, colors, palette,
+    )
+    return colors.tolist()
+
+
+def _gather(np, half, rows, repeats):
+    """Concatenated rows of a CSR half, plus ``repeats`` spread per slot."""
+    indptr, indices = half
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    total = int(lens.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    shift = np.cumsum(lens) - lens
+    slot = np.repeat(starts - shift, lens) + np.arange(total, dtype=np.int64)
+    spread = np.repeat(repeats, lens) if repeats is not None else None
+    return indices[slot], spread
+
+
+def first_fit_waves(np, earlier, later, indeg, colors, palette):
+    """First-fit over an acyclic orientation, one wave of rows at a time.
+
+    Colors rows ``0..k-1`` of ``colors`` in place, ``k = indeg.shape[0]``.
+    ``earlier`` and ``later`` are ``(indptr, indices)`` CSR halves over
+    those rows: a row's earlier neighbors name the colors it avoids (they
+    index ``colors`` and may reach precolored rows past ``k``), its later
+    ones (all below ``k``) the rows whose countdown its coloring advances.
+    ``indeg[v]`` counts ``v``'s uncolored earlier neighbors and is consumed.
+    A row enters the wave exactly when its last earlier neighbor gets
+    colored (Kahn's sweep), so each wave touches only its own slots: total
+    work O(m), not O(m * depth).
+    """
+    k = indeg.shape[0]
     wave = np.nonzero(indeg == 0)[0]
-    indeg[wave] = -1  # colored vertices never re-enter
-    remaining = n
+    indeg[wave] = -1  # colored rows never re-enter
+    remaining = k
     while wave.size:
-        k = wave.size
-        taken, key_base = gather(
-            e_indptr, e_indices, wave, np.arange(k, dtype=np.int64) * palette
+        width = wave.size
+        taken, key_base = _gather(
+            np, earlier, wave, np.arange(width, dtype=np.int64) * palette
         )
-        occupancy = np.bincount(key_base + colors[taken], minlength=k * palette)
-        colors[wave] = (occupancy.reshape(k, palette) == 0).argmax(axis=1)
-        remaining -= k
+        occupancy = np.bincount(key_base + colors[taken], minlength=width * palette)
+        colors[wave] = (occupancy.reshape(width, palette) == 0).argmax(axis=1)
+        remaining -= width
         if remaining == 0:
             break
-        later, _ = gather(l_indptr, l_indices, wave, None)
-        if later.size:
-            indeg -= np.bincount(later, minlength=n)
+        after, _ = _gather(np, later, wave, None)
+        if after.size:
+            indeg -= np.bincount(after, minlength=k)
         wave = np.nonzero(indeg == 0)[0]
         indeg[wave] = -1
-    return colors.tolist()

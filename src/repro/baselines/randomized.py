@@ -24,33 +24,11 @@ break the same symmetry instantly through their ROM-resident IDs.
 
 import random
 
-from repro.runtime.backends import resolve_backend
+from repro.runtime.backends import choose_tier
 from repro.runtime.csr import numpy_or_none
 from repro.selfstab.engine import SelfStabAlgorithm
 
 __all__ = ["luby_mis", "random_trial_coloring", "RandomTrialSelfStabColoring"]
-
-
-def _batch_np(backend):
-    """NumPy when the fast path applies, None for the reference path.
-
-    Randomized baselines expose the repo-wide ``backend`` knob with the usual
-    semantics: ``auto`` vectorizes when NumPy is importable, ``batch`` demands
-    it, ``reference`` forces the pure-Python loop.  Both paths consume the
-    seeded PRNG in the identical call sequence, so results are bit-for-bit
-    equal across backends.
-    """
-    resolve_backend("engine", backend)  # unknown names fail as in the engines
-    if backend == "reference":
-        return None
-    np = numpy_or_none()
-    if np is None:
-        if backend == "batch":
-            raise RuntimeError(
-                "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-            )
-        return None
-    return np
 
 
 def luby_mis(graph, seed, max_rounds=None, backend="auto"):
@@ -58,13 +36,14 @@ def luby_mis(graph, seed, max_rounds=None, backend="auto"):
 
     Priorities are drawn in ascending vertex order over the undecided set, so
     the run is a pure function of ``(graph, seed)`` — the same property that
-    lets the vectorized path replay the exact draw sequence.
+    lets the vectorized path replay the exact draw sequence, so every
+    ``backend`` (``auto``/``batch``/``reference``) returns the same result.
     """
+    tier = choose_tier(backend, graph)
     rng = random.Random(seed)
     cap = max_rounds or (8 * max(1, graph.n).bit_length() + 40)
-    np = _batch_np(backend)
-    if np is not None and hasattr(graph, "csr"):
-        return _luby_mis_batch(np, graph, rng, cap)
+    if tier == "batch":
+        return _luby_mis_batch(numpy_or_none(), graph, rng, cap)
     undecided = set(graph.vertices())
     members = set()
     rounds = 0
@@ -118,14 +97,19 @@ def _luby_mis_batch(np, graph, rng, cap):
 
 
 def random_trial_coloring(graph, seed, palette=None, max_rounds=None, backend="auto"):
-    """Randomized trial (Delta+1)-coloring; returns ``(colors, rounds)``."""
+    """Randomized trial (Delta+1)-coloring; returns ``(colors, rounds)``.
+
+    Both tiers consume the seeded PRNG in the identical call sequence, so
+    every ``backend`` (``auto``/``batch``/``reference``) returns the same
+    result.
+    """
+    tier = choose_tier(backend, graph)
     rng = random.Random(seed)
     if palette is None:
         palette = graph.max_degree + 1
     cap = max_rounds or (8 * max(1, graph.n).bit_length() + 40)
-    np = _batch_np(backend)
-    if np is not None and hasattr(graph, "csr"):
-        return _random_trial_batch(np, graph, rng, palette, cap)
+    if tier == "batch":
+        return _random_trial_batch(numpy_or_none(), graph, rng, palette, cap)
     colors = [None] * graph.n
     rounds = 0
     while any(c is None for c in colors) and rounds < cap:

@@ -35,8 +35,7 @@ from repro.edge.congest import cole_vishkin_classes, edge_coloring_congest
 from repro.edge.line_graph import build_line_graph
 from repro.linial.cole_vishkin import label_spaces
 from repro.runtime.algorithm import NetworkInfo
-from repro.runtime.backends import resolve_backend
-from repro.runtime.csr import numpy_or_none
+from repro.runtime.backends import choose_tier
 from repro.runtime.results import Result
 
 __all__ = ["BitRoundEdgeColoringRun", "run_edge_coloring_bit_protocol"]
@@ -131,7 +130,8 @@ def run_edge_coloring_bit_protocol(graph, exact=True, neighbor_ids_known=False,
                                    backend="auto"):
     """Execute the whole pipeline through bit channels.
 
-    ``backend`` picks the execution tier: the reference tier streams every
+    ``backend`` picks the execution tier (``auto``/``batch``/``reference``;
+    there is no oocore tier): the reference tier streams every
     bit through a :class:`~repro.bitround.channel.BitChannelNetwork` and
     checks both endpoints' replicas after every round, while the batch tier
     runs :func:`~repro.edge.congest.edge_coloring_congest` on the batch
@@ -142,18 +142,9 @@ def run_edge_coloring_bit_protocol(graph, exact=True, neighbor_ids_known=False,
 
     Returns a :class:`BitRoundEdgeColoringRun`.
     """
-    from repro.oocore.store import reject_sharded
-
-    reject_sharded(graph, "run_edge_coloring_bit_protocol")
-    resolve_backend("engine", backend)  # unknown names fail as in the engines
-    np = None if backend == "reference" else numpy_or_none()
-    if np is not None and hasattr(graph, "csr"):
-        return _batch(graph, exact, neighbor_ids_known)
-    if np is None and backend == "batch":
-        raise RuntimeError(
-            "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-        )
-    return _reference(graph, exact, neighbor_ids_known)
+    if choose_tier(backend, graph) == "reference":
+        return _reference(graph, exact, neighbor_ids_known)
+    return _batch(graph, exact, neighbor_ids_known)
 
 
 def _batch(graph, exact, neighbor_ids_known):

@@ -27,7 +27,7 @@ from repro.core.ag import AdditiveGroupColoring
 from repro.core.reductions import StandardColorReduction
 from repro.linial.core import LinialColoring, linial_next_color
 from repro.runtime.algorithm import NetworkInfo
-from repro.runtime.backends import resolve_backend
+from repro.runtime.backends import choose_tier
 from repro.runtime.csr import numpy_or_none
 from repro.runtime.pipeline import ColoringPipeline
 from repro.runtime.results import Result
@@ -88,25 +88,22 @@ def run_vertex_coloring_bit_protocol(graph, backend="auto"):
 
     ``backend`` picks the execution tier.  The reference tier pushes every
     bit through a real :class:`BitChannelNetwork` and asserts per-neighbor
-    replica consistency after every round; the batch tier runs the same
-    stages on the batch engine and computes each phase's bit-round count
-    from the channel's closed form (``drain()`` returns the longest pending
-    queue, i.e. the widest message any direction carries that round).  Both
-    tiers return bit-identical colors, round counts, and ledgers.
+    replica consistency after every round; the batch and oocore tiers run
+    the same stages on their engine and compute each phase's bit-round
+    count from the channel's closed form (``drain()`` returns the longest
+    pending queue, i.e. the widest message any direction carries that
+    round).  Every tier returns bit-identical colors, round counts, and
+    ledgers.
     """
-    resolve_backend("engine", backend)  # unknown names fail as in the engines
-    np = None if backend == "reference" else numpy_or_none()
-    if np is not None and hasattr(graph, "csr"):
-        return _batch(graph, np)
-    if np is None and backend == "batch":
-        raise RuntimeError(
-            "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-        )
-    return _reference(graph)
+    tier = choose_tier(backend, graph, oocore=True)
+    if tier == "reference":
+        return _reference(graph)
+    return _on_engine(graph, tier)
 
 
-def _batch(graph, np):
-    """Batch tier: the cor36 stages on the batch engine, the ledger in closed form.
+def _on_engine(graph, tier):
+    """Batch and oocore tiers: the cor36 stages on the tier's engine, the
+    ledger in closed form.
 
     Linial sends one palette-width message per planned iteration; AG sends
     the pair once, then one bit per executed round.  The reduction protocol
@@ -116,6 +113,7 @@ def _batch(graph, np):
     ``1 + width`` bits when its class holds a vertex with neighbors, else the
     1-bit flag.  An edgeless graph sends nothing.
     """
+    np = numpy_or_none()
     n = graph.n
     if n == 0:
         return VertexBitProtocolRun([], {}, {})
@@ -124,7 +122,7 @@ def _batch(graph, np):
     )
     run = pipeline.run(
         graph, np.arange(n, dtype=np.int64), in_palette_size=max(2, n),
-        backend="batch",
+        backend=tier,
     )
     (linial, _), (ag, ag_run), (reduction, _) = run.stage_results
     rounds = {
@@ -136,9 +134,7 @@ def _batch(graph, np):
         return VertexBitProtocolRun(run.colors, rounds, dict.fromkeys(rounds, 0))
     palettes = [max(2, n)] + [iteration.out_palette for iteration in linial.plan]
     colors = ag_run.int_colors_array
-    acting = np.unique(
-        colors[(graph.csr().degrees > 0) & (colors >= reduction.target)]
-    )
+    acting = np.unique(colors[(_degrees(graph) > 0) & (colors >= reduction.target)])
     bit_rounds = {
         "linial": sum(_bits(palette) for palette in palettes[:-1]),
         "additive-group": _bits(palettes[-1]) + ag_run.rounds_used,
@@ -146,6 +142,15 @@ def _batch(graph, np):
         + acting.shape[0] * _bits(ag.q),
     }
     return VertexBitProtocolRun(run.colors, rounds, bit_rounds)
+
+
+def _degrees(graph):
+    """Every vertex's degree: the shard ``indptr``'s steps, or the CSR's."""
+    from repro.oocore.store import ShardedCSRGraph
+
+    if isinstance(graph, ShardedCSRGraph):
+        return graph.degrees()
+    return graph.csr().degrees
 
 
 def _reference(graph):

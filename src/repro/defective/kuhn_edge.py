@@ -14,6 +14,7 @@ class edges).  Everything is decided in one communication round with
 accounting.
 """
 
+from repro.runtime.backends import choose_tier
 from repro.runtime.csr import numpy_or_none
 
 __all__ = ["kuhn_defective_edge_coloring", "kuhn_defective_edge_arrays"]
@@ -29,14 +30,7 @@ def kuhn_defective_edge_coloring(graph, backend="auto"):
     computes the same counters with two sorts over the edge arrays and is
     bit-identical to the reference sweep.
     """
-    np = None if backend == "reference" else numpy_or_none()
-    if np is None:
-        if backend == "batch":
-            raise RuntimeError(
-                "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-            )
-        return _reference(graph)
-    if not hasattr(graph, "csr"):
+    if choose_tier(backend, graph) == "reference":
         return _reference(graph)
     i, j = kuhn_defective_edge_arrays(graph)
     return dict(zip(graph.edges, zip(i.tolist(), j.tolist())))

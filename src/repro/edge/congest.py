@@ -30,6 +30,7 @@ from repro.core.hybrid import ExactDeltaPlusOneHybrid
 from repro.defective.kuhn_edge import kuhn_defective_edge_coloring
 from repro.edge.line_graph import build_line_graph
 from repro.linial.cole_vishkin import cole_vishkin_three_coloring, label_spaces
+from repro.runtime.backends import choose_tier, resolve_backend
 from repro.runtime.results import Result
 
 __all__ = ["EdgeColoringResult", "edge_coloring_congest", "edge_coloring_bit_round"]
@@ -173,10 +174,8 @@ def cole_vishkin_classes(graph, defective_colors, edge_index, history=False):
     return k_of, rows
 
 
-def _run_line_stage(line_graph, stage, initial, palette, backend="reference"):
-    from repro.runtime.backends import resolve_backend
-
-    engine = resolve_backend("engine", backend)(
+def _run_line_stage(line_graph, stage, initial, palette, tier):
+    engine = resolve_backend("engine", tier)(
         line_graph, check_proper_each_round=True
     )
     return engine.run(stage, initial, in_palette_size=palette)
@@ -196,14 +195,12 @@ def edge_coloring_congest(graph, exact=True, neighbor_ids_known=False,
         Skip the initial ID exchange (Lemma 5.2, second statement).
     backend:
         Execution tier for the Kuhn stage, the line-graph build, and the
-        line-graph engine runs (``auto``/``batch``/``reference``);
-        every tier returns the identical result.
+        line-graph engine runs (``auto``/``batch``/``reference``; there is
+        no oocore tier); every tier returns the identical result.
 
     Returns an :class:`EdgeColoringResult`.
     """
-    from repro.oocore.store import reject_sharded
-
-    reject_sharded(graph, "edge_coloring_congest")
+    tier = choose_tier(backend, graph)
     delta = graph.max_degree
     edges = graph.edges
     if not edges:
@@ -217,11 +214,11 @@ def edge_coloring_congest(graph, exact=True, neighbor_ids_known=False,
         rounds["id-exchange"] = 1
         bits["id-exchange"] = 2 * id_bits
 
-    defective = kuhn_defective_edge_coloring(graph, backend=backend)
+    defective = kuhn_defective_edge_coloring(graph, backend=tier)
     rounds["kuhn-2-defective"] = 1
     bits["kuhn-2-defective"] = 2 * _bits(max(1, delta))
 
-    line_graph, edge_index = build_line_graph(graph, backend=backend)
+    line_graph, edge_index = build_line_graph(graph, backend=tier)
     k_of, _ = cole_vishkin_classes(graph, defective, edge_index)
     # One label exchange per CV round, each label at the width of the space
     # it was drawn from.
@@ -238,7 +235,7 @@ def edge_coloring_congest(graph, exact=True, neighbor_ids_known=False,
     palette = 3 * base * base
 
     ag = AdditiveGroupColoring()
-    ag_run = _run_line_stage(line_graph, ag, initial, palette, backend=backend)
+    ag_run = _run_line_stage(line_graph, ag, initial, palette, tier)
     rounds["ag"] = ag_run.rounds_used
     bits["ag"] = 2 * _bits(palette) + 2 * max(0, ag_run.rounds_used - 1)
 
@@ -248,9 +245,7 @@ def edge_coloring_congest(graph, exact=True, neighbor_ids_known=False,
 
     if exact:
         hybrid = ExactDeltaPlusOneHybrid()
-        hybrid_run = _run_line_stage(
-            line_graph, hybrid, colors, palette, backend=backend
-        )
+        hybrid_run = _run_line_stage(line_graph, hybrid, colors, palette, tier)
         rounds["exact-hybrid"] = hybrid_run.rounds_used
         bits["exact-hybrid"] = 2 * 2 * hybrid_run.rounds_used
         colors = hybrid_run.int_colors

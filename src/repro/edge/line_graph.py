@@ -8,6 +8,7 @@ run our vertex stages on ``L(G)`` while accounting for bits as the real
 two-endpoint protocol would.
 """
 
+from repro.runtime.backends import choose_tier
 from repro.runtime.csr import numpy_or_none
 from repro.runtime.graph import StaticGraph
 
@@ -21,21 +22,18 @@ def build_line_graph(graph, backend="auto"):
     order); two are adjacent iff the edges share an endpoint.  ``edge_index``
     maps each original edge ``(u, v)`` (``u < v``) to its line-graph vertex.
 
-    The line graph's maximum degree is at most ``2 * Delta - 2``.  The batch
-    backend generates the incidence pairs with array ops (two simple edges
+    The line graph's maximum degree is at most ``2 * Delta - 2``.
+    ``backend`` picks the tier (``auto``/``batch``/``reference``).  The batch
+    tier generates the incidence pairs with array ops (two simple edges
     share at most one endpoint, so every line edge is produced exactly once
     and the resulting :class:`StaticGraph` is identical).
     """
+    tier = choose_tier(backend, graph)
     edges = graph.edges
     edge_index = {edge: i for i, edge in enumerate(edges)}
-    np = None if backend == "reference" else numpy_or_none()
-    if np is not None and hasattr(graph, "csr") and edges:
-        line_edges = _line_edges_batch(np, graph.csr())
+    if tier == "batch" and edges:
+        line_edges = _line_edges_batch(numpy_or_none(), graph.csr())
     else:
-        if np is None and backend == "batch":
-            raise RuntimeError(
-                "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-            )
         incident = [[] for _ in range(graph.n)]
         for idx, (u, v) in enumerate(edges):
             incident[u].append(idx)

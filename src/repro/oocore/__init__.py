@@ -13,11 +13,7 @@ The public surface:
 See DESIGN.md §9 for the shard layout and the halo-exchange protocol.
 """
 
-from repro.oocore.engine import (
-    OocoreColoringEngine,
-    OocoreRunResult,
-    oocore_greedy,
-)
+from repro.oocore.engine import OocoreColoringEngine, oocore_greedy
 from repro.oocore.store import (
     BUDGET_ENV,
     DIR_ENV,
@@ -42,7 +38,6 @@ __all__ = [
     "SHARDS_ENV",
     "MemoryBudgetError",
     "OocoreColoringEngine",
-    "OocoreRunResult",
     "ShardedCSRGraph",
     "ensure_sharded",
     "memory_budget",

@@ -51,63 +51,12 @@ from repro.runtime.fast_engine import (
     scalar_colors,
 )
 
-__all__ = ["OocoreColoringEngine", "OocoreRunResult", "ShardState", "oocore_greedy"]
+__all__ = ["OocoreColoringEngine", "ShardState", "oocore_greedy"]
 
 #: Above this many vertices the engine stops pinning the full final state in
 #: RAM, and ``result.colors`` (scalar tuples) becomes unavailable — the
 #: decoded int64 array is the product at scale.
 _SCALAR_STATE_LIMIT = 1 << 22
-
-
-class OocoreRunResult(RunResult):
-    """A :class:`RunResult` that materializes its Python views lazily.
-
-    ``int_colors_array`` (the decoded int64 array) is the primary artifact;
-    ``int_colors`` and ``colors`` are derived on first access so a
-    10^7-vertex run does not pay for Python lists it never reads.
-    """
-
-    def __init__(self, stage, final_state, decoded, rounds_used, metrics):
-        self._stage = stage
-        self._final_state = final_state
-        self.rounds_used = rounds_used
-        self.metrics = metrics
-        self.history = None
-        self.int_colors_array = decoded
-        self._num_colors = None
-        self._int_colors = None
-        self._colors = None
-
-    @property
-    def int_colors(self):
-        """The final coloring as a plain-int list (memoized from the plane)."""
-        if self._int_colors is None:
-            self._int_colors = self.int_colors_array.tolist()
-        return self._int_colors
-
-    @property
-    def colors(self):
-        """The final scalar color tuples, matching the in-memory engines.
-
-        Only retained at test sizes: above ``_SCALAR_STATE_LIMIT`` vertices
-        the decoded state is dropped and this raises — use
-        :attr:`int_colors_array` at out-of-core scale.
-        """
-        if self._colors is None:
-            if self._final_state is None:
-                raise RuntimeError(
-                    "scalar color tuples are not retained above %d vertices; "
-                    "use result.int_colors_array" % _SCALAR_STATE_LIMIT
-                )
-            self._colors = scalar_colors(self._stage, self._final_state)
-        return self._colors
-
-    @property
-    def num_colors(self):
-        if self._num_colors is None:
-            np = numpy_or_none()
-            self._num_colors = int(np.unique(self.int_colors_array).shape[0])
-        return self._num_colors
 
 
 class OocoreColoringEngine:
@@ -131,11 +80,6 @@ class OocoreColoringEngine:
         shards=None,
         scratch=None,
     ):
-        if numpy_or_none() is None:
-            raise RuntimeError(
-                "backend='oocore' needs NumPy; install it with "
-                "`pip install repro[fast]`"
-            )
         if record_history:
             raise ValueError(
                 "record_history is not supported by the oocore engine "
@@ -500,7 +444,9 @@ class ShardState(ColumnState):
                 np.array(planes.view(self.runner.src, comp)[: graph.n])
                 for comp in range(planes.ncomp)
             )
-        result = OocoreRunResult(self.stage, final_state, decoded, rounds_used, metrics)
+        result = RunResult.from_columns(
+            self.stage, final_state, decoded, rounds_used, metrics
+        )
         return result, self.overflow(decoded, palette_size)
 
     def record(self, tel, stage):
@@ -532,18 +478,25 @@ def oocore_greedy(graph, order=None):
     read from the persistent color plane and seeds the occupancy exactly as
     an in-shard earlier neighbor would.  Within a shard the standard
     wave-parallel argument applies.  Only the natural order (``order=None``)
-    is supported out of core.
+    is supported out of core.  An in-memory graph is sharded into scratch
+    first, as the engine does.
     """
-    np = numpy_or_none()
-    if np is None:
-        raise RuntimeError("oocore greedy needs NumPy")
+    from repro.baselines.greedy import first_fit_waves
+
     if order is not None:
         raise ValueError(
             "custom orders are not supported by the out-of-core greedy; "
             "use the in-memory backend"
         )
     if not isinstance(graph, ShardedCSRGraph):
-        raise TypeError("oocore_greedy needs a ShardedCSRGraph")
+        from repro.oocore.writers import shard_static_graph
+
+        scratch = tempfile.mkdtemp(prefix="repro-oocore-", dir=scratch_root())
+        try:
+            return oocore_greedy(shard_static_graph(graph, scratch))
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
+    np = numpy_or_none()
     io_read = io_written = halo_bytes = 0
     palette = graph.max_degree + 1
     plane = graph.colors_plane() if graph.n else None
@@ -566,60 +519,16 @@ def oocore_greedy(graph, order=None):
         # Occupancy half: every earlier neighbor (owned or halo).  Countdown
         # half: later in-shard neighbors only — later out-of-shard vertices
         # belong to later shards and are not gated here.
-        e_rows = rows[earlier]
-        e_nbrs = local.lindices[earlier]
-        e_counts = np.bincount(e_rows, minlength=k)
-        e_indptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(e_counts, out=e_indptr[1:])
-        e_order = np.argsort(e_rows, kind="stable")
-        e_indices = e_nbrs[e_order]
         later_in = (~earlier) & (sl_global < local.hi)
-        l_rows = rows[later_in]
-        l_counts = np.bincount(l_rows, minlength=k)
-        l_indptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(l_counts, out=l_indptr[1:])
-        l_order = np.argsort(l_rows, kind="stable")
-        l_indices = local.lindices[later_in][l_order]
         # In-shard earlier neighbors gate readiness (halo ones are colored).
         indeg = np.bincount(
             rows[earlier & (sl_global >= local.lo)], minlength=k
         )
-
-        def gather(indptr, indices, wave, repeats):
-            starts = indptr[wave]
-            lens = indptr[wave + 1] - starts
-            total = int(lens.sum())
-            if total == 0:
-                empty = np.zeros(0, dtype=np.int64)
-                return empty, empty
-            shift = np.cumsum(lens) - lens
-            slot = np.repeat(starts - shift, lens) + np.arange(total, dtype=np.int64)
-            spread = np.repeat(repeats, lens) if repeats is not None else None
-            return indices[slot], spread
-
-        wave = np.nonzero(indeg == 0)[0]
-        indeg[wave] = -1
-        remaining = k
-        while wave.size:
-            width = wave.size
-            taken, key_base = gather(
-                e_indptr, e_indices, wave,
-                np.arange(width, dtype=np.int64) * palette,
-            )
-            occupancy = np.bincount(
-                key_base + colors_local[taken], minlength=width * palette
-            ) if taken.size else np.zeros(width * palette, dtype=np.int64)
-            colors_local[wave] = (
-                occupancy.reshape(width, palette) == 0
-            ).argmax(axis=1)
-            remaining -= width
-            if remaining == 0:
-                break
-            later, _ = gather(l_indptr, l_indices, wave, None)
-            if later.size:
-                indeg -= np.bincount(later, minlength=k)
-            wave = np.nonzero(indeg == 0)[0]
-            indeg[wave] = -1
+        first_fit_waves(
+            np, _row_half(np, rows, local.lindices, earlier, k),
+            _row_half(np, rows, local.lindices, later_in, k),
+            indeg, colors_local, palette,
+        )
         plane[local.lo:local.hi] = colors_local[:k]
         io_written += 8 * k
         release_pages(plane)
@@ -635,3 +544,11 @@ def oocore_greedy(graph, order=None):
     if graph.n == 0:
         return []
     return np.array(plane).tolist()
+
+
+def _row_half(np, rows, nbrs, mask, k):
+    """The masked slots as an ``(indptr, indices)`` CSR over ``k`` rows
+    (``rows`` is non-decreasing, so the slots stay grouped by row)."""
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[mask], minlength=k), out=indptr[1:])
+    return indptr, nbrs[mask]

@@ -34,7 +34,8 @@ import mmap
 import os
 import tempfile
 
-from repro.runtime.csr import CSRAdjacency, numpy_or_none
+from repro.runtime.backends import require_numpy
+from repro.runtime.csr import CSRAdjacency
 
 __all__ = [
     "FORMAT_VERSION",
@@ -47,7 +48,6 @@ __all__ = [
     "parse_bytes",
     "partition_ranges",
     "peak_rss_bytes",
-    "reject_sharded",
     "release_pages",
     "requested_shards",
     "scratch_root",
@@ -73,16 +73,6 @@ _MAX_DEFAULT_SHARDS = 64
 
 class MemoryBudgetError(RuntimeError):
     """The planned resident footprint exceeds ``REPRO_OOCORE_BUDGET``."""
-
-
-def _require_numpy():
-    np = numpy_or_none()
-    if np is None:
-        raise RuntimeError(
-            "the out-of-core tier needs NumPy; install it with "
-            "`pip install repro[fast]` (or unset REPRO_DISABLE_NUMPY)"
-        )
-    return np
 
 
 def parse_bytes(text):
@@ -242,7 +232,7 @@ class ShardLocal:
         kernels themselves.
         """
         if self._global_indices is None:
-            np = _require_numpy()
+            np = require_numpy("oocore")
             mm = self._graph._indices_memmap()
             self._global_indices = np.array(mm[self._start:self._end])
             self.bytes_read += self._global_indices.nbytes
@@ -292,7 +282,7 @@ class ShardedCSRGraph:
     # -- file handles -----------------------------------------------------------
 
     def _open(self, name, shape, mode="r"):
-        np = _require_numpy()
+        np = require_numpy("oocore")
         if shape[0] == 0:
             return np.zeros(shape, dtype=np.int64)
         return np.memmap(
@@ -345,13 +335,13 @@ class ShardedCSRGraph:
 
     def halo_ids(self, shard_id):
         """The sorted halo vertex ids of one shard (int64 array)."""
-        np = _require_numpy()
+        np = require_numpy("oocore")
         a, b = self.halo_offsets[shard_id], self.halo_offsets[shard_id + 1]
         return np.array(self._halo_memmap()[a:b])
 
     def local(self, shard_id):
         """Stream one shard's local CSR off disk as a :class:`ShardLocal`."""
-        np = _require_numpy()
+        np = require_numpy("oocore")
         lo, hi = self.ranges[shard_id]
         indptr = np.array(self._indptr_memmap()[lo:hi + 1])
         start, end = int(indptr[0]), int(indptr[-1])
@@ -379,6 +369,10 @@ class ShardedCSRGraph:
         indptr = self._indptr_memmap()
         return int(indptr[v + 1] - indptr[v])
 
+    def degrees(self):
+        """Every vertex's degree as one int64 array (the ``indptr`` steps)."""
+        return require_numpy("oocore").diff(self._indptr_memmap())
+
     def neighbors(self, v):
         """One vertex's sorted global neighbor tuple (a two-page read)."""
         indptr = self._indptr_memmap()
@@ -393,7 +387,7 @@ class ShardedCSRGraph:
         shard) resident at a time.  Meant for analysis at test sizes — at
         out-of-core sizes iterate per shard instead.
         """
-        np = _require_numpy()
+        np = require_numpy("oocore")
         indptr_mm = self._indptr_memmap()
         indices_mm = self._indices_memmap()
         for lo, hi in self.ranges:
@@ -436,20 +430,6 @@ class ShardedCSRGraph:
         )
 
 
-def reject_sharded(graph, entry):
-    """Raise :class:`TypeError` when ``graph`` is a :class:`ShardedCSRGraph`.
-
-    ``entry`` names a routine with no out-of-core tier: it walks the whole
-    edge list or CSR in memory, which a sharded graph never materializes.
-    """
-    if isinstance(graph, ShardedCSRGraph):
-        raise TypeError(
-            "%s has no out-of-core tier: it needs an in-memory StaticGraph, "
-            "not a ShardedCSRGraph (run it on backend 'auto', 'batch' or "
-            "'reference')" % entry
-        )
-
-
 class PlaneStore:
     """Double-buffered per-component int64 state planes as memmap files.
 
@@ -460,7 +440,7 @@ class PlaneStore:
     """
 
     def __init__(self, directory, n, ncomp):
-        np = _require_numpy()
+        np = require_numpy("oocore")
         self.directory = directory
         self.n = n
         self.ncomp = ncomp

@@ -42,13 +42,13 @@ from repro.oocore.store import (
     LINDICES_FILE,
     META_FILE,
     ShardedCSRGraph,
-    _require_numpy,
     default_shards,
     partition_ranges,
     release_pages,
     requested_shards,
     scratch_root,
 )
+from repro.runtime.backends import require_numpy
 from repro.runtime.csr import fill_csr
 
 __all__ = [
@@ -63,7 +63,7 @@ __all__ = [
 
 def _create(path, name, count):
     """A fresh int64 memmap file of ``count`` entries (zero-length safe)."""
-    np = _require_numpy()
+    np = require_numpy("oocore")
     full = os.path.join(path, name)
     if count == 0:
         with open(full, "wb"):
@@ -79,7 +79,7 @@ def finalize_shards(path, n, m, indptr, indices, shards=None, provenance=None):
     or ndarray).  Writes ``lindices.i64``, ``halo.i64``, a zeroed
     ``colors.i64``, and ``meta.json``.
     """
-    np = _require_numpy()
+    np = require_numpy("oocore")
     if shards is None:
         shards = default_shards(n, m)
     ranges = partition_ranges(np, indptr, n, shards)
@@ -129,7 +129,7 @@ def write_edge_arrays(path, n, u, v, shards=None, provenance=None):
     """Shards from edge endpoint arrays (``u < v`` elementwise, sorted by
     ``(u, v)``, no duplicates), filled by :func:`~repro.runtime.csr.fill_csr`
     — the rows ``StaticGraph`` would build."""
-    _require_numpy()
+    require_numpy("oocore")
     os.makedirs(path, exist_ok=True)
     m = int(u.shape[0])
     indptr = _create(path, INDPTR_FILE, n + 1)
@@ -146,7 +146,7 @@ def write_edge_arrays(path, n, u, v, shards=None, provenance=None):
 def write_random_regular(path, n, d, seed, shards=None):
     """Stream a random d-regular graph into shards: the edges of
     :func:`repro.graphgen.generators.random_regular`, from its own core."""
-    _require_numpy()
+    require_numpy("oocore")
     edges = _regular_edges(n, d, seed)
     return write_edge_arrays(
         path, n, edges[:, 0], edges[:, 1], shards=shards,
@@ -164,7 +164,7 @@ def write_gnp(path, n, p, seed, shards=None):
     before its forward ones (ascending ``j``) — the sorted rows
     ``StaticGraph`` would build.
     """
-    np = _require_numpy()
+    np = require_numpy("oocore")
     provenance = {"generator": "gnp", "n": n, "p": p, "seed": seed}
     os.makedirs(path, exist_ok=True)
     degrees = np.zeros(n, dtype=np.int64)
@@ -206,7 +206,7 @@ def shard_static_graph(graph, path, shards=None, provenance=None):
     """Convert an in-memory :class:`StaticGraph` (or CSR-bearing drop-in)
     to a shard directory — the bridge for families without a streaming
     writer and for ``backend=\"oocore\"`` on an already-built graph."""
-    np = _require_numpy()
+    np = require_numpy("oocore")
     os.makedirs(path, exist_ok=True)
     csr = graph.csr()
     indptr = _create(path, INDPTR_FILE, graph.n + 1)
@@ -257,7 +257,7 @@ def ensure_sharded(spec, shards=None):
     that exists but does not open is moved aside and deleted before the
     rebuild.
     """
-    _require_numpy()
+    require_numpy("oocore")
     spec = dict(spec)
     if shards is None:
         shards = requested_shards()

@@ -5,8 +5,9 @@ everything that crosses a process boundary is a plain dict:
 
 * a :class:`JobSpec` describes one run *by value*: a graph family + its
   generator parameters, an algorithm name from the :func:`register_algorithm`
-  registry, a backend name for the :mod:`repro.runtime.backends` registry,
-  and a seed.  ``to_dict`` / ``from_dict`` round-trip it losslessly.
+  registry, a backend name (:mod:`repro.runtime.backends` maps it and the
+  graph to a tier), and a seed.  ``to_dict`` / ``from_dict`` round-trip it
+  losslessly.
 * :func:`execute_job` runs one spec in the current process and returns an
   *envelope* dict: the spec, ``ok``, a :func:`repro.runtime.results.summarize`
   summary of the result (every algorithm returns an object satisfying the
@@ -468,12 +469,14 @@ def _run_selfstab(
     """Cold start, then ``bursts`` seeded corruption (and churn) bursts.
 
     ``delta`` is the ROM-resident Delta bound of Section 4 (None: the
-    graph's max degree); churn may add edges up to it.
+    graph's max degree); churn may add edges up to it.  There is no oocore
+    tier.
     """
-    from repro.runtime.backends import resolve_backend
+    from repro.runtime.backends import choose_tier, resolve_backend
     from repro.runtime.graph import DynamicGraph
     from repro.selfstab import FaultCampaign
 
+    choose_tier(backend, graph)  # the errors only: a sharded graph fails here
     dynamic = DynamicGraph.from_static(graph, delta_bound=delta)
     algorithm = algorithm_cls(dynamic.n_bound, dynamic.delta_bound)
     engine = resolve_backend("selfstab", backend)(dynamic, algorithm)

@@ -32,7 +32,7 @@ from repro.core.hybrid import ExactDeltaPlusOneHybrid
 from repro.core.reductions import StandardColorReduction
 from repro.defective.vertex import DefectiveLinialColoring
 from repro.linial.core import LinialColoring
-from repro.runtime.backends import resolve_backend
+from repro.runtime.backends import choose_tier, resolve_backend
 from repro.runtime.pipeline import ColoringPipeline
 from repro.runtime.results import Result
 
@@ -83,6 +83,7 @@ def delta_plus_one_coloring(
     coloring uses colors in ``[0, Delta]``.  ``backend`` selects the engine
     (see :mod:`repro.runtime.backends`).
     """
+    tier = choose_tier(backend, graph, oocore=True)
     if initial_coloring is None:
         initial_coloring = _initial_id_coloring(graph)
     pipeline = ColoringPipeline(
@@ -94,7 +95,7 @@ def delta_plus_one_coloring(
         in_palette_size=_palette_size(initial_coloring, graph),
         visibility=visibility,
         check_proper_each_round=check_proper_each_round,
-        backend=backend,
+        backend=tier,
     )
 
 
@@ -106,6 +107,7 @@ def delta_plus_one_exact_no_reduction(
     backend="auto",
 ):
     """Section 7: exact (Delta+1)-coloring via the AG(p)/AG(N) hybrid."""
+    tier = choose_tier(backend, graph, oocore=True)
     if initial_coloring is None:
         initial_coloring = _initial_id_coloring(graph)
     pipeline = ColoringPipeline(
@@ -117,7 +119,7 @@ def delta_plus_one_exact_no_reduction(
         in_palette_size=_palette_size(initial_coloring, graph),
         visibility=visibility,
         check_proper_each_round=check_proper_each_round,
-        backend=backend,
+        backend=tier,
     )
 
 
@@ -293,6 +295,7 @@ def one_plus_eps_delta_coloring(
 
     Returns a :class:`SublinearColoringResult`.
     """
+    tier = choose_tier(backend, graph, oocore=True)
     delta = graph.max_degree
     tolerance = _resolve_k_knob(tolerance, k, delta)
     if tolerance is None:
@@ -302,7 +305,7 @@ def one_plus_eps_delta_coloring(
     if completion not in ("orientation", "hpartition"):
         raise ValueError("unknown completion backend %r" % completion)
 
-    engine = resolve_backend("engine", backend)(graph)
+    engine = resolve_backend("engine", tier)(graph)
     stage_rounds = {}
 
     defective = DefectiveLinialColoring(tolerance)
@@ -347,11 +350,12 @@ def sublinear_delta_plus_one_coloring(
     see EXPERIMENTS.md for the honest accounting versus [22].  ``k`` is the
     Maus-style tradeoff knob (alias of ``tolerance``, mutually exclusive).
     """
+    tier = choose_tier(backend, graph, oocore=True)
     partial = one_plus_eps_delta_coloring(
         graph, tolerance=tolerance, initial_coloring=initial_coloring,
-        backend=backend, k=k,
+        backend=tier, k=k,
     )
-    engine = resolve_backend("engine", backend)(graph)
+    engine = resolve_backend("engine", tier)(graph)
     reduction = StandardColorReduction()
     run = engine.run(
         reduction, partial.colors, in_palette_size=partial.palette_size

@@ -17,9 +17,10 @@ This package is the "distributed network" the paper's algorithms run on:
 * :mod:`repro.runtime.csr` / :mod:`repro.runtime.fast_engine` — the optional
   NumPy acceleration layer: CSR adjacency views and the vectorized
   :class:`BatchColoringEngine`,
-* :mod:`repro.runtime.backends` — the unified backend registry: engines of
-  every kind are constructed through
-  ``resolve_backend(kind, backend)(graph, ...)``,
+* :mod:`repro.runtime.backends` — the one tier choice:
+  :func:`~repro.runtime.backends.choose_tier` maps ``(backend, graph)`` to
+  the reference, batch or oocore tier, and engines of every kind are
+  constructed through ``resolve_backend(kind, backend)(graph, ...)``,
 * :mod:`repro.runtime.results` — the shared result protocol (``colors``,
   ``rounds``, ``to_dict()``) every execution result satisfies, so the
   :mod:`repro.parallel` job runner and the CLI serialize results uniformly.
@@ -34,12 +35,7 @@ from repro.runtime.engine import ColoringEngine, RunResult, Visibility
 from repro.runtime.fast_engine import BatchColoringEngine, batch_supported
 from repro.runtime.pipeline import ColoringPipeline, PipelineResult
 from repro.runtime.metrics import RoundMetrics, MetricsLog
-from repro.runtime.backends import (
-    BACKEND_KINDS,
-    backend_names,
-    register_backend,
-    resolve_backend,
-)
+from repro.runtime.backends import backend_names, choose_tier, resolve_backend
 from repro.runtime.results import Result, is_result, summarize
 
 __all__ = [
@@ -56,9 +52,8 @@ __all__ = [
     "PipelineResult",
     "RoundMetrics",
     "MetricsLog",
-    "BACKEND_KINDS",
     "backend_names",
-    "register_backend",
+    "choose_tier",
     "resolve_backend",
     "Result",
     "is_result",

@@ -1,199 +1,163 @@
-"""The unified execution-backend registry.
+"""Which tier runs: one rule for every routine with a ``backend`` parameter.
 
-One registry constructs every execution engine, keyed by *kind*:
+The paper's algorithms run on up to three tiers that agree bit for bit:
 
-* ``"engine"`` — synchronous round engines for locally-iterative stages
-  (:class:`~repro.runtime.engine.ColoringEngine` /
-  :class:`~repro.runtime.fast_engine.BatchColoringEngine`);
-* ``"selfstab"`` — self-stabilization engines
-  (:class:`~repro.selfstab.engine.SelfStabEngine` /
-  :class:`~repro.selfstab.fast_engine.BatchSelfStabEngine`).
+* ``"reference"`` — the pure-Python scalar loops;
+* ``"batch"`` — the NumPy kernels over an in-memory CSR;
+* ``"oocore"`` — the same kernels over memory-mapped CSR shards
+  (:class:`~repro.oocore.store.ShardedCSRGraph`).
 
-Every kind exposes these backend names:
+:func:`choose_tier` maps a backend name and a graph to one of them; the
+routine asking says only whether it has an oocore tier.  The rule, for a
+routine that has one:
 
-* ``"auto"`` — the vectorized batch engine when NumPy is available (and,
-  when the caller passes the relevant hint, when the workload supports the
-  batch protocol); the pure-Python reference engine otherwise;
-* ``"batch"`` — force the vectorized engine; raises :class:`RuntimeError`
-  when NumPy is missing;
-* ``"reference"`` — force the pure-Python reference engine.
+=============  ============  ===============================  ===============
+backend        no NumPy      in-memory graph                  sharded graph
+=============  ============  ===============================  ===============
+``reference``  reference     reference                        reference
+``auto``       reference     batch                            oocore
+``batch``      RuntimeError  batch                            oocore
+``oocore``     RuntimeError  oocore (sharded into scratch)    oocore
+=============  ============  ===============================  ===============
 
-The ``"engine"`` kind adds ``"oocore"``, the out-of-core engine over
-memory-mapped CSR shards.
+A routine without an oocore tier raises :class:`TypeError` wherever the
+table says oocore, and for a sharded graph under any backend.  An unknown
+backend name raises :class:`ValueError` before the graph is looked at.
+These three errors are raised here and nowhere else.
 
-Usage::
+Engines are built through :func:`resolve_backend` by *kind*: ``"engine"``
+(:class:`~repro.runtime.engine.ColoringEngine`,
+:class:`~repro.runtime.fast_engine.BatchColoringEngine` or
+:class:`~repro.oocore.engine.OocoreColoringEngine`) and ``"selfstab"``
+(:class:`~repro.selfstab.engine.SelfStabEngine` or
+:class:`~repro.selfstab.fast_engine.BatchSelfStabEngine`; no oocore tier)::
 
     from repro.runtime.backends import resolve_backend
 
     engine = resolve_backend("engine", "auto")(graph, record_history=True)
     ss = resolve_backend("selfstab", "batch")(dynamic_graph, algorithm)
 
-New execution backends (a GPU engine, a distributed shard, ...) plug in via
-:func:`register_backend` without touching any dispatch site — the CLI and
-the :mod:`repro.parallel` job runner both enumerate :func:`backend_names`
-at runtime.
+``selfstab`` under ``auto`` keeps the reference engine for an algorithm
+without batch transitions.
 """
 
+import functools
+import sys
+
 __all__ = [
-    "BACKEND_KINDS",
     "backend_names",
-    "register_backend",
+    "choose_tier",
+    "require_numpy",
     "resolve_backend",
 ]
 
-# (kind, backend-name) -> factory.  Factories share one calling convention
-# per kind; see the builtin factories below.
-_FACTORIES = {}
+#: Every backend name, ``auto`` first.
+BACKENDS = ("auto", "batch", "oocore", "reference")
 
 
-def register_backend(kind, name, factory):
-    """Register ``factory`` as backend ``name`` of ``kind``.
+def require_numpy(backend="batch"):
+    """The ``numpy`` module, or :class:`RuntimeError` when it is missing.
 
-    The factory must accept the kind's standard construction signature
-    (``(graph, **engine_kwargs)`` for ``"engine"``, ``(graph, algorithm,
-    **engine_kwargs)`` for ``"selfstab"``) and return a ready engine.
-    Registering an existing ``(kind, name)`` pair overwrites it, which is
-    how tests stub backends out.
+    ``REPRO_DISABLE_NUMPY=1`` counts as missing.  ``backend`` names the
+    tier that needed it in the message.
     """
-    _FACTORIES[(kind, name)] = factory
+    from repro.runtime.csr import numpy_or_none
 
-
-def backend_names(kind):
-    """Sorted backend names registered for ``kind`` (``auto`` first)."""
-    names = sorted(name for k, name in _FACTORIES if k == kind)
-    if not names:
-        raise ValueError(
-            "unknown backend kind %r (choose from %s)"
-            % (kind, ", ".join(sorted(BACKEND_KINDS)))
-        )
-    if "auto" in names:
-        names.remove("auto")
-        names.insert(0, "auto")
-    return names
-
-
-def resolve_backend(kind, backend="auto"):
-    """Return the engine factory registered for ``(kind, backend)``.
-
-    ``kind`` is ``"engine"`` or ``"selfstab"`` (plus anything registered at
-    runtime); ``backend`` defaults to ``"auto"``.  Unknown kinds and unknown
-    backend names both raise :class:`ValueError` listing the choices.
-    """
-    factory = _FACTORIES.get((kind, backend))
-    if factory is None:
-        names = backend_names(kind)  # raises for unknown kind
-        raise ValueError(
-            "unknown backend %r for kind %r (choose from %s)"
-            % (backend, kind, ", ".join(names))
-        )
-    return factory
-
-
-# -- builtin backends: the one-shot coloring engine ---------------------------------
-
-
-def _numpy_missing_error():
-    return RuntimeError(
-        "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-    )
-
-
-def _engine_reference(graph, stages=None, **kwargs):
-    """The pure-Python reference engine (``stages`` hint ignored)."""
-    from repro.runtime.engine import ColoringEngine
-
-    return ColoringEngine(graph, **kwargs)
-
-
-def _engine_batch(graph, stages=None, **kwargs):
-    """The vectorized batch engine; NumPy is mandatory here."""
-    from repro.runtime.csr import numpy_available
-    from repro.runtime.fast_engine import BatchColoringEngine
-
-    if not numpy_available():
-        raise _numpy_missing_error()
-    return BatchColoringEngine(graph, **kwargs)
-
-
-def _engine_auto(graph, stages=None, **kwargs):
-    """Batch when NumPy is up and every hinted stage supports it, else
-    reference.  The batch engine falls back to the scalar path per-stage, so
-    the ``stages`` hint may be omitted."""
-    from repro.runtime.csr import numpy_available
-    from repro.runtime.fast_engine import BatchColoringEngine, batch_supported
-
-    if numpy_available() and (
-        stages is None or all(batch_supported(s) for s in stages)
-    ):
-        return BatchColoringEngine(graph, **kwargs)
-    from repro.runtime.engine import ColoringEngine
-
-    return ColoringEngine(graph, **kwargs)
-
-
-def _engine_oocore(graph, stages=None, **kwargs):
-    """The out-of-core engine over memory-mapped CSR shards.
-
-    Accepts a :class:`~repro.oocore.store.ShardedCSRGraph` directly or any
-    CSR-bearing graph (converted into scratch shards).  NumPy is mandatory:
-    the out-of-core tier exists purely to scale the batch kernels past RAM
-    and has no scalar fallback.
-    """
-    from repro.runtime.csr import numpy_available
-
-    if not numpy_available():
+    np = numpy_or_none()
+    if np is None:
         raise RuntimeError(
-            "backend='oocore' needs NumPy; install it with "
-            "`pip install repro[fast]`"
+            "backend=%r needs NumPy; install it with `pip install repro[fast]` "
+            "(or unset REPRO_DISABLE_NUMPY)" % backend
         )
+    return np
+
+
+def choose_tier(backend, graph, oocore=False):
+    """The tier that runs ``graph`` under ``backend``: ``"reference"``,
+    ``"batch"`` or ``"oocore"``.
+
+    ``oocore`` says whether the asking routine has an out-of-core tier.  See
+    the module docstring for the rule and its three errors.
+    """
+    from repro.runtime.csr import numpy_available
+
+    if backend not in BACKENDS:
+        raise ValueError(
+            "unknown backend %r (choose from %s)" % (backend, ", ".join(BACKENDS))
+        )
+    # A sharded graph exists only once its module is loaded; an in-memory
+    # run never pays for importing the out-of-core package.
+    store = sys.modules.get("repro.oocore.store")
+    sharded = store is not None and isinstance(graph, store.ShardedCSRGraph)
+    if not oocore and (sharded or backend == "oocore"):
+        raise TypeError(
+            "this routine has no out-of-core tier: run it on an in-memory "
+            "graph with backend 'auto', 'batch' or 'reference'"
+        )
+    if backend == "reference" or (backend == "auto" and not numpy_available()):
+        return "reference"
+    require_numpy(backend)
+    return "oocore" if sharded or backend == "oocore" else "batch"
+
+
+def _coloring_engine(backend, graph, **kwargs):
+    tier = choose_tier(backend, graph, oocore=True)
+    if tier == "reference":
+        from repro.runtime.engine import ColoringEngine
+
+        return ColoringEngine(graph, **kwargs)
+    if tier == "batch":
+        from repro.runtime.fast_engine import BatchColoringEngine
+
+        return BatchColoringEngine(graph, **kwargs)
     from repro.oocore.engine import OocoreColoringEngine
 
     return OocoreColoringEngine(graph, **kwargs)
 
 
-# -- builtin backends: the self-stabilization engine --------------------------------
-
-
-def _selfstab_reference(graph, algorithm, **kwargs):
-    """The pure-Python reference self-stabilization engine."""
+def _selfstab_engine(backend, graph, algorithm, **kwargs):
     from repro.selfstab.engine import SelfStabEngine
-
-    return SelfStabEngine(graph, algorithm, **kwargs)
-
-
-def _selfstab_batch(graph, algorithm, **kwargs):
-    """The vectorized self-stabilization engine; NumPy is mandatory here.
-
-    (The batch engine still falls back to the scalar step per-round for
-    algorithms without the batch transition protocol.)
-    """
-    from repro.runtime.csr import numpy_available
-    from repro.selfstab.fast_engine import BatchSelfStabEngine
-
-    if not numpy_available():
-        raise _numpy_missing_error()
-    return BatchSelfStabEngine(graph, algorithm, **kwargs)
-
-
-def _selfstab_auto(graph, algorithm, **kwargs):
-    """Batch when NumPy is up and the algorithm has batch transitions."""
-    from repro.runtime.csr import numpy_available
     from repro.selfstab.fast_engine import BatchSelfStabEngine, batch_supported
 
-    if numpy_available() and batch_supported(algorithm):
+    tier = choose_tier(backend, graph)
+    if tier == "batch" and (backend == "batch" or batch_supported(algorithm)):
         return BatchSelfStabEngine(graph, algorithm, **kwargs)
-    from repro.selfstab.engine import SelfStabEngine
-
     return SelfStabEngine(graph, algorithm, **kwargs)
 
 
-register_backend("engine", "auto", _engine_auto)
-register_backend("engine", "batch", _engine_batch)
-register_backend("engine", "oocore", _engine_oocore)
-register_backend("engine", "reference", _engine_reference)
-register_backend("selfstab", "auto", _selfstab_auto)
-register_backend("selfstab", "batch", _selfstab_batch)
-register_backend("selfstab", "reference", _selfstab_reference)
+# kind -> (engine builder, backend names)
+_KINDS = {
+    "engine": (_coloring_engine, BACKENDS),
+    "selfstab": (_selfstab_engine, ("auto", "batch", "reference")),
+}
 
-#: The kinds shipped by the package itself.
-BACKEND_KINDS = ("engine", "selfstab")
+
+def _kind(kind):
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise ValueError(
+            "unknown backend kind %r (choose from %s)" % (kind, ", ".join(_KINDS))
+        )
+
+
+def backend_names(kind):
+    """The backend names of ``kind`` (``auto`` first, then sorted)."""
+    return list(_kind(kind)[1])
+
+
+def resolve_backend(kind, backend="auto"):
+    """The engine factory of ``kind`` under ``backend``.
+
+    ``"engine"`` factories take ``(graph, **engine_kwargs)``, ``"selfstab"``
+    ones ``(graph, algorithm, **engine_kwargs)``; each builds the engine of
+    the tier :func:`choose_tier` picks for the graph.  Unknown kinds and
+    backend names raise :class:`ValueError` listing the choices.
+    """
+    build, names = _kind(kind)
+    if backend not in names:
+        raise ValueError(
+            "unknown backend %r for kind %r (choose from %s)"
+            % (backend, kind, ", ".join(names))
+        )
+    return functools.partial(build, backend)

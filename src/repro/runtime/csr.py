@@ -24,6 +24,8 @@ else in the package works without it.
 
 import os
 
+from repro.runtime.backends import require_numpy
+
 __all__ = ["CSRAdjacency", "fill_csr", "numpy_or_none", "numpy_available"]
 
 _DISABLE_ENV = "REPRO_DISABLE_NUMPY"
@@ -50,16 +52,6 @@ def numpy_available():
     return numpy_or_none() is not None
 
 
-def _require_numpy():
-    np = numpy_or_none()
-    if np is None:
-        raise RuntimeError(
-            "the batch engine needs NumPy; install it with `pip install repro[fast]`"
-            " (or unset %s)" % _DISABLE_ENV
-        )
-    return np
-
-
 def fill_csr(edge_u, edge_v, indptr, indices):
     """Write the CSR of sorted unique edges into ``indptr`` and ``indices``.
 
@@ -72,7 +64,7 @@ def fill_csr(edge_u, edge_v, indptr, indices):
     order, then its forward ones, also ascending.  The one CSR fill behind
     ``StaticGraph`` and the out-of-core writers.
     """
-    np = _require_numpy()
+    np = require_numpy()
     n = indptr.shape[0] - 1
     backward = np.bincount(edge_v, minlength=n)
     degrees = backward + np.bincount(edge_u, minlength=n)
@@ -113,7 +105,7 @@ class CSRAdjacency:
     @classmethod
     def from_graph(cls, graph):
         """Flatten ``graph``'s adjacency into CSR arrays."""
-        np = _require_numpy()
+        np = require_numpy()
         n = graph.n
         degrees = np.fromiter(
             (graph.degree(v) for v in range(n)), dtype=np.int64, count=n
@@ -149,7 +141,7 @@ class CSRAdjacency:
         """
         from itertools import chain
 
-        np = _require_numpy()
+        np = require_numpy()
         verts = graph.vertices()
         n = len(verts)
         verts_arr = np.asarray(verts, dtype=np.int64)
@@ -189,7 +181,7 @@ class CSRAdjacency:
         enumerate the edges in the sorted ``u < v`` order of
         ``StaticGraph.edges``.
         """
-        np = _require_numpy()
+        np = require_numpy()
         degrees = np.diff(indptr)
         rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
         forward = rows < indices
@@ -216,7 +208,7 @@ class CSRAdjacency:
         position in ``vertices`` of the vertex owning ``slots[i]``.  A kernel
         that only touches a few vertices pays for their slots, not all 2m.
         """
-        np = _require_numpy()
+        np = require_numpy()
         starts = self.indptr[vertices]
         counts = self.indptr[vertices + 1] - starts
         owner = np.repeat(np.arange(vertices.shape[0], dtype=np.int64), counts)
@@ -225,7 +217,7 @@ class CSRAdjacency:
 
     def count_per_vertex(self, slot_mask):
         """Count True slots per owning vertex (empty neighborhoods count 0)."""
-        np = _require_numpy()
+        np = require_numpy()
         return np.bincount(self.rows[slot_mask], minlength=self.n)
 
     def any_per_vertex(self, slot_mask):
@@ -240,7 +232,7 @@ class CSRAdjacency:
         multiplicity-sensitive rules (ArbAG's conflict count) must dedupe
         before counting.  Columns are the components of the neighbor color.
         """
-        np = _require_numpy()
+        np = require_numpy()
         size = self.rows.size
         keep = np.ones(size, dtype=bool)
         if size == 0:

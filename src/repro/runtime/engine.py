@@ -63,24 +63,69 @@ class RunResult:
         ``history[0]`` is the encoded initial coloring.
     int_colors_array:
         ``int_colors`` as an int64 NumPy array when the run came off the
-        vectorized batch path, ``None`` otherwise.  Pipelines use it to keep
+        batch or oocore tier, ``None`` otherwise.  Pipelines use it to keep
         the color vector an ndarray across stage boundaries.
+
+    The batch and oocore tiers build their result with :meth:`from_columns`:
+    ``int_colors`` and ``colors`` are then derived on first access, so a run
+    that only hands its array on pays for no Python lists.
     """
 
     def __init__(self, colors, int_colors, rounds_used, metrics, history):
-        self.colors = colors
-        self.int_colors = int_colors
+        self._colors = colors
+        self._int_colors = int_colors
         self.rounds_used = rounds_used
         self.metrics = metrics
         self.history = history
         self.int_colors_array = None
+        self._final = None
         self._num_colors = None
+
+    @classmethod
+    def from_columns(cls, stage, state, decoded, rounds_used, metrics, history=None):
+        """A result over the final column ``state`` and its ``decoded`` array.
+
+        ``state`` may be None (the oocore tier drops it at scale); ``colors``
+        then raises and :attr:`int_colors_array` is the product.
+        """
+        result = cls(None, None, rounds_used, metrics, history)
+        result.int_colors_array = decoded
+        result._final = (stage, state)
+        return result
+
+    @property
+    def colors(self):
+        """Final internal colors, indexed by vertex (built on first access)."""
+        if self._colors is None:
+            stage, state = self._final
+            if state is None:
+                raise RuntimeError(
+                    "this run did not keep its final state; "
+                    "use result.int_colors_array"
+                )
+            from repro.runtime.fast_engine import scalar_colors
+
+            self._colors = scalar_colors(stage, state)
+        return self._colors
+
+    @property
+    def int_colors(self):
+        """Final decoded colors as plain ints (built on first access)."""
+        if self._int_colors is None:
+            self._int_colors = self.int_colors_array.tolist()
+        return self._int_colors
 
     @property
     def num_colors(self):
         """Distinct decoded colors in the final coloring (memoized)."""
         if self._num_colors is None:
-            self._num_colors = len(set(self.int_colors))
+            if self.int_colors_array is not None:
+                from repro.runtime.csr import numpy_or_none
+
+                unique = numpy_or_none().unique(self.int_colors_array)
+                self._num_colors = int(unique.shape[0])
+            else:
+                self._num_colors = len(set(self.int_colors))
         return self._num_colors
 
     @property

@@ -34,9 +34,9 @@ the companion methods (all operate on a *state*: a tuple of parallel
     colors (ArbAG's ``None`` finalization round) override it.
 
 Stages without ``step_batch`` simply fall back to the scalar path — a
-:class:`BatchColoringEngine` is always safe to use, and the
-:mod:`repro.runtime.backends` registry is the front door that picks the
-best backend (``resolve_backend("engine", "auto")``).
+:class:`BatchColoringEngine` is always safe to use, and
+:func:`repro.runtime.backends.resolve_backend` is the front door that picks
+the tier (``resolve_backend("engine", "auto")``).
 """
 
 from repro.obs import core as obs
@@ -184,12 +184,9 @@ class ColumnState(RoundState):
 
     def finish(self, palette_size, rounds_used, metrics, history):
         decoded = self.stage.batch_decode_final(self.state)
-        result = RunResult(
-            self.snapshot(), decoded.tolist(), rounds_used, metrics, history
+        result = RunResult.from_columns(
+            self.stage, self.state, decoded, rounds_used, metrics, history
         )
-        # Batch-aware pipelines chain this array into the next stage without
-        # round-tripping through the decoded Python list.
-        result.int_colors_array = decoded
         return result, self.overflow(decoded, palette_size)
 
     def overflow(self, decoded, palette_size):

@@ -128,10 +128,12 @@ class ColoringPipeline:
     ):
         """Run every stage in order and return a :class:`PipelineResult`.
 
-        ``backend`` selects the engine through the
-        :mod:`~repro.runtime.backends` registry: ``"auto"`` uses the
-        vectorized batch engine when NumPy is available, falling back to the
-        scalar path per-stage; ``"batch"`` / ``"reference"`` force a side.
+        ``backend`` selects the engine's tier by the rule of
+        :func:`~repro.runtime.backends.choose_tier`: ``"auto"`` uses the
+        vectorized batch engine when NumPy is available (the oocore engine
+        on a sharded graph), and the batch engine falls back to the scalar
+        path per stage; ``"batch"`` / ``"oocore"`` / ``"reference"`` force
+        a tier.
 
         The run is batch-aware end-to-end: when a stage executes on the
         vectorized path its decoded int64 array feeds the next stage directly

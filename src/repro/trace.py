@@ -97,15 +97,14 @@ def trace_run(
 ):
     """Run ``stage`` with history and return a :class:`TraceResult`.
 
-    ``backend`` selects the engine through the
-    :mod:`repro.runtime.backends` registry; because the batch engine
+    ``backend`` selects the engine through
+    :func:`repro.runtime.backends.resolve_backend`; because the batch engine
     records bit-for-bit identical histories, traces agree across backends
     (asserted in the test suite).
     """
-    kwargs = {"record_history": True, "backend": backend}
+    kwargs = {"record_history": True}
     if visibility is not None:
         kwargs["visibility"] = visibility
-    backend = kwargs.pop("backend")
     engine = resolve_backend("engine", backend)(graph, **kwargs)
     run = engine.run(stage, initial_coloring, in_palette_size=in_palette_size)
     rounds = []

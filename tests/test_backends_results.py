@@ -4,12 +4,7 @@ import pytest
 
 from repro import graphgen, obs
 from repro.obs.core import Histogram, Telemetry
-from repro.runtime.backends import (
-    BACKEND_KINDS,
-    backend_names,
-    register_backend,
-    resolve_backend,
-)
+from repro.runtime.backends import backend_names, choose_tier, resolve_backend
 from repro.runtime.csr import numpy_available
 from repro.runtime.engine import ColoringEngine
 from repro.runtime.results import Result, is_result, summarize
@@ -21,8 +16,7 @@ def _graph(n=40, d=4, seed=1):
 
 class TestBackendRegistry:
     def test_kinds_and_names(self):
-        assert set(BACKEND_KINDS) == {"engine", "selfstab"}
-        for kind in BACKEND_KINDS:
+        for kind in ("engine", "selfstab"):
             names = backend_names(kind)
             assert names[0] == "auto"
             assert set(names) >= {"auto", "batch", "reference"}
@@ -63,16 +57,93 @@ class TestBackendRegistry:
         engine = resolve_backend("selfstab", "auto")(graph, algorithm)
         assert engine.run_to_quiescence() >= 0
 
-    def test_register_custom_backend(self):
-        sentinel = object()
-        register_backend("engine", "custom-test", lambda graph, **kw: sentinel)
-        try:
-            assert "custom-test" in backend_names("engine")
-            assert resolve_backend("engine", "custom-test")(_graph()) is sentinel
-        finally:
-            from repro.runtime import backends
 
-            backends._FACTORIES.pop(("engine", "custom-test"), None)
+class _UntouchableGraph:
+    """A graph stand-in that fails on any attribute read."""
+
+    def __getattr__(self, name):
+        raise AssertionError("graph.%s was read before the backend was checked" % name)
+
+
+def _entry_points():
+    from repro.baselines import (
+        bek_delta_plus_one,
+        greedy_coloring,
+        luby_mis,
+        random_trial_coloring,
+    )
+    from repro.bitround.edge_coloring import run_edge_coloring_bit_protocol
+    from repro.bitround.vertex_coloring import run_vertex_coloring_bit_protocol
+    from repro.defective.kuhn_edge import kuhn_defective_edge_coloring
+    from repro.edge import edge_coloring_congest
+    from repro.edge.line_graph import build_line_graph
+    from repro.linial.core import LinialColoring
+    from repro.recipes import (
+        delta_plus_one_coloring,
+        delta_plus_one_exact_no_reduction,
+        one_plus_eps_delta_coloring,
+        sublinear_delta_plus_one_coloring,
+    )
+    from repro.runtime.pipeline import ColoringPipeline
+
+    pipeline = ColoringPipeline([LinialColoring()])
+    return {
+        "delta_plus_one_coloring": delta_plus_one_coloring,
+        "delta_plus_one_exact_no_reduction": delta_plus_one_exact_no_reduction,
+        "one_plus_eps_delta_coloring": one_plus_eps_delta_coloring,
+        "sublinear_delta_plus_one_coloring": sublinear_delta_plus_one_coloring,
+        "ColoringPipeline.run": lambda graph, backend: pipeline.run(
+            graph, [0], backend=backend
+        ),
+        "greedy_coloring": greedy_coloring,
+        "random_trial_coloring": lambda graph, backend: random_trial_coloring(
+            graph, 1, backend=backend
+        ),
+        "luby_mis": lambda graph, backend: luby_mis(graph, 1, backend=backend),
+        "bek_delta_plus_one": bek_delta_plus_one,
+        "kuhn_defective_edge_coloring": kuhn_defective_edge_coloring,
+        "build_line_graph": build_line_graph,
+        "edge_coloring_congest": edge_coloring_congest,
+        "run_vertex_coloring_bit_protocol": run_vertex_coloring_bit_protocol,
+        "run_edge_coloring_bit_protocol": run_edge_coloring_bit_protocol,
+    }
+
+
+class TestTierChoice:
+    """One rule maps (backend, graph) to a tier for every entry point."""
+
+    @pytest.mark.parametrize("name", sorted(_entry_points()))
+    def test_unknown_backend_fails_before_any_work(self, name):
+        with pytest.raises(ValueError, match="unknown backend 'cuda'"):
+            _entry_points()[name](_UntouchableGraph(), backend="cuda")
+
+    def test_in_memory_table(self):
+        graph = _graph()
+        with_numpy = numpy_available()
+        assert choose_tier("reference", graph, oocore=True) == "reference"
+        assert choose_tier("auto", graph) == ("batch" if with_numpy else "reference")
+        for backend, tier in (("batch", "batch"), ("oocore", "oocore")):
+            if with_numpy:
+                assert choose_tier(backend, graph, oocore=True) == tier
+            else:
+                with pytest.raises(RuntimeError, match="needs NumPy"):
+                    choose_tier(backend, graph, oocore=True)
+
+    def test_oocore_needs_the_routine_to_have_that_tier(self):
+        with pytest.raises(TypeError, match="has no out-of-core tier"):
+            choose_tier("oocore", _graph())
+
+    @pytest.mark.skipif(not numpy_available(), reason="sharding needs NumPy")
+    def test_sharded_table(self, tmp_path):
+        from repro.oocore.writers import shard_static_graph
+
+        sharded = shard_static_graph(_graph(), str(tmp_path), shards=2)
+        assert choose_tier("reference", sharded, oocore=True) == "reference"
+        for backend in ("auto", "batch", "oocore"):
+            assert choose_tier(backend, sharded, oocore=True) == "oocore"
+        for backend in ("auto", "batch", "oocore", "reference"):
+            with pytest.raises(TypeError, match="has no out-of-core tier"):
+                choose_tier(backend, sharded)
 
 
 class TestDeprecationShims:

@@ -36,9 +36,9 @@ from repro.runtime.backends import resolve_backend
 from repro.runtime.csr import numpy_available
 
 
-def make_engine(graph, backend="auto", stages=None, **kwargs):
+def make_engine(graph, backend="auto", **kwargs):
     """Registry-constructed coloring engine (successor of the removed shim)."""
-    return resolve_backend("engine", backend)(graph, stages=stages, **kwargs)
+    return resolve_backend("engine", backend)(graph, **kwargs)
 
 
 requires_numpy = pytest.mark.requires_numpy
@@ -361,17 +361,6 @@ def test_make_engine_auto_prefers_batch():
     _skip_without_numpy()
     graph = graphgen.path_graph(4)
     assert type(make_engine(graph)) is BatchColoringEngine
-    assert type(make_engine(graph, stages=[AdditiveGroupColoring()])) \
-        is BatchColoringEngine
-
-
-def test_make_engine_auto_falls_back_for_unsupported_stage():
-    from repro.selfstab.coloring import SelfStabColoring
-
-    graph = graphgen.path_graph(4)
-    # A stage without the batch protocol sends auto to the scalar engine.
-    engine = make_engine(graph, stages=[SelfStabColoring])
-    assert type(engine) is ColoringEngine
 
 
 def test_forced_numpy_disable_falls_back(monkeypatch):

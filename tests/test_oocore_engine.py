@@ -271,7 +271,11 @@ class TestBackendRegistration:
         assert [o.colors for o in oocore] == [o.colors for o in batch]
 
 
-    @pytest.mark.parametrize("algorithm", ["bek", "edge", "bitround-edge"])
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["bek", "edge", "bitround-edge", "random-trial", "selfstab",
+         "selfstab-coloring", "selfstab-rank"],
+    )
     def test_in_memory_only_jobs_reject_a_sharded_graph(self, algorithm, monkeypatch):
         # These jobs walk the whole edge list or CSR; on a sharded graph
         # they fail at the entry with one typed error, not mid-run.
@@ -283,6 +287,97 @@ class TestBackendRegistration:
         assert not envelope["ok"]
         assert envelope["error"]["kind"] == "TypeError"
         assert "has no out-of-core tier" in envelope["error"]["message"]
+
+    def test_every_job_on_oocore_equals_batch_or_fails_once(self, monkeypatch):
+        # The tier matrix: an oocore job either runs the routine's oocore
+        # tier to the batch job's summary, or fails once with the typed
+        # error.  Never the reference tier, never a mid-run AttributeError.
+        from repro.api import JobSpec, algorithm_names, run
+
+        monkeypatch.setenv("REPRO_OOCORE_DIR", tempfile.mkdtemp(prefix="oocore-matrix-"))
+        graph = {"family": "regular", "n": 200, "degree": 8, "seed": 1}
+        ran = set()
+        for name in algorithm_names():
+            oocore = run(JobSpec(algorithm=name, graph=graph, backend="oocore"))
+            if not oocore.ok:
+                assert oocore.attempts == 1, name
+                assert oocore.error["kind"] == "TypeError", (name, oocore.error)
+                assert "has no out-of-core tier" in oocore.error["message"], name
+                continue
+            batch = run(JobSpec(algorithm=name, graph=graph, backend="batch"))
+            assert oocore.summary == batch.summary, name
+            ran.add(name)
+        assert ran >= {
+            "bitround", "cor36", "defective", "exact", "greedy",
+            "kuhn-wattenhofer", "one-plus-eps", "sublinear",
+        }
+
+    def test_bitround_runs_its_stages_on_the_oocore_engine(self):
+        from repro import obs
+        from repro.bitround.vertex_coloring import run_vertex_coloring_bit_protocol
+
+        graph = random_regular(400, 16, seed=1)
+        batch = run_vertex_coloring_bit_protocol(graph, backend="batch")
+        for source in (_sharded(graph), graph):
+            with obs.capture() as tel:
+                oocore = run_vertex_coloring_bit_protocol(source, backend="oocore")
+            assert oocore.to_dict() == batch.to_dict()
+            runs = tel.events_of("engine.run")
+            assert [run["stage"] for run in runs] == [
+                "linial", "additive-group", "standard-reduction",
+            ]
+            assert {run["backend"] for run in runs} == {"oocore"}
+
+    @pytest.mark.parametrize("backend", ["auto", "batch"])
+    def test_sharded_graph_runs_the_recipes_out_of_core(self, backend):
+        from repro.apps import locally_iterative_mis
+        from repro.recipes import (
+            delta_plus_one_coloring,
+            delta_plus_one_exact_no_reduction,
+            one_plus_eps_delta_coloring,
+            sublinear_delta_plus_one_coloring,
+        )
+
+        graph = random_regular(120, 6, seed=2)
+        sharded = _sharded(graph, shards=3)
+        for recipe in (
+            delta_plus_one_coloring,
+            delta_plus_one_exact_no_reduction,
+            one_plus_eps_delta_coloring,
+            sublinear_delta_plus_one_coloring,
+        ):
+            expected = recipe(graph, backend="batch").to_dict()
+            assert recipe(sharded, backend=backend).to_dict() == expected, recipe
+        mis = locally_iterative_mis(sharded)
+        assert mis.members == locally_iterative_mis(graph).members
+
+    def test_results_are_one_class_on_every_tier(self):
+        import repro.oocore
+        from repro.linial.core import LinialColoring
+        from repro.runtime.engine import RunResult
+
+        graph = random_regular(30, 3, seed=2)
+        sharded = _sharded(graph)
+        results = [
+            _engine(backend, source).run(LinialColoring(), list(range(30)))
+            for backend, source in (
+                ("reference", graph), ("batch", graph), ("oocore", sharded),
+            )
+        ]
+        assert {type(result) for result in results} == {RunResult}
+        assert results[1].int_colors == results[2].int_colors == results[0].int_colors
+        assert results[1].colors == results[2].colors == results[0].colors
+        assert "OocoreRunResult" not in repro.oocore.__all__
+        kept = RunResult.from_columns(None, None, results[1].int_colors_array, 0, None)
+        assert kept.int_colors == results[0].int_colors
+        with pytest.raises(RuntimeError, match="int_colors_array"):
+            kept.colors
+
+
+def _engine(backend, graph):
+    from repro.runtime.backends import resolve_backend
+
+    return resolve_backend("engine", backend)(graph)
 
 
 class TestShardedGreedy:
@@ -300,6 +395,15 @@ class TestShardedGreedy:
         graph = gnp_graph(80, 0.12, seed=6)
         sharded = _sharded(graph, shards=4)
         assert greedy_coloring(sharded) == greedy_coloring(graph)
+
+    def test_in_memory_graph_is_sharded_into_scratch(self, monkeypatch):
+        from repro.baselines.greedy import greedy_coloring
+
+        scratch = tempfile.mkdtemp(prefix="oocore-greedy-")
+        monkeypatch.setenv("REPRO_OOCORE_DIR", scratch)
+        graph = gnp_graph(60, 0.1, seed=2)
+        assert greedy_coloring(graph, backend="oocore") == greedy_coloring(graph)
+        assert os.listdir(scratch) == []
 
     def test_custom_order_rejected(self):
         from repro.baselines.greedy import greedy_coloring
