@@ -2,7 +2,7 @@
 
 The Kothapalli et al. Bit-Round model allows each vertex to send **one bit
 per edge per round**.  :mod:`repro.edge.congest` accounts the protocol's bit
-cost analytically; this package goes further and *runs* it: every message is
+cost in closed form; this package goes further and *runs* it: every message is
 serialized into bits, pushed through :class:`~repro.bitround.channel.
 BitChannelNetwork` (which structurally enforces the one-bit-per-direction-
 per-round constraint), and parsed by the receiving endpoint.  The resulting

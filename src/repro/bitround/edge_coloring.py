@@ -31,9 +31,12 @@ from repro.bitround.channel import BitChannelNetwork, decode_int, encode_int
 from repro.core.hybrid import ExactDeltaPlusOneHybrid
 from repro.core.ag import ag_prime_for
 from repro.defective.kuhn_edge import kuhn_defective_edge_coloring
-from repro.edge.congest import cole_vishkin_classes, edge_coloring_congest
+from repro.edge.congest import (
+    bit_round_ledger,
+    cole_vishkin_classes,
+    edge_coloring_congest,
+)
 from repro.edge.line_graph import build_line_graph
-from repro.linial.cole_vishkin import label_spaces
 from repro.runtime.algorithm import NetworkInfo
 from repro.runtime.backends import choose_tier
 from repro.runtime.results import Result
@@ -149,29 +152,16 @@ def run_edge_coloring_bit_protocol(graph, exact=True, neighbor_ids_known=False,
 
 def _batch(graph, exact, neighbor_ids_known):
     """Batch tier: the CONGEST pipeline on the batch engine, the ledger in
-    closed form.
-
-    The ID and Kuhn phases are one message each at the ID and index widths;
-    a CV round carries a label at the width of its label space, which every
-    class shares; AG costs one bit per round and the hybrid two.
-    """
+    closed form (:func:`~repro.edge.congest.bit_round_ledger`)."""
     result = edge_coloring_congest(
         graph, exact=exact, neighbor_ids_known=neighbor_ids_known,
         backend="batch",
     )
-    if not result.edge_colors:
-        return BitRoundEdgeColoringRun({}, result.palette_size, {})
-    rounds = {}
-    if not neighbor_ids_known:
-        rounds["id-exchange"] = _bits(graph.n)
-    rounds["kuhn-2-defective"] = _bits(max(1, graph.max_degree))
-    rounds["cole-vishkin"] = sum(
-        _bits(space) for space in label_spaces(max(2, len(graph.edges)))
+    return BitRoundEdgeColoringRun(
+        result.edge_colors,
+        result.palette_size,
+        bit_round_ledger(graph, result, exact, neighbor_ids_known),
     )
-    rounds["ag"] = result.rounds_by_stage["ag"]
-    if exact:
-        rounds["exact-hybrid"] = 2 * result.rounds_by_stage["exact-hybrid"]
-    return BitRoundEdgeColoringRun(result.edge_colors, result.palette_size, rounds)
 
 
 def _reference(graph, exact, neighbor_ids_known):
@@ -353,8 +343,6 @@ def _cole_vishkin_over_channels(graph, network, pair_of, edge_index, views):
     both labels) owns the label computation; per CV round it streams the
     *actual updated label* to the tail, whose replica must match — asserted
     after every round.  Label widths follow the shrinking space schedule.
-    The count is the executed one: it differs from the analytic ledger of
-    :func:`repro.edge.congest.edge_coloring_bit_round` (see docs/models.md).
     """
     k_of, per_edge_history = cole_vishkin_classes(
         graph, pair_of, edge_index, history=True

@@ -33,7 +33,12 @@ from repro.linial.cole_vishkin import cole_vishkin_three_coloring, label_spaces
 from repro.runtime.backends import choose_tier, resolve_backend
 from repro.runtime.results import Result
 
-__all__ = ["EdgeColoringResult", "edge_coloring_congest", "edge_coloring_bit_round"]
+__all__ = [
+    "EdgeColoringResult",
+    "bit_round_ledger",
+    "edge_coloring_congest",
+    "edge_coloring_bit_round",
+]
 
 
 class EdgeColoringResult:
@@ -255,25 +260,44 @@ def edge_coloring_congest(graph, exact=True, neighbor_ids_known=False,
     return EdgeColoringResult(edge_colors, palette, rounds, bits, max_message)
 
 
+def bit_round_ledger(graph, result, exact, neighbor_ids_known):
+    """Bit-rounds per phase of the Section 5 protocol run bit by bit.
+
+    The closed form of what :mod:`repro.bitround.edge_coloring` drains from
+    its channels, read off a finished :func:`edge_coloring_congest` result:
+    the ID and Kuhn phases are one message each at the ID and index widths;
+    a Cole–Vishkin round carries a label at the width of its label space,
+    which every class shares; AG costs one bit per round and the hybrid two.
+    """
+    if not result.edge_colors:
+        return {}
+    rounds = {}
+    if not neighbor_ids_known:
+        rounds["id-exchange"] = _bits(graph.n)
+    rounds["kuhn-2-defective"] = _bits(max(1, graph.max_degree))
+    rounds["cole-vishkin"] = sum(
+        _bits(space) for space in label_spaces(max(2, len(graph.edges)))
+    )
+    rounds["ag"] = result.rounds_by_stage["ag"]
+    if exact:
+        rounds["exact-hybrid"] = 2 * result.rounds_by_stage["exact-hybrid"]
+    return rounds
+
+
 def edge_coloring_bit_round(graph, exact=True, neighbor_ids_known=False,
                             backend="auto"):
     """The same protocol, costed for the Bit-Round model.
 
-    In the Bit-Round model a vertex sends *one bit* per edge per round, so a
-    stage that exchanges ``B`` bits over an edge costs ``B`` rounds.  Total:
-    ``O(Delta + log n)`` rounds (``O(Delta + log log n)`` with known IDs),
-    Theorem 5.3.
+    In the Bit-Round model a vertex sends *one bit* per edge per round.
+    Total: ``O(Delta + log n)`` rounds (``O(Delta + log log n)`` with known
+    IDs), Theorem 5.3.
 
-    Returns ``(result, bit_rounds)``: the coloring plus the Bit-Round round
-    count (= the per-edge one-direction bit total).
+    Returns ``(result, bit_rounds)``: the coloring plus the bit-rounds the
+    executed protocol takes (:func:`bit_round_ledger`).
     """
     result = edge_coloring_congest(
         graph, exact=exact, neighbor_ids_known=neighbor_ids_known,
         backend=backend,
     )
-    # Per-edge bits are summed over both directions; each direction's bits
-    # flow in parallel, so Bit-Round rounds = one-direction bits.
-    bit_rounds = sum(
-        -(-stage_bits // 2) for stage_bits in result.bits_per_edge_by_stage.values()
-    )
-    return result, bit_rounds
+    ledger = bit_round_ledger(graph, result, exact, neighbor_ids_known)
+    return result, sum(ledger.values())

@@ -3,7 +3,7 @@
 * :mod:`repro.linial.core` — the classical ``log* n + O(1)``-round reduction
   from any ``m``-coloring (e.g. the IDs) to ``O(Delta^2)`` colors via
   polynomial set systems over GF(q), as a locally-iterative stage, plus the
-  single-step primitive with forbidden-color support (Excl-Linial, Section 4).
+  single-step primitive the self-stabilizing descent of Section 4 reuses.
 * :mod:`repro.linial.plan` — the (q, d) cascade planner: which field size and
   polynomial degree each iteration uses, derived only from ``(m, Delta)``.
 * :mod:`repro.linial.cole_vishkin` — Cole–Vishkin 3-coloring of pseudoforests

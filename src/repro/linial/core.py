@@ -1,13 +1,10 @@
-"""Linial's algorithm as a locally-iterative stage, plus the Excl-Linial step.
+"""Linial's algorithm as a locally-iterative stage.
 
 The single-iteration primitive :func:`linial_next_color` is shared by:
 
 * :class:`LinialColoring` — the static ``log* n + O(1)``-round stage used in
   Corollary 3.6's pipeline, and
-* the self-stabilizing Mod-Linial of Section 4, which calls the primitive
-  with a *forbidden set* (the Excl-Linial extension: with a field of size
-  ``> d * Delta + |forbidden|`` there is still a point avoiding every
-  neighbor's polynomial and every forbidden pair).
+* the self-stabilizing Mod-Linial descent of Section 4.
 """
 
 from repro.linial.plan import linial_plan
@@ -85,19 +82,17 @@ def _raise_like_scalar(stage, round_index, colors, csr, visibility):
     )
 
 
-def linial_next_color(color, neighbor_colors, q, degree, forbidden=frozenset()):
+def linial_next_color(color, neighbor_colors, q, degree):
     """One Linial iteration for a single vertex.
 
     Encodes ``color`` as a degree-``degree`` polynomial ``g`` over GF(q) and
     returns the new color ``x * q + g(x)`` for the smallest evaluation point
-    ``x`` where ``g`` differs from every neighbor's polynomial and the
-    resulting pair is not forbidden.
+    ``x`` where ``g`` differs from every neighbor's polynomial.
 
     Existence: each of the ``<= Delta`` neighbor polynomials agrees with ``g``
-    on at most ``degree`` points and each forbidden color rules out at most
-    one point, so ``q >= degree * Delta + |forbidden| + 1`` always leaves a
-    valid ``x``.  Raises :class:`ValueError` when the caller under-sized the
-    field.
+    on at most ``degree`` points, so ``q >= degree * Delta + 1`` always
+    leaves a valid ``x``.  Raises :class:`ValueError` when the caller
+    under-sized the field.
     """
     mine = int_to_poly_coeffs(color, degree, q)
     neighbor_polys = [
@@ -105,14 +100,11 @@ def linial_next_color(color, neighbor_colors, q, degree, forbidden=frozenset()):
     ]
     for x in range(q):
         value = eval_poly_mod(mine, x, q)
-        candidate = x * q + value
-        if candidate in forbidden:
-            continue
         if all(eval_poly_mod(other, x, q) != value for other in neighbor_polys):
-            return candidate
+            return x * q + value
     raise ValueError(
-        "no conflict-free point in GF(%d) for degree %d with %d neighbors, "
-        "%d forbidden colors" % (q, degree, len(neighbor_polys), len(forbidden))
+        "no conflict-free point in GF(%d) for degree %d with %d neighbors"
+        % (q, degree, len(neighbor_polys))
     )
 
 

@@ -222,8 +222,16 @@ def build_graph(spec, cache=True):
 def job_graph(spec):
     """The graph a :class:`JobSpec` runs on: for ``backend="oocore"`` the
     disk-cached memmap shards of :func:`~repro.oocore.writers.ensure_sharded`,
-    else :func:`build_graph` (this process's cache)."""
+    else :func:`build_graph` (this process's cache).
+
+    An oocore job of a builtin without that tier fails here, with the
+    routine's own TypeError, before any shard is written.
+    """
     if spec.backend == "oocore":
+        if _ALGORITHMS.get(spec.algorithm) in _NO_OOCORE_TIER:
+            from repro.runtime.backends import choose_tier
+
+            choose_tier(spec.backend, None)
         from repro.oocore.writers import ensure_sharded
 
         return ensure_sharded(spec.graph)
@@ -506,6 +514,13 @@ def _alg_selfstab_coloring(graph, **params):
 
     return _run_selfstab(SelfStabColoring, graph, **params)
 
+
+# The builtins whose routines have no out-of-core tier (keyed by function,
+# so a custom algorithm registered under one of their names is not).
+_NO_OOCORE_TIER = frozenset({
+    _alg_bek, _alg_edge, _alg_bitround_edge, _alg_random_trial,
+    _alg_selfstab_exact, _alg_selfstab_coloring, _alg_selfstab_rank,
+})
 
 register_algorithm("cor36", _alg_cor36)
 register_algorithm("exact", _alg_exact)

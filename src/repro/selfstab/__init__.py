@@ -12,7 +12,9 @@ legal state within ``O(Delta + log* n)`` rounds:
   core.
 * :class:`~repro.selfstab.exact.SelfStabExactColoring` — proper
   ``(Delta+1)``-coloring (Theorems 4.3 / 7.5): the same descent into an
-  extended AG(p)/AG(N) high/low hybrid core.
+  extended AG(p)/AG(N) high/low hybrid core.  Both extend
+  :class:`~repro.selfstab.descent.IntervalDescentColoring`, which holds the
+  descent, and keep only their ``I_0`` core.
 * :class:`~repro.selfstab.mis.SelfStabMIS` — maximal independent set
   (Theorems 4.5 / 4.6), layered over the coloring.
 * :mod:`repro.selfstab.line` — maximal matching and ``(2*Delta-1)``-edge-

@@ -39,6 +39,7 @@ __all__ = [
     "batch_levels",
     "check_error_and_frontier",
     "apply_upper_descent",
+    "subset_positions",
     "SENTINEL",
 ]
 
@@ -116,7 +117,7 @@ def batch_levels(colors, plan, offsets_arr, np):
 def masked_point_search(locals_, q, degree, points, nbr_rows, nbr_locals, encode, forbidden, np):
     """Smallest conflict-free evaluation point per vertex, vectorized.
 
-    The batch analogue of ``linial_next_color`` / ``_land``: encode each
+    The batch analogue of ``linial_next_color`` and the landing: encode each
     vertex's local color as a degree-``degree`` polynomial over GF(q),
     evaluate candidate points in blocks, and pick per vertex the smallest
     ``x`` whose value differs from every same-interval neighbor polynomial
@@ -211,12 +212,23 @@ def check_error_and_frontier(colors, levels, final_size, plan, ctx):
     return new, active, (rows[owner], nbrs, levels[nbrs])
 
 
+def subset_positions(mask, np):
+    """``(rows, positions)``: the rows ``mask`` selects, and an index array
+    mapping each of those rows to its position among them."""
+    sub = np.flatnonzero(mask)
+    inv = np.empty(mask.shape[0], dtype=np.int64)
+    inv[sub] = np.arange(sub.size, dtype=np.int64)
+    return sub, inv
+
+
 def apply_upper_descent(new, colors, levels, slots, active, plan, ctx):
     """Mod-Linial descent for every active vertex at level >= 2.
 
-    Shared verbatim by the plain and exact colorings (their transitions only
-    differ at levels 1 and 0).  ``slots`` is the frontier of
-    :func:`check_error_and_frontier`.  Writes results into ``new`` in place.
+    The one descent of both colorings:
+    :class:`~repro.selfstab.descent.IntervalDescentColoring` runs it, and
+    each coloring supplies only its ``I_0`` core.  ``slots`` is the
+    frontier of :func:`check_error_and_frontier`.  Writes results into
+    ``new`` in place.
     """
     np = ctx.np
     slot_rows, slot_nbrs, slot_levels = slots
@@ -226,12 +238,10 @@ def apply_upper_descent(new, colors, levels, slots, active, plan, ctx):
         return
     for level in np.unique(levels[upper]).tolist():
         mask = active & (levels == level)
-        sub = np.nonzero(mask)[0]
+        sub, inv = subset_positions(mask, np)
         iteration = plan.descent_iteration(level)
         off = offsets[level]
         locals_ = colors[sub] - off
-        inv = np.empty(colors.shape[0], dtype=np.int64)
-        inv[sub] = np.arange(sub.size, dtype=np.int64)
         smask = mask[slot_rows] & (slot_levels == level)
         owner_rows = slot_rows[smask]
         nbr_locals = colors[slot_nbrs[smask]] - off

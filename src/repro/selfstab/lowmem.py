@@ -1,22 +1,23 @@
-"""The O(1)-words self-stabilizing coloring (Section 1.2.1's memory claim).
+"""The O(1)-words self-stabilizing colorings (Section 1.2.1's memory claim).
 
 "Finally, for each of these problems, there is a variant of our algorithm in
 which vertices use just O(1) words of local memory."  The model grants every
 vertex a re-readable read-only buffer per neighbor holding the current
-incoming message; the transition below touches those buffers in streaming
-passes only and keeps every live local value inside a metered
+incoming message; :class:`_MeteredDescent` streams Procedure
+Self-Stabilizing-Coloring over those buffers for both colorings and keeps
+every live local value inside a metered
 :class:`~repro.lowmem.workspace.Workspace`:
 
 * Check-Error: one pass comparing each buffer to the own color;
-* Mod-Linial descent: for each candidate point ``x``, re-stream the buffers,
-  evaluating one same-interval neighbor polynomial at a time;
-* the Excl-Linial landing: the candidate is additionally compared, buffer by
-  buffer, against each ``I_0`` neighbor's *two* possible next colors,
-  computed on the fly (never materializing the ``O(Delta)``-sized ``S'``);
-* the AG core: own pair, one streamed neighbor, one conflict flag.
+* one streaming point search for the Mod-Linial descent and the
+  Excl-Linial landing: for each candidate point ``x``, re-stream the
+  buffers, evaluating one same-interval neighbor polynomial at a time
+  (Horner, digit by digit) and, when landing, comparing the candidate
+  against each ``I_0`` neighbor's at most *two* next colors, computed on the
+  fly (never materializing the ``O(Delta)``-sized ``S'``);
+* the core step: the coloring's own streamed form, one neighbor at a time.
 
-``transition`` provably returns bit-identical results to
-:class:`~repro.selfstab.coloring.SelfStabColoring` (tested on random
+``transition`` is bit-identical to the reference colorings (tested on random
 states), so every stabilization/radius theorem transfers; the workspace
 meter shows the peak stays a fixed handful of Theta(log n)-bit words.
 """
@@ -34,163 +35,15 @@ __all__ = [
 ]
 
 
-class SelfStabColoringConstantMemory(SelfStabColoring):
-    """Drop-in SelfStabColoring whose transition is workspace-metered."""
+class _MeteredDescent:
+    """The workspace-metered ``transition`` of both O(1)-word colorings.
 
-    name = "selfstab-coloring-o1-memory"
-    # The point of this variant is the metered scalar transition: opting out
-    # of the batch kernels keeps the workspace meter accurate.
-    batch_transitions = False
-
-    def __init__(self, n_bound, delta_bound, bit_limit=None):
-        super().__init__(n_bound, delta_bound)
-        self.workspace = Workspace(bit_limit=bit_limit)
-        self._color_bits = bits_for_range(self.plan.total_size)
-
-    @property
-    def peak_words(self):
-        """Peak workspace usage in Theta(log n_bound)-bit words."""
-        word = bits_for_range(max(2, self.n_bound))
-        return self.workspace.peak_words(word)
-
-    # -- streaming helpers ---------------------------------------------------------
-
-    def _eval_color_poly(self, color_local, x, q, degree):
-        """Horner evaluation digit by digit, O(1) registers."""
-        ws = self.workspace
-        ws.put("acc", 0, bits_for_range(q))
-        for position in range(degree, -1, -1):
-            digit = (color_local // (q ** position)) % q
-            ws.put(
-                "acc", (ws.get("acc") * x + digit) % q, bits_for_range(q)
-            )
-        value = ws.get("acc")
-        ws.free("acc")
-        return value
-
-    def _stream_levels(self, neighbor_visibles):
-        """Yield (level, global color) per buffer; one live value at a time."""
-        for color in neighbor_visibles:
-            yield self.plan.level_of(color), color
-
-    # -- the metered transition -----------------------------------------------------
-
-    def transition(self, vertex, ram, neighbor_visibles):
-        ws = self.workspace
-        plan = self.plan
-        color_bits = self._color_bits
-
-        ws.put("color", ram, color_bits)
-        level = plan.level_of(ram)
-        error = level is None
-        if not error:
-            ws.put("flag", 0, 1)
-            for _, other in self._stream_levels(neighbor_visibles):
-                ws.put("buf", other, color_bits)
-                if ws.get("buf") == ws.get("color"):
-                    ws.put("flag", 1, 1)
-                ws.free("buf")
-            error = bool(ws.get("flag"))
-            ws.free("flag")
-        if error:
-            ws.free_all()
-            return plan.reset_color(vertex)
-
-        local = ram - plan.offsets[level]
-        ws.put("local", local, color_bits)
-
-        if level >= 2:
-            iteration = plan.descent_iteration(level)
-            result = self._descend(
-                vertex,
-                level,
-                local,
-                neighbor_visibles,
-                iteration.q,
-                iteration.degree,
-                with_core_forbidden=False,
-            )
-        elif level == 1:
-            result = self._descend(
-                vertex, 1, local, neighbor_visibles, self.q, 2,
-                with_core_forbidden=True,
-            )
-        else:
-            result = self._ag_core_step(local, neighbor_visibles)
-        ws.free_all()
-        return result
-
-    def _descend(
-        self, vertex, level, local, neighbor_visibles, q, degree, with_core_forbidden
-    ):
-        """Mod-/Excl-Linial with streamed neighbors and streamed S'."""
-        ws = self.workspace
-        plan = self.plan
-        for x in range(q):
-            ws.put("x", x, bits_for_range(q))
-            ws.put("gx", self._eval_color_poly(local, x, q, degree), bits_for_range(q))
-            candidate_local = x * q + ws.get("gx")
-            ws.put("cand", candidate_local, self._color_bits)
-            ok = True
-            for nb_level, nb_color in self._stream_levels(neighbor_visibles):
-                if nb_level == level:
-                    nb_local = nb_color - plan.offsets[level]
-                    if nb_local == local:
-                        continue
-                    ws.put("nval", self._eval_color_poly(nb_local, x, q, degree),
-                           bits_for_range(q))
-                    if ws.get("nval") == ws.get("gx"):
-                        ok = False
-                    ws.free("nval")
-                elif with_core_forbidden and nb_level == 0:
-                    # The neighbor's two possible next core colors, on the fly.
-                    nb_local = nb_color - plan.offsets[0]
-                    for option in self._core_candidates(nb_local):
-                        ws.put("opt", option, self._color_bits)
-                        if ws.get("opt") == ws.get("cand"):
-                            ok = False
-                        ws.free("opt")
-                if not ok:
-                    break
-            if ok:
-                result = plan.to_global(level - 1, candidate_local)
-                return result
-            ws.free("cand")
-            ws.free("gx")
-            ws.free("x")
-        raise AssertionError("no landing point — the plan guarantees one")
-
-    def _ag_core_step(self, local, neighbor_visibles):
-        ws = self.workspace
-        plan = self.plan
-        q = self.q
-        a, b = divmod(local, q)
-        ws.put("a", a, bits_for_range(q))
-        ws.put("b", b, bits_for_range(q))
-        ws.put("conflict", 0, 1)
-        for nb_level, nb_color in self._stream_levels(neighbor_visibles):
-            if nb_level != 0:
-                continue
-            ws.put("nb", (nb_color - plan.offsets[0]) % q, bits_for_range(q))
-            if ws.get("nb") == ws.get("b"):
-                ws.put("conflict", 1, 1)
-            ws.free("nb")
-        if ws.get("conflict"):
-            return plan.to_global(0, a * q + (b + a) % q)
-        return plan.to_global(0, b)
-
-
-class SelfStabExactColoringConstantMemory(SelfStabExactColoring):
-    """O(1)-words variant of the exact (Delta+1) self-stabilizing coloring.
-
-    Same streaming discipline as :class:`SelfStabColoringConstantMemory`;
-    the hybrid core keeps the decoded own state plus one streamed neighbor
-    state and two flags, and the landing step compares each candidate
-    against each core neighbor's (at most two) next states on the fly.
-    Bit-identical to :class:`~repro.selfstab.exact.SelfStabExactColoring`.
+    Mixed in before a coloring, which supplies ``_metered_core_next(local,
+    neighbor_visibles)``: its core step over the streamed buffers.
     """
 
-    name = "selfstab-exact-coloring-o1-memory"
+    # The point of these variants is the metered scalar transition: opting
+    # out of the batch kernels keeps the workspace meter accurate.
     batch_transitions = False
 
     def __init__(self, n_bound, delta_bound, bit_limit=None):
@@ -227,21 +80,27 @@ class SelfStabExactColoringConstantMemory(SelfStabExactColoring):
             return plan.reset_color(vertex)
 
         local = ram - plan.offsets[level]
+        ws.put("local", local, color_bits)
         if level >= 2:
             iteration = plan.descent_iteration(level)
-            result = self._descend_streaming(
-                level, local, neighbor_visibles, iteration.q, iteration.degree
+            q = iteration.q
+            new_local = self._point_search(
+                level, local, neighbor_visibles, q, iteration.degree, q,
+                lambda x, value: x * q + value,
             )
         elif level == 1:
-            result = self._land_streaming(local, neighbor_visibles)
+            new_local = self._point_search(
+                1, local, neighbor_visibles, plan.landing_q, 2,
+                plan.landing_points, self._landing_candidate,
+            )
         else:
-            result = self._core_step_streaming(local, neighbor_visibles)
+            new_local = self._metered_core_next(local, neighbor_visibles)
         ws.free_all()
-        return result
+        return plan.to_global(max(0, level - 1), new_local)
 
-    # -- streaming pieces ---------------------------------------------------------
-
-    def _eval_digits(self, value, x, q, degree):
+    def _horner(self, value, x, q, degree):
+        """Evaluate ``value``'s base-``q`` digit polynomial at ``x``, digit
+        by digit, in one register."""
         ws = self.workspace
         ws.put("acc", 0, bits_for_range(q))
         for position in range(degree, -1, -1):
@@ -251,57 +110,29 @@ class SelfStabExactColoringConstantMemory(SelfStabExactColoring):
         ws.free("acc")
         return out
 
-    def _descend_streaming(self, level, local, neighbor_visibles, q, degree):
+    def _point_search(self, level, local, neighbor_visibles, q, degree, points, encode):
+        """The first point ``x`` whose candidate ``encode(x, g(x))`` no
+        same-level neighbor polynomial agrees with and, when landing
+        (level 1), no ``I_0`` neighbor may hold next round."""
         ws = self.workspace
         plan = self.plan
-        for x in range(q):
-            ws.put("gx", self._eval_digits(local, x, q, degree), bits_for_range(q))
-            ok = True
-            for color in neighbor_visibles:
-                if plan.level_of(color) != level:
-                    continue
-                nb_local = color - plan.offsets[level]
-                if nb_local == local:
-                    continue
-                ws.put(
-                    "nval",
-                    self._eval_digits(nb_local, x, q, degree),
-                    bits_for_range(q),
-                )
-                if ws.get("nval") == ws.get("gx"):
-                    ok = False
-                ws.free("nval")
-                if not ok:
-                    break
-            if ok:
-                return plan.to_global(level - 1, x * q + ws.get("gx"))
-            ws.free("gx")
-        raise AssertionError("no descent point — the plan guarantees one")
-
-    def _land_streaming(self, local, neighbor_visibles):
-        ws = self.workspace
-        plan = self.plan
-        p = self.p
-        for x in range(p - 1):
-            ws.put("gx", self._eval_digits(local, x, p, 2), bits_for_range(p))
-            candidate = self._encode_core(("H", x + 1, ws.get("gx")))
-            ws.put("cand", candidate, self._color_bits)
+        value_bits = bits_for_range(q)
+        for x in range(points):
+            ws.put("x", x, value_bits)
+            ws.put("gx", self._horner(local, x, q, degree), value_bits)
+            ws.put("cand", encode(x, ws.get("gx")), self._color_bits)
             ok = True
             for color in neighbor_visibles:
                 nb_level = plan.level_of(color)
-                if nb_level == 1:
-                    nb_local = color - plan.offsets[1]
+                if nb_level == level:
+                    nb_local = color - plan.offsets[level]
                     if nb_local == local:
                         continue
-                    ws.put(
-                        "nval",
-                        self._eval_digits(nb_local, x, p, 2),
-                        bits_for_range(p),
-                    )
+                    ws.put("nval", self._horner(nb_local, x, q, degree), value_bits)
                     if ws.get("nval") == ws.get("gx"):
                         ok = False
                     ws.free("nval")
-                elif nb_level == 0:
+                elif level == 1 and nb_level == 0:
                     for option in self._core_candidates(color - plan.offsets[0]):
                         ws.put("opt", option, self._color_bits)
                         if ws.get("opt") == ws.get("cand"):
@@ -310,15 +141,56 @@ class SelfStabExactColoringConstantMemory(SelfStabExactColoring):
                 if not ok:
                     break
             if ok:
-                return plan.to_global(0, candidate)
+                return ws.get("cand")
             ws.free("cand")
             ws.free("gx")
-        raise AssertionError("no landing point — the plan guarantees one")
+            ws.free("x")
+        raise AssertionError("no conflict-free point — the plan guarantees one")
 
-    def _core_step_streaming(self, local, neighbor_visibles):
+
+class SelfStabColoringConstantMemory(_MeteredDescent, SelfStabColoring):
+    """Drop-in SelfStabColoring whose transition is workspace-metered.
+
+    The AG core step keeps the own pair, one streamed neighbor value and a
+    conflict flag.
+    """
+
+    name = "selfstab-coloring-o1-memory"
+
+    def _metered_core_next(self, local, neighbor_visibles):
         ws = self.workspace
         plan = self.plan
-        n, p = self.n_colors, self.p
+        q = self.q
+        a, b = divmod(local, q)
+        ws.put("a", a, bits_for_range(q))
+        ws.put("b", b, bits_for_range(q))
+        ws.put("conflict", 0, 1)
+        for color in neighbor_visibles:
+            if plan.level_of(color) != 0:
+                continue
+            ws.put("nb", (color - plan.offsets[0]) % q, bits_for_range(q))
+            if ws.get("nb") == ws.get("b"):
+                ws.put("conflict", 1, 1)
+            ws.free("nb")
+        if ws.get("conflict"):
+            return a * q + (b + a) % q
+        return b
+
+
+class SelfStabExactColoringConstantMemory(_MeteredDescent, SelfStabExactColoring):
+    """O(1)-words variant of the exact (Delta+1) self-stabilizing coloring.
+
+    The hybrid core step keeps the decoded own state plus one streamed
+    neighbor state and two flags.  Bit-identical to
+    :class:`~repro.selfstab.exact.SelfStabExactColoring`.
+    """
+
+    name = "selfstab-exact-coloring-o1-memory"
+
+    def _metered_core_next(self, local, neighbor_visibles):
+        ws = self.workspace
+        plan = self.plan
+        p = self.p
         tag, b, a = self._decode_core(local)
         ws.put("a", a, bits_for_range(p))
         ws.put("b", b, bits_for_range(p))
@@ -327,36 +199,23 @@ class SelfStabExactColoringConstantMemory(SelfStabExactColoring):
         for color in neighbor_visibles:
             if plan.level_of(color) != 0:
                 continue
-            nt, nb, na = self._decode_core(color - plan.offsets[0])
-            ws.put("na", na, bits_for_range(p))
+            ws.put("nbr", color - plan.offsets[0], self._color_bits)
+            nt, nb, na = self._decode_core(ws.get("nbr"))
             if tag == "L":
-                if nt == "L" and ws.get("na") == ws.get("a"):
+                if nt == "L" and na == ws.get("a"):
                     ws.put("conflict", 1, 1)
             else:
-                if (nt == "H" and ws.get("na") == ws.get("a")) or (
-                    nt == "L" and nb == 0 and ws.get("na") == ws.get("a")
-                ):
+                if (nt == "H" or nb == 0) and na == ws.get("a"):
                     ws.put("conflict", 1, 1)
                 if nt == "L" and nb == 1:
                     ws.put("low_working", 1, 1)
-            ws.free("na")
-        conflict = bool(ws.get("conflict"))
-        low_working = bool(ws.get("low_working"))
-        if tag == "L":
-            if b == 0:
-                new_state = ("L", 0, a)
-            elif conflict:
-                new_state = ("L", 1, (a + 1) % n)
-            else:
-                new_state = ("L", 0, a)
-        else:
-            if conflict or low_working or a >= 2 * n:
-                new_state = ("H", b, (a + b) % p)
-            elif a < n:
-                new_state = ("L", 0, a)
-            else:
-                new_state = ("L", 1, a - n)
-        return plan.to_global(0, self._encode_core(new_state))
+            ws.free("nbr")
+        # _core_step reads only whether some core neighbor conflicts and
+        # whether some low neighbor works; one witness state stands for each.
+        witnesses = [("L", 0, a)] if ws.get("conflict") else []
+        if ws.get("low_working"):
+            witnesses.append(("L", 1, a))
+        return self._encode_core(self._core_step((tag, b, a), witnesses))
 
 
 class SelfStabMISConstantMemory(SelfStabMIS):

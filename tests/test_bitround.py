@@ -14,7 +14,7 @@ from repro.bitround import (
     run_edge_coloring_bit_protocol,
 )
 from repro.bitround.channel import decode_int, encode_int
-from repro.edge import edge_coloring_congest
+from repro.edge import edge_coloring_bit_round, edge_coloring_congest
 from repro.graphgen import (
     cycle_graph,
     gnp_graph,
@@ -142,6 +142,32 @@ class TestBitRoundCounts:
             totals[n] = run.total_bit_rounds
         # Growing n 4x adds ~the extra ID/CV bits, not a multiplicative blowup.
         assert totals[128] <= totals[32] + 40
+
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            random_regular(200, 6, seed=1),
+            gnp_graph(30, 0.2, seed=4),
+            grid_graph(4, 5),
+            star_graph(9),
+            cycle_graph(9),
+            path_graph(2),
+            path_graph(1),
+        ],
+        ids=["regular-200-6", "gnp", "grid", "star", "cycle", "edge", "empty"],
+    )
+    def test_ledger_equals_the_executed_count(self, graph):
+        for exact in (False, True):
+            for known in (False, True):
+                _, bit_rounds = edge_coloring_bit_round(
+                    graph, exact=exact, neighbor_ids_known=known
+                )
+                run = run_edge_coloring_bit_protocol(
+                    graph, exact=exact, neighbor_ids_known=known,
+                    backend="reference",
+                )
+                assert bit_rounds == run.total_bit_rounds, (exact, known)
 
 
 class TestPropertyBased:

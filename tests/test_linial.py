@@ -16,7 +16,9 @@ from repro.linial import (
 )
 from repro.linial.plan import integer_root_ceiling
 from repro.mathutil import is_prime, log_star
+from repro.mathutil.gf import eval_poly_mod, int_to_poly_coeffs
 from repro.runtime import ColoringEngine, Visibility
+from repro.selfstab.coloring import SelfStabColoring
 from tests.conftest import assert_proper, id_coloring
 
 
@@ -97,10 +99,18 @@ class TestStep:
         assert len(set(new)) == len(new)
 
     def test_forbidden_colors_avoided(self):
-        q, d = 13, 1
-        unrestricted = linial_next_color(5, [7], q, d)
-        restricted = linial_next_color(5, [7], q, d, forbidden=frozenset([unrestricted]))
+        """Excl-Linial (Section 4) is this step plus a forbidden set: with
+        nothing forbidden the self-stabilizing landing returns the step's
+        color, and forbidding that color moves it to another point that
+        still avoids the neighbor's polynomial."""
+        algorithm = SelfStabColoring(60, 5)
+        q = algorithm.q
+        unrestricted = linial_next_color(5, [7], q, 2)
+        assert algorithm._land(5, [7], []) == unrestricted
+        restricted = algorithm._land(5, [7], [unrestricted])
         assert restricted != unrestricted
+        x, value = divmod(restricted, q)
+        assert eval_poly_mod(int_to_poly_coeffs(7, 2, q), x, q) != value
 
     def test_undersized_field_raises(self):
         # Degree-1 polynomials, 3 neighbors pinning every point of GF(2).

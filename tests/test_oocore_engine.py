@@ -288,6 +288,27 @@ class TestBackendRegistration:
         assert envelope["error"]["kind"] == "TypeError"
         assert "has no out-of-core tier" in envelope["error"]["message"]
 
+    def test_no_tier_record_names_the_routines_that_reject_shards(self, monkeypatch):
+        # job_graph fails these jobs before sharding; the record must name
+        # exactly the builtins whose routines reject a sharded graph.
+        from repro.oocore.writers import ensure_sharded
+        from repro.parallel.jobs import _NO_OOCORE_TIER, algorithm_names, resolve_algorithm
+
+        monkeypatch.setenv("REPRO_OOCORE_DIR", tempfile.mkdtemp(prefix="oocore-record-"))
+        graph = ensure_sharded({"family": "regular", "n": 200, "degree": 8, "seed": 1})
+        rejecting = set()
+        for name in algorithm_names():
+            try:
+                resolve_algorithm(name)(graph, backend="oocore")
+            except TypeError as exc:
+                assert "has no out-of-core tier" in str(exc), name
+                rejecting.add(name)
+        recorded = {
+            name for name in algorithm_names() if resolve_algorithm(name) in _NO_OOCORE_TIER
+        }
+        assert recorded == rejecting
+        assert len(recorded) == 7
+
     def test_every_job_on_oocore_equals_batch_or_fails_once(self, monkeypatch):
         # The tier matrix: an oocore job either runs the routine's oocore
         # tier to the batch job's summary, or fails once with the typed

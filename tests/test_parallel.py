@@ -174,6 +174,39 @@ class TestTimeout:
         assert outcome.attempts == 2  # first try + one bounded retry
 
 
+class TestOocoreJobGraph:
+    def test_job_without_the_tier_fails_before_sharding(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_OOCORE_DIR", str(tmp_path))
+        graph = {"family": "regular", "n": 20000, "degree": 8, "seed": 3}
+        outcome = repro.run(JobSpec("random-trial", graph=graph, backend="oocore"))
+        assert not outcome.ok
+        assert outcome.attempts == 1
+        assert outcome.error["kind"] == "TypeError"
+        assert "has no out-of-core tier" in outcome.error["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not numpy_available(), reason="sharding needs NumPy")
+    def test_custom_algorithm_gets_the_shards(self, tmp_path, monkeypatch, scratch_algorithm):
+        from repro.oocore.store import ShardedCSRGraph
+
+        monkeypatch.setenv("REPRO_OOCORE_DIR", str(tmp_path))
+        seen = []
+
+        def probe(graph, backend="auto", seed=1):
+            seen.append(type(graph))
+            raise TypeError("probe ran")
+
+        scratch_algorithm("random-trial-probe", probe)
+        # Re-registered under a builtin's name: the record keys on the builtin.
+        monkeypatch.setitem(_ALGORITHMS, "random-trial", _ALGORITHMS["random-trial"])
+        register_algorithm("random-trial", probe)
+        graph = {"family": "regular", "n": 200, "degree": 8, "seed": 3}
+        for name in ("random-trial-probe", "random-trial"):
+            outcome = repro.run(JobSpec(name, graph=graph, backend="oocore"))
+            assert outcome.error["message"] == "probe ran"
+        assert seen == [ShardedCSRGraph, ShardedCSRGraph]
+
+
 class TestRetry:
     # Only a timeout is re-dispatched: a job is a pure function of its
     # spec, so an error would repeat on every attempt.

@@ -1,4 +1,8 @@
-"""Unit tests for the extended hybrid core of SelfStabExactColoring."""
+"""Unit tests for the extended hybrid core of SelfStabExactColoring.
+
+The landing tests run for both colorings: SelfStabColoring lands into its
+AG core through the same Excl-Linial landing.
+"""
 
 import random
 
@@ -6,11 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.selfstab.coloring import SelfStabColoring
 from repro.selfstab.exact import SelfStabExactColoring
 
 
 def make_algorithm(delta=5, n=60):
     return SelfStabExactColoring(n, delta)
+
+
+def both_colorings(delta=5, n=60):
+    return [SelfStabColoring(n, delta), make_algorithm(delta=delta, n=n)]
 
 
 def all_core_states(algorithm):
@@ -130,16 +139,24 @@ class TestLanding:
         assert 1 <= state[1] < algorithm.p
 
     def test_forbidden_high_slots_avoided(self):
-        algorithm = make_algorithm()
-        unrestricted = algorithm._land(5, [7], [])
-        restricted = algorithm._land(5, [7], [unrestricted])
-        assert restricted != unrestricted
+        for algorithm in both_colorings():
+            unrestricted = algorithm._land(5, [7], [])
+            restricted = algorithm._land(5, [7], [unrestricted])
+            assert restricted != unrestricted
 
     def test_landing_point_capacity(self):
         """With max forbidden load (2 per neighbor, Delta neighbors) a
         landing point still exists."""
-        algorithm = make_algorithm(delta=5)
         neighbors_lvl1 = list(range(1, 6))
+        for algorithm in both_colorings(delta=5):
+            # Worst case: the forbidden states block the vertex's own first
+            # 2 * Delta landing candidates.
+            forbidden = []
+            for _ in range(2 * 5):
+                forbidden.append(algorithm._land(0, neighbors_lvl1, forbidden))
+            assert len(set(forbidden)) == 2 * 5
+            assert algorithm._land(0, neighbors_lvl1, forbidden) not in forbidden
+        algorithm = make_algorithm(delta=5)
         forbidden = []
         # Worst case: 2 * Delta distinct H-slots blocked.
         for b in range(1, 6):
@@ -147,6 +164,40 @@ class TestLanding:
                 forbidden.append(algorithm._encode_core(("H", b, a)))
         local = algorithm._land(0, neighbors_lvl1, forbidden)
         assert algorithm._decode_core(local)[0] == "H"
+
+    def test_core_candidates_hold_every_next_state(self):
+        """S' is complete for both cores: the next state of a core vertex is
+        always among the candidates the landing avoids."""
+        rng = random.Random(5)
+        for algorithm in both_colorings():
+            size = algorithm.plan.sizes[0]
+            for _ in range(400):
+                c = rng.randrange(size)
+                nbrs = [rng.randrange(size) for _ in range(rng.randint(0, 5))]
+                if rng.random() < 0.3:
+                    nbrs.append(c)  # force the conflict branch
+                assert algorithm._core_next(c, nbrs) in algorithm._core_candidates(c)
+
+    def test_transition_avoids_core_neighbor_next_states(self):
+        """A vertex leaving I_1 never lands on a state an I_0 neighbor takes
+        next round (the set S'), whether that neighbor rotates or settles."""
+        for algorithm in both_colorings():
+            plan = algorithm.plan
+            own = plan.offsets[1] + 5
+            unrestricted = algorithm.transition(0, own, ())
+            assert plan.level_of(unrestricted) == 0
+
+            def next_states(c):
+                # Free, and beside a neighbor on the same color class.
+                return {algorithm._core_next(c, []), algorithm._core_next(c, [c])}
+
+            blocker = next(
+                c for c in range(plan.sizes[0])
+                if c != unrestricted and unrestricted in next_states(c)
+            )
+            landed = algorithm.transition(0, own, (plan.offsets[0] + blocker,))
+            assert plan.level_of(landed) == 0
+            assert landed not in next_states(blocker)
 
 
 class TestMessageSizes:
