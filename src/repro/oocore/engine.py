@@ -11,7 +11,7 @@ Round structure per stage run:
 
 1. encode: ``batch_encode_initial`` shard by shard into the double-buffered
    state planes (:class:`~repro.oocore.store.PlaneStore` memmap files);
-2. rounds: a :class:`ShardRunner` steps the shards one at a time on their
+2. rounds: a :class:`ShardState` steps the shards one at a time on their
    local CSRs, exchanging only boundary (halo) colors between rounds;
    per-round ``changed``/``finalized``/``conflicts`` aggregate to exactly
    the batch engine's numbers because vertex ownership is a partition and
@@ -166,8 +166,9 @@ class OocoreColoringEngine:
             state.close()
 
 
-class ShardRunner:
-    """One stage's rounds over the shards of a sharded graph, a shard at a time.
+class ShardState(ColumnState):
+    """The out-of-core tier: one stage's rounds over the shards of a sharded
+    graph, a shard at a time, with the coloring in memory-mapped planes.
 
     Every shard runs the stage's existing ``step_batch`` kernel on its local
     CSR slice.  The only cross-shard data a round reads is each shard's
@@ -175,42 +176,75 @@ class ShardRunner:
     plane into a per-shard ``(ncomp, h)`` array; those gathered bytes are the
     metered boundary exchange.
 
-    :meth:`run_round` is the synchronous-round barrier: it returns once every
-    shard has written its owned range of the other plane, with the round's
-    ``changed`` and ``finalized`` counts.  :meth:`count_conflicts` runs after
-    that barrier over the plane just written, with every halo refilled from
-    it.  ``src`` is the plane holding the current coloring (0 before the
-    first round); ``io_read``, ``io_written`` and ``halo_bytes`` total the
-    metered bytes.  ``cache_bytes`` bounds a cache of built local CSRs and
-    their forward slots, reused across rounds when the budget allows and
-    rebuilt from disk when it does not.
+    :meth:`advance` is the synchronous-round barrier: it returns once every
+    shard has written its owned range of the other plane.  :meth:`conflicts`
+    runs after that barrier over the plane just written, with every halo
+    refilled from it.  ``src`` is the plane holding the current coloring (0
+    before the first round); ``io_read``, ``io_written`` and ``halo_bytes``
+    total the metered bytes.  ``cache_bytes`` bounds a cache of local CSRs
+    and their forward slots, reused across rounds when the budget allows and
+    rebuilt from disk when it does not.  The state owns, for one run, the
+    double-buffered state planes and a scratch directory; :meth:`close`
+    releases both.
     """
 
-    def __init__(self, graph, planes, stage, visibility, cache_bytes=0,
-                 release_planes=False):
-        np = self.np = numpy_or_none()
-        self.graph = graph
-        self.planes = planes
-        self.ncomp = planes.ncomp
-        self.stage = stage
-        self.visibility = visibility
-        self.cache_bytes = cache_bytes
-        self.release_planes = release_planes
-        self.src = 0
-        self.io_read = self.io_written = self.halo_bytes = 0
-        self._halo_ids = {}
+    backend = "oocore"
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.engine = engine
+        self.scratch = tempfile.mkdtemp(
+            prefix="repro-oocore-planes-", dir=engine._scratch_base
+        )
+        self.planes = self._halo_plane = None
+        self.src = self.io_read = self.io_written = self.halo_bytes = 0
+        # shard id -> (halo ids, (ncomp, h) halo colors), for nonempty halos.
         self._halos = {}
-        self._halo_plane = None
         self._locals = {}
         self._forward = {}
         self._cached_bytes = 0
+
+    def encode(self, stage, initial):
+        np = self.np
+        initial = np.asarray(initial, dtype=np.int64)
+        self.stage = stage
+        graph = self.graph
+        budget = memory_budget()
+        # Encode shard by shard; the first shard reveals the component count
+        # so the planes can be sized.
+        finalized = 0
+        for lo, hi in graph.ranges:
+            if hi == lo:
+                continue
+            state = stage.batch_encode_initial(initial[lo:hi])
+            if self.planes is None:
+                self.planes = PlaneStore(self.scratch, graph.n, len(state))
+                if budget is not None:
+                    self.engine._enforce_budget(len(state), budget)
+            for comp, column in enumerate(state):
+                self.planes.view(0, comp)[lo:hi] = column
+                self.io_written += column.nbytes
+            finalized += int(stage.batch_is_final(state).sum())
+        if self.planes is None:  # empty graph
+            state = stage.batch_encode_initial(initial)
+            self.planes = PlaneStore(self.scratch, graph.n, len(state))
+        self.planes.release_resident()
+
+        self.ncomp = self.planes.ncomp
+        self.cache_bytes = (budget // 4) if budget is not None else (256 << 20)
+        self.release_planes = budget is not None
         for shard_id in range(graph.shards):
             ids = graph.halo_ids(shard_id)
             if ids.shape[0]:
-                self._halo_ids[shard_id] = ids
-                self._halos[shard_id] = np.zeros(
-                    (self.ncomp, ids.shape[0]), dtype=np.int64
-                )
+                colors = np.zeros((self.ncomp, ids.shape[0]), dtype=np.int64)
+                self._halos[shard_id] = (ids, colors)
+        return finalized
+
+    def _admit(self, cache, shard_id, value, cost):
+        """Keep ``value`` in ``cache`` if ``cost`` fits the cache budget."""
+        if cost <= self.cache_bytes - self._cached_bytes:
+            cache[shard_id] = value
+            self._cached_bytes += cost
 
     def local(self, shard_id):
         """``(local, io_read)``: one shard's local CSR, cached or from disk."""
@@ -218,50 +252,42 @@ class ShardRunner:
         if cached is not None:
             return cached, 0
         local = self.graph.local(shard_id)
-        cost = 6 * local.lindices.nbytes + local.halo.nbytes
-        if cost <= self.cache_bytes - self._cached_bytes:
-            self._locals[shard_id] = local
-            self._cached_bytes += cost
+        self._admit(
+            self._locals, shard_id, local, 6 * local.lindices.nbytes + local.halo.nbytes
+        )
         return local, local.bytes_read
 
     def forward(self, shard_id):
         """``(rows, nbrs, io_read)``: the shard's slots that point to a larger id.
 
         Every edge is counted once, at its smaller endpoint, in the order of
-        the batch engine's edge arrays.  Local ids keep the global order
-        inside the shard, and the sorted halo splits into ids below ``lo``
-        and ids from ``hi`` up, so no global ids are read.  Cached next to
-        the local CSRs, under the same byte budget, so a conflict count
-        rebuilds no CSR.
+        the batch engine's edge arrays.  These are the local CSR's forward
+        slots less those into the halo below ``lo``: local ids keep the
+        global order inside the shard, and the sorted halo splits into ids
+        below ``lo`` and ids from ``hi`` up, so no global ids are read.
+        Cached next to the local CSRs, under the same byte budget, so a
+        conflict count rebuilds no CSR.
         """
         slots = self._forward.get(shard_id)
         if slots is not None:
             return slots + (0,)
         local, io_read = self.local(shard_id)
-        nbrs = local.lindices
-        rows = local.csr().rows[: nbrs.shape[0]]
+        csr = local.csr()
         split = local.k + int(self.np.searchsorted(local.halo, local.hi))
-        fwd = (nbrs >= split) | ((nbrs > rows) & (nbrs < local.k))
-        slots = (rows[fwd], nbrs[fwd])
-        cost = slots[0].nbytes + slots[1].nbytes
-        if cost <= self.cache_bytes - self._cached_bytes:
-            self._forward[shard_id] = slots
-            self._cached_bytes += cost
+        keep = (csr.edge_v < local.k) | (csr.edge_v >= split)
+        slots = (csr.edge_u[keep], csr.edge_v[keep])
+        self._admit(self._forward, shard_id, slots, slots[0].nbytes + slots[1].nbytes)
         return slots + (io_read,)
 
     def shard_state(self, shard_id):
         """One shard's columns in plane ``src``: owned rows, then its halo."""
         np = self.np
         lo, hi = self.graph.ranges[shard_id]
-        halo = self._halos.get(shard_id)
-        state = []
-        for comp, column in enumerate(self.planes.buffer(self.src)):
-            owned = np.array(column[lo:hi])
-            if halo is not None:
-                state.append(np.concatenate([owned, halo[comp]]))
-            else:
-                state.append(owned)
-        return tuple(state)
+        owned = [np.array(column[lo:hi]) for column in self.planes.buffer(self.src)]
+        if shard_id not in self._halos:
+            return tuple(owned)
+        halo = self._halos[shard_id][1]
+        return tuple(np.concatenate([column, row]) for column, row in zip(owned, halo))
 
     def release(self, *bufs):
         """Drop the resident pages of the given planes (budget discipline)."""
@@ -283,8 +309,7 @@ class ShardRunner:
             return
         self._halo_plane = self.src
         columns = self.planes.buffer(self.src)
-        for shard_id, ids in self._halo_ids.items():
-            halo = self._halos[shard_id]
+        for ids, halo in self._halos.values():
             for comp in range(self.ncomp):
                 halo[comp] = columns[comp][ids]
             self.halo_bytes += 8 * self.ncomp * int(ids.shape[0])
@@ -323,11 +348,11 @@ class ShardRunner:
         if i is None:
             return count, None
         row, nbr, k = int(rows[i]), int(nbrs[i]), hi - lo
-        v = lo + nbr if nbr < k else int(self._halo_ids[shard_id][nbr - k])
+        v = lo + nbr if nbr < k else int(self._halos[shard_id][0][nbr - k])
         columns = tuple(c[row:row + 1] for c in state)
         return count, (lo + row, v, scalar_colors(self.stage, columns)[0])
 
-    def run_round(self, round_index):
+    def advance(self, round_index):
         """One synchronous round over every shard: ``(changed, finalized)``.
 
         Reads plane ``src``, writes the other one, and makes it ``src``.
@@ -341,11 +366,12 @@ class ShardRunner:
         self.src = 1 - self.src
         return changed, finalized
 
-    def count_conflicts(self):
+    def conflicts(self):
         """Conflicting edges of plane ``src``, counted after a round barrier.
 
-        Returns ``(count, first)``: ``first`` is the first such edge in
-        sorted order as ``(u, v, color of u)``, or None — the contract of
+        Every halo is refilled from that plane first.  Returns ``(count,
+        first)``: ``first`` is the first such edge in sorted order as ``(u,
+        v, color of u)``, or None — the contract of
         :meth:`repro.runtime.engine.RoundState.conflicts`.
         """
         self.fill_halos()
@@ -357,66 +383,6 @@ class ShardRunner:
                 first = edge
         return count, first
 
-
-class ShardState(ColumnState):
-    """The out-of-core tier: int64 columns split over memory-mapped shards.
-
-    Owns, for one run, the double-buffered state planes, the
-    :class:`ShardRunner` that steps the shards and a scratch directory;
-    :meth:`close` releases all of them.
-    """
-
-    backend = "oocore"
-
-    def __init__(self, engine):
-        super().__init__(engine)
-        self.engine = engine
-        self.scratch = tempfile.mkdtemp(
-            prefix="repro-oocore-planes-", dir=engine._scratch_base
-        )
-        self.planes = self.runner = None
-
-    def encode(self, stage, initial):
-        initial = self.np.asarray(initial, dtype=self.np.int64)
-        self.stage = stage
-        graph = self.graph
-        budget = memory_budget()
-        # Encode shard by shard; the first shard reveals the component count
-        # so the planes can be sized.
-        finalized = written = 0
-        for lo, hi in graph.ranges:
-            if hi == lo:
-                continue
-            state = stage.batch_encode_initial(initial[lo:hi])
-            if self.planes is None:
-                self.planes = PlaneStore(self.scratch, graph.n, len(state))
-                if budget is not None:
-                    self.engine._enforce_budget(len(state), budget)
-            for comp, column in enumerate(state):
-                self.planes.view(0, comp)[lo:hi] = column
-                written += column.nbytes
-            finalized += int(stage.batch_is_final(state).sum())
-        if self.planes is None:  # empty graph
-            state = stage.batch_encode_initial(initial)
-            self.planes = PlaneStore(self.scratch, graph.n, len(state))
-        self.planes.release_resident()
-
-        cache_bytes = (budget // 4) if budget is not None else (256 << 20)
-        self.runner = ShardRunner(
-            graph, self.planes, stage, self.visibility,
-            cache_bytes=cache_bytes, release_planes=budget is not None,
-        )
-        self.runner.io_written += written
-        return finalized
-
-    def advance(self, round_index):
-        return self.runner.run_round(round_index)
-
-    def conflicts(self):
-        # Counted after the round barrier from the plane just written, with
-        # every halo refilled from it (see ShardRunner.count_conflicts).
-        return self.runner.count_conflicts()
-
     def finish(self, palette_size, rounds_used, metrics, history):
         """Decode shard by shard into the colors plane and the result array."""
         np, graph, planes = self.np, self.graph, self.planes
@@ -426,7 +392,7 @@ class ShardState(ColumnState):
             if hi == lo:
                 continue
             state = tuple(
-                np.array(planes.view(self.runner.src, comp)[lo:hi])
+                np.array(planes.view(self.src, comp)[lo:hi])
                 for comp in range(planes.ncomp)
             )
             part = self.stage.batch_decode_final(state)
@@ -441,7 +407,7 @@ class ShardState(ColumnState):
         final_state = None
         if graph.n <= _SCALAR_STATE_LIMIT:
             final_state = tuple(
-                np.array(planes.view(self.runner.src, comp)[: graph.n])
+                np.array(planes.view(self.src, comp)[: graph.n])
                 for comp in range(planes.ncomp)
             )
         result = RunResult.from_columns(
@@ -450,15 +416,15 @@ class ShardState(ColumnState):
         return result, self.overflow(decoded, palette_size)
 
     def record(self, tel, stage):
-        runner, graph = self.runner, self.graph
-        tel.counter("oocore.shard_io.bytes_read", runner.io_read, stage=stage.name)
-        tel.counter("oocore.shard_io.bytes_written", runner.io_written, stage=stage.name)
-        tel.counter("oocore.halo.bytes", runner.halo_bytes, stage=stage.name)
+        graph = self.graph
+        tel.counter("oocore.shard_io.bytes_read", self.io_read, stage=stage.name)
+        tel.counter("oocore.shard_io.bytes_written", self.io_written, stage=stage.name)
+        tel.counter("oocore.halo.bytes", self.halo_bytes, stage=stage.name)
         # Shard residency: how much plane/halo state the round loop keeps hot.
         tel.gauge("oocore.shards", graph.shards, stage=stage.name)
-        tel.gauge("oocore.plane_bytes", 16 * graph.n * runner.ncomp, stage=stage.name)
+        tel.gauge("oocore.plane_bytes", 16 * graph.n * self.ncomp, stage=stage.name)
         tel.gauge("oocore.halo_slots", graph.total_halo(), stage=stage.name)
-        tel.gauge("oocore.cache_bytes", runner.cache_bytes, stage=stage.name)
+        tel.gauge("oocore.cache_bytes", self.cache_bytes, stage=stage.name)
         rss = peak_rss_bytes()
         if rss is not None:
             tel.gauge("oocore.peak_rss_bytes", rss)
@@ -511,7 +477,7 @@ def oocore_greedy(graph, order=None):
         io_read += sl_global.nbytes
         owner_global = local.owner_globals()
         earlier = sl_global < owner_global
-        rows = local.csr().rows[: local.lindices.shape[0]]
+        rows = local.csr().rows
         colors_local = np.full(k + h, -1, dtype=np.int64)
         if h:
             colors_local[k:] = plane[local.halo]

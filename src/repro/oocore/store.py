@@ -219,9 +219,7 @@ class ShardLocal:
     def csr(self):
         """The local CSR view (memoized; kernels never see global ids)."""
         if self._csr is None:
-            self._csr = CSRAdjacency.from_arrays(
-                self.n_local, self.indptr_local, self.lindices
-            )
+            self._csr = CSRAdjacency(self.n_local, self.indptr_local, self.lindices)
         return self._csr
 
     def global_indices(self):
@@ -240,7 +238,7 @@ class ShardLocal:
 
     def owner_globals(self):
         """Per-slot owning vertex as a *global* id (owned rows only)."""
-        return self.csr().rows[: self.lindices.shape[0]] + self.lo
+        return self.csr().rows + self.lo
 
 
 class ShardedCSRGraph:
@@ -391,16 +389,15 @@ class ShardedCSRGraph:
         indptr_mm = self._indptr_memmap()
         indices_mm = self._indices_memmap()
         for lo, hi in self.ranges:
-            if hi == lo:
-                continue
             indptr = np.array(indptr_mm[lo:hi + 1])
-            slots = np.array(indices_mm[int(indptr[0]):int(indptr[-1])])
-            rows = np.repeat(
-                np.arange(lo, hi, dtype=np.int64), np.diff(indptr)
+            start, end = int(indptr[0]), int(indptr[-1])
+            # The shard's rows over their neighbors' global ids less lo:
+            # the view's forward slots are the global forward edges.
+            shard = CSRAdjacency(
+                hi - lo, indptr - start, np.array(indices_mm[start:end]) - lo
             )
-            forward = slots > rows
-            for u, v in zip(rows[forward].tolist(), slots[forward].tolist()):
-                yield (u, v)
+            us, vs = (shard.edge_u + lo).tolist(), (shard.edge_v + lo).tolist()
+            yield from zip(us, vs)
 
     @property
     def in_memory_nbytes(self):

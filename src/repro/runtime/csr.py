@@ -2,20 +2,14 @@
 
 The reference engine rebuilds a Python tuple of neighbor colors per vertex
 per round — O(n * Delta) interpreter work.  :class:`CSRAdjacency` flattens
-the adjacency lists once into three NumPy arrays so a whole round becomes a
-handful of array operations:
-
-``indices``
-    All neighbor lists concatenated in vertex order (length ``2 * m``).
-``indptr``
-    ``indices[indptr[v]:indptr[v + 1]]`` are the neighbors of ``v``.
-``rows``
-    ``rows[i]`` is the vertex that owns slot ``i`` of ``indices`` (the
-    expansion of ``repeat(arange(n), degrees)``), so per-vertex reductions
-    are one ``bincount`` away.
-
-``edge_u`` / ``edge_v`` mirror ``StaticGraph.edges`` (sorted, ``u < v``) for
-vectorized properness checks.
+the adjacency lists into two NumPy arrays, so a whole round becomes a
+handful of array operations: ``indices`` holds all neighbor lists
+concatenated in vertex order, and ``indices[indptr[v]:indptr[v + 1]]`` are
+the neighbors of ``v``.  A view is built from these two alone and derives
+the rest here, on first read: ``degrees``, the slot owners ``rows``, and
+the forward slots ``edge_u``/``edge_v`` (a graph's sorted edge list) with
+their count ``m``.  :func:`fill_csr` writes the two arrays from a sorted
+edge list, for ``StaticGraph`` and the out-of-core shard writers alike.
 
 NumPy is an optional dependency (the ``repro[fast]`` extra); this module is
 only imported once a caller actually asks for a CSR view, and everything
@@ -57,12 +51,12 @@ def fill_csr(edge_u, edge_v, indptr, indices):
 
     ``edge_u``/``edge_v`` are int64 arrays with ``edge_u < edge_v``
     elementwise, sorted by ``(u, v)``, without repeats; ``indptr`` (length
-    ``n + 1``) and ``indices`` (length ``2 * m``) may be memmaps.  Returns
-    the degree array.  Each row comes out sorted, as ``StaticGraph``'s
-    neighbor tuples are: vertex ``x``'s backward neighbors (edges where
-    ``x`` is the larger endpoint) are all ``< x`` and arrive in ascending
-    order, then its forward ones, also ascending.  The one CSR fill behind
-    ``StaticGraph`` and the out-of-core writers.
+    ``n + 1``) and ``indices`` (length ``2 * m``) may be memmaps.  Each
+    row comes out sorted, as ``StaticGraph``'s neighbor tuples are: vertex
+    ``x``'s backward neighbors (edges where ``x`` is the larger endpoint)
+    are all ``< x`` and arrive in ascending order, then its forward ones,
+    also ascending.  The one CSR fill behind ``StaticGraph`` and the
+    out-of-core writers.
     """
     np = require_numpy()
     n = indptr.shape[0] - 1
@@ -80,53 +74,68 @@ def fill_csr(edge_u, edge_v, indptr, indices):
     indices[
         starts[edge_u] + backward[edge_u] + (arange - np.searchsorted(edge_u, edge_u))
     ] = edge_v
-    return degrees
 
 
 class CSRAdjacency:
-    """Immutable CSR view of a :class:`~repro.runtime.graph.StaticGraph`.
+    """Immutable CSR view of an adjacency: ``n`` rows over ``indptr``/``indices``.
 
-    Build via :meth:`from_graph` (or, preferably, the cached
-    ``StaticGraph.csr()``).  All arrays are ``int64``.
+    ``CSRAdjacency(n, indptr, indices)`` is the only constructor; every
+    builder (``StaticGraph.csr()``, :meth:`from_dynamic`, an out-of-core
+    shard's ``ShardLocal.csr()``) hands over just those two arrays.  The
+    other columns are derived from them on first read and cached on the
+    view, so a kernel that reads only ``indptr``/``indices`` (through
+    :meth:`subset_slots`) never pays for them.  All arrays are ``int64``.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "rows", "degrees", "edge_u", "edge_v")
+    __slots__ = ("n", "indptr", "indices", "_degrees", "_rows", "_edge_u", "_edge_v")
 
-    def __init__(self, n, m, indptr, indices, rows, degrees, edge_u, edge_v):
+    def __init__(self, n, indptr, indices):
         self.n = n
-        self.m = m
         self.indptr = indptr
         self.indices = indices
-        self.rows = rows
-        self.degrees = degrees
-        self.edge_u = edge_u
-        self.edge_v = edge_v
+        self._degrees = self._rows = self._edge_u = self._edge_v = None
 
-    @classmethod
-    def from_graph(cls, graph):
-        """Flatten ``graph``'s adjacency into CSR arrays."""
-        np = require_numpy()
-        n = graph.n
-        degrees = np.fromiter(
-            (graph.degree(v) for v in range(n)), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        total = int(indptr[-1])
-        indices = np.fromiter(
-            (u for v in range(n) for u in graph.neighbors(v)),
-            dtype=np.int64,
-            count=total,
-        )
-        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        edges = graph.edges
-        if edges:
-            edge_arr = np.asarray(edges, dtype=np.int64)
-            edge_u, edge_v = edge_arr[:, 0], edge_arr[:, 1]
-        else:
-            edge_u = np.zeros(0, dtype=np.int64)
-            edge_v = np.zeros(0, dtype=np.int64)
-        return cls(n, len(edges), indptr, indices, rows, degrees, edge_u, edge_v)
+    @property
+    def degrees(self):
+        """Per-row slot count, ``diff(indptr)``."""
+        if self._degrees is None:
+            self._degrees = require_numpy().diff(self.indptr)
+        return self._degrees
+
+    @property
+    def rows(self):
+        """``rows[i]`` is the row owning slot ``i``: ``repeat(arange(n), degrees)``."""
+        if self._rows is None:
+            np = require_numpy()
+            self._rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        return self._rows
+
+    def _forward(self):
+        if self._edge_u is None:
+            rows, indices = self.rows, self.indices
+            forward = rows < indices
+            self._edge_u, self._edge_v = rows[forward], indices[forward]
+        return self._edge_u, self._edge_v
+
+    @property
+    def edge_u(self):
+        """Owner of each forward slot (neighbor id above its row), row-major.
+
+        On a graph's view the forward slots are its edges, so ``edge_u`` /
+        ``edge_v`` mirror ``StaticGraph.edges`` (sorted, ``u < v``).
+        """
+        return self._forward()[0]
+
+    @property
+    def edge_v(self):
+        """Neighbor id of each forward slot, aligned with :attr:`edge_u`."""
+        return self._forward()[1]
+
+    @property
+    def m(self):
+        """Number of forward slots: a graph's edge count (a shard-local view
+        counts its halo slots too, since halo ids exceed every owned row)."""
+        return self.edge_u.shape[0]
 
     @classmethod
     def from_dynamic(cls, graph):
@@ -145,49 +154,20 @@ class CSRAdjacency:
         verts = graph.vertices()
         n = len(verts)
         verts_arr = np.asarray(verts, dtype=np.int64)
-        degrees = np.fromiter(
-            (graph.degree(v) for v in verts), dtype=np.int64, count=n
-        )
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        total = int(indptr[-1])
+        np.cumsum(
+            np.fromiter((graph.degree(v) for v in verts), dtype=np.int64, count=n),
+            out=indptr[1:],
+        )
         raw = np.fromiter(
             chain.from_iterable(graph.neighbors(v) for v in verts),
             dtype=np.int64,
-            count=total,
+            count=int(indptr[-1]),
         )
         # verts is sorted, so searchsorted *is* the original-id -> compact-id
         # map; neighbors() is sorted by original id and the map is monotone,
         # so each compact neighbor list comes out sorted too.
-        indices = np.searchsorted(verts_arr, raw)
-        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        # Each edge appears once with compact u < v, in row-major order —
-        # the same lexicographic order graph.edges() would yield.
-        forward = rows < indices
-        edge_u = rows[forward]
-        edge_v = indices[forward]
-        csr = cls(n, edge_u.size, indptr, indices, rows, degrees, edge_u, edge_v)
-        return csr, verts_arr
-
-    @classmethod
-    def from_arrays(cls, n, indptr, indices):
-        """Rebuild a CSR view from bare ``indptr``/``indices`` arrays.
-
-        An out-of-core shard's local CSR
-        (:meth:`~repro.oocore.store.ShardLocal.csr`) is built this way.  The
-        derived columns (``rows``, ``degrees``, ``edge_u``/``edge_v``) are
-        recomputed here, producing the same values ``from_graph`` would on
-        the graph with these arrays — forward slots in row-major order
-        enumerate the edges in the sorted ``u < v`` order of
-        ``StaticGraph.edges``.
-        """
-        np = require_numpy()
-        degrees = np.diff(indptr)
-        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        forward = rows < indices
-        edge_u = rows[forward]
-        edge_v = indices[forward]
-        return cls(n, int(edge_u.size), indptr, indices, rows, degrees, edge_u, edge_v)
+        return cls(n, indptr, np.searchsorted(verts_arr, raw)), verts_arr
 
     # -- kernel building blocks -------------------------------------------------
 

@@ -16,6 +16,16 @@ from collections import deque
 __all__ = ["StaticGraph", "DynamicGraph"]
 
 
+def _filled_csr(np, n, edge_u, edge_v):
+    """The CSR view over ``n`` vertices of sorted unique edges ``u < v``."""
+    from repro.runtime.csr import CSRAdjacency, fill_csr
+
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indices = np.empty(2 * edge_u.shape[0], dtype=np.int64)
+    fill_csr(edge_u, edge_v, indptr, indices)
+    return CSRAdjacency(n, indptr, indices)
+
+
 class StaticGraph:
     """Immutable undirected graph on vertices ``0..n-1``.
 
@@ -88,7 +98,7 @@ class StaticGraph:
         first offending edge in input order, self-loop checked before range),
         same dedup, the same sorted adjacency tuples and edge tuple.  Input
         whose normalized edges already strictly increase (every generator's
-        output) needs no dedup sort.  Also pre-builds the CSR view from the
+        output) needs no dedup sort.  Also fills the CSR view from the edge
         arrays already in hand, so the first ``csr()`` call is free.
 
         The Python-side structures (``_adjacency``/``_edges``) are built
@@ -96,7 +106,7 @@ class StaticGraph:
         touch ``csr()`` (e.g. engine runs on a line graph) never pay for the
         per-vertex tuple materialization.
         """
-        from repro.runtime.csr import CSRAdjacency, fill_csr, numpy_or_none
+        from repro.runtime.csr import numpy_or_none
 
         np = numpy_or_none()
         if np is None:
@@ -120,23 +130,11 @@ class StaticGraph:
         if not bool((key[1:] > key[:-1]).all()):
             key = np.unique(key)
         edge_u, edge_v = np.divmod(key, n)
-        indptr = np.empty(n + 1, dtype=np.int64)
-        indices = np.empty(2 * key.shape[0], dtype=np.int64)
-        degrees = fill_csr(edge_u, edge_v, indptr, indices)
         self.n = n
         self._adjacency = None
         self._edges = None
-        self._max_degree = int(degrees.max()) if n else 0
-        self._csr = CSRAdjacency(
-            n,
-            int(key.shape[0]),
-            indptr,
-            indices,
-            np.repeat(np.arange(n, dtype=np.int64), degrees),
-            degrees,
-            edge_u,
-            edge_v,
-        )
+        self._csr = _filled_csr(np, n, edge_u, edge_v)
+        self._max_degree = int(self._csr.degrees.max()) if n else 0
         return True
 
     def _materialize(self):
@@ -209,7 +207,7 @@ class StaticGraph:
     def m(self):
         """Return the number of edges."""
         if self._edges is None:
-            return self._csr.m
+            return self._csr.indices.shape[0] // 2
         return len(self._edges)
 
     @property
@@ -230,9 +228,11 @@ class StaticGraph:
         an install hint when it is missing.
         """
         if self._csr is None:
-            from repro.runtime.csr import CSRAdjacency
+            from repro.runtime.backends import require_numpy
 
-            self._csr = CSRAdjacency.from_graph(self)
+            np = require_numpy()
+            edges = np.array(self._edges, dtype=np.int64).reshape(-1, 2)
+            self._csr = _filled_csr(np, self.n, edges[:, 0], edges[:, 1])
         return self._csr
 
     def has_edge(self, u, v):

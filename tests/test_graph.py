@@ -8,6 +8,17 @@ from hypothesis import strategies as st
 from repro.runtime.graph import DynamicGraph, StaticGraph
 
 
+@pytest.fixture
+def np():
+    """NumPy, for the array path and the CSR view; skips without it."""
+    from repro.runtime.csr import numpy_or_none
+
+    np = numpy_or_none()
+    if np is None:
+        pytest.skip("the array path and the CSR view need NumPy")
+    return np
+
+
 class TestStaticGraph:
     def test_basic_construction(self):
         g = StaticGraph(4, [(0, 1), (1, 2), (2, 3), (1, 2)])
@@ -107,15 +118,6 @@ class TestStaticGraphArrayPath:
 
     N = 400
 
-    @pytest.fixture
-    def np(self):
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
-        if np is None:
-            pytest.skip("the array path needs NumPy")
-        return np
-
     @classmethod
     def sorted_edges(cls):
         import random
@@ -136,15 +138,29 @@ class TestStaticGraphArrayPath:
         assert graph._csr is None  # the per-edge loop builds no CSR
         return graph
 
-    def assert_same(self, edges, monkeypatch):
-        from repro.runtime.csr import CSRAdjacency
+    @staticmethod
+    def python_csr(graph):
+        """The six CSR columns of ``graph``, built from its neighbor tuples
+        and edge tuple in plain Python."""
+        indptr, indices, rows, degrees = [0], [], [], []
+        for v in graph.vertices():
+            neighbors = graph.neighbors(v)
+            indices.extend(neighbors)
+            rows.extend([v] * len(neighbors))
+            degrees.append(len(neighbors))
+            indptr.append(len(indices))
+        return {
+            "indptr": indptr, "indices": indices, "rows": rows, "degrees": degrees,
+            "edge_u": [u for u, _ in graph.edges], "edge_v": [v for _, v in graph.edges],
+        }
 
+    def assert_same(self, edges, monkeypatch):
         graph = StaticGraph(self.N, edges)
         assert graph._csr is not None  # the array path pre-builds the CSR
         reference = self.per_edge(self.N, edges, monkeypatch)
-        csr, expected = graph.csr(), CSRAdjacency.from_graph(reference)
+        csr, expected = graph.csr(), self.python_csr(reference)
         for field in ("indptr", "indices", "rows", "degrees", "edge_u", "edge_v"):
-            assert getattr(csr, field).tolist() == getattr(expected, field).tolist()
+            assert getattr(csr, field).tolist() == expected[field]
         assert (graph.m, graph.max_degree) == (reference.m, reference.max_degree)
         assert graph.edges == reference.edges
         assert [graph.neighbors(v) for v in graph.vertices()] == [
@@ -203,7 +219,7 @@ class TestCSRAdjacency:
         if not numpy_available():
             pytest.skip("the CSR view needs NumPy")
         fresh = random_regular(60, 4, seed=7).csr()
-        rebuilt = CSRAdjacency.from_arrays(fresh.n, fresh.indptr.copy(), fresh.indices.copy())
+        rebuilt = CSRAdjacency(fresh.n, fresh.indptr.copy(), fresh.indices.copy())
         for field in ("indptr", "indices", "rows", "degrees", "edge_u", "edge_v"):
             assert getattr(rebuilt, field).tolist() == getattr(fresh, field).tolist()
         assert rebuilt.n == fresh.n and rebuilt.m == fresh.m
@@ -240,13 +256,148 @@ class TestCSRAdjacency:
         # degree 0.
         indptr = np.array([0, 2, 4, 5, 5, 5], dtype=np.int64)
         indices = np.array([1, 3, 0, 2, 1], dtype=np.int64)
-        csr = CSRAdjacency.from_arrays(5, indptr, indices)
+        csr = CSRAdjacency(5, indptr, indices)
         slots, owner = csr.subset_slots(np.array([3, 4], dtype=np.int64))
         assert slots.size == 0 and owner.size == 0
         slots, owner = csr.subset_slots(np.array([4, 1, 3], dtype=np.int64))
         assert slots.tolist() == [2, 3] and owner.tolist() == [1, 1]
         empty = csr.subset_slots(np.zeros(0, dtype=np.int64))
         assert [part.tolist() for part in empty] == [[], []]
+
+
+def _csr_digest(csr):
+    """First 16 hex digits of the sha256 over the int64 bytes of the six CSR
+    columns, in order, followed by ``str((n, m))``."""
+    import hashlib
+
+    import numpy as np
+
+    digest = hashlib.sha256()
+    for name in ("indptr", "indices", "rows", "degrees", "edge_u", "edge_v"):
+        digest.update(np.ascontiguousarray(getattr(csr, name), dtype=np.int64).tobytes())
+    digest.update(str((csr.n, csr.m)).encode())
+    return digest.hexdigest()[:16]
+
+
+class TestCSRDerivedColumns:
+    """``CSRAdjacency(n, indptr, indices)`` is the only constructor; the
+    other columns are derived on first read and cached on the view."""
+
+    DERIVED = ("degrees", "rows", "edge_u", "edge_v")
+
+    @staticmethod
+    def python_columns(n, indptr, indices):
+        """The derived columns of a view, in plain Python from its arrays."""
+        degrees = [indptr[v + 1] - indptr[v] for v in range(n)]
+        rows = [v for v in range(n) for _ in range(degrees[v])]
+        forward = [(row, u) for row, u in zip(rows, indices) if row < u]
+        return {
+            "degrees": degrees, "rows": rows, "m": len(forward),
+            "edge_u": [row for row, _ in forward], "edge_v": [u for _, u in forward],
+        }
+
+    @staticmethod
+    def view(kind, tmp_path):
+        """One view of each builder, and the edges it must enumerate."""
+        from repro.graphgen import random_regular
+        from repro.oocore.writers import shard_static_graph
+        from repro.runtime.csr import CSRAdjacency
+
+        if kind == "per-edge":
+            graph = StaticGraph(40, list(random_regular(40, 5, seed=3).edges))
+            assert graph._csr is None
+            return graph.csr(), list(graph.edges)
+        if kind == "array path":
+            graph = random_regular(120, 6, seed=4)
+            assert graph._csr is not None and graph._adjacency is None
+            return graph.csr(), list(graph.edges)
+        if kind == "dynamic":
+            dynamic = DynamicGraph.from_static(random_regular(60, 4, seed=5))
+            for v in (0, 17, 59):
+                dynamic.remove_vertex(v)
+            csr, vertices = CSRAdjacency.from_dynamic(dynamic)
+            ids = vertices.tolist()
+            assert ids == dynamic.vertices()
+            compact = {v: i for i, v in enumerate(ids)}
+            return csr, [(compact[u], compact[v]) for u, v in dynamic.edges()]
+        sharded = shard_static_graph(random_regular(60, 4, seed=6), str(tmp_path), shards=3)
+        local = sharded.local(1)
+        csr = local.csr()
+        assert csr.n > local.k  # halo rows, all of them of degree 0
+        assert csr.degrees[local.k:].tolist() == [0] * (csr.n - local.k)
+        # Every halo slot is a forward slot, whatever the global order says.
+        halo_slots = int((local.lindices >= local.k).sum())
+        owned_forward = [
+            (row, int(u)) for row in range(local.k)
+            for u in local.lindices[local.indptr_local[row]:local.indptr_local[row + 1]]
+            if row < u < local.k
+        ]
+        assert csr.m == halo_slots + len(owned_forward)
+        return csr, None
+
+    @pytest.mark.parametrize("kind", ["per-edge", "array path", "dynamic", "shard-local"])
+    def test_derived_columns_match_python(self, np, tmp_path, kind):
+        csr, edges = self.view(kind, tmp_path)
+        expected = self.python_columns(csr.n, csr.indptr.tolist(), csr.indices.tolist())
+        for name in self.DERIVED:
+            column = getattr(csr, name)
+            assert column.dtype == np.int64
+            assert column.tolist() == expected[name]
+            assert getattr(csr, name) is column  # cached on the view
+        assert csr.m == expected["m"]
+        if edges is not None:
+            assert list(zip(csr.edge_u.tolist(), csr.edge_v.tolist())) == edges
+            assert csr.m == len(edges)
+
+    def test_pinned_views(self, np):
+        import hashlib
+
+        from repro.graphgen import random_regular
+        from repro.runtime.csr import CSRAdjacency
+
+        graph = StaticGraph(40, list(random_regular(40, 5, seed=3).edges))
+        assert graph._csr is None
+        assert _csr_digest(graph.csr()) == "0969ec7c10dd5fe0"
+        dynamic = DynamicGraph.from_static(random_regular(8000, 32, seed=100))
+        for v in (0, 17, 4000, 7999):
+            dynamic.remove_vertex(v)
+        csr, vertices = CSRAdjacency.from_dynamic(dynamic)
+        assert _csr_digest(csr) == "44496f15a4ce861e"
+        vertex_digest = hashlib.sha256(vertices.astype(np.int64).tobytes()).hexdigest()
+        assert vertex_digest[:16] == "5f46d8306b160a66"
+
+    def test_subset_slot_rounds_derive_no_columns(self, np, monkeypatch, tmp_path):
+        # AG steps through subset_slots alone, so an out-of-core run with
+        # telemetry off and no properness check reads only indptr/indices
+        # of every shard-local view.
+        from repro.core.ag import AdditiveGroupColoring
+        from repro.graphgen import random_regular
+        from repro.obs import core as obs
+        from repro.oocore.engine import OocoreColoringEngine
+        from repro.oocore.store import ShardLocal
+        from repro.oocore.writers import shard_static_graph
+
+        views = []
+        build = ShardLocal.csr
+
+        def recorded(local):
+            views.append(build(local))
+            return views[-1]
+
+        monkeypatch.setattr(ShardLocal, "csr", recorded)
+        graph = random_regular(60, 4, seed=5)
+        sharded = shard_static_graph(graph, str(tmp_path), shards=3)
+        previous = obs.disable()
+        try:
+            result = OocoreColoringEngine(sharded).run(
+                AdditiveGroupColoring(), list(range(graph.n))
+            )
+        finally:
+            obs.configure(previous)
+        assert result.rounds_used > 0 and views
+        for view in views:
+            assert view._rows is None
+            assert view._edge_u is None and view._edge_v is None
 
 
 class TestDynamicGraph:

@@ -15,6 +15,19 @@ def read(path):
         return handle.read()
 
 
+def collector():
+    """The ``benchmarks/collect_results.py`` module."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "collect_results",
+        os.path.join(REPO_ROOT, "benchmarks", "collect_results.py"),
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestDesignIndex:
     def test_every_indexed_bench_file_exists(self):
         design = read("DESIGN.md")
@@ -37,14 +50,7 @@ class TestDesignIndex:
         assert not missing, "bench files absent from DESIGN.md: %s" % missing
 
     def test_collector_order_covers_all_report_ids(self):
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "collect_results",
-            os.path.join(REPO_ROOT, "benchmarks", "collect_results.py"),
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = collector()
         # Every exp id passed to report(...) in a bench file must be ordered.
         ids = set()
         bench_dir = os.path.join(REPO_ROOT, "benchmarks")
@@ -54,6 +60,15 @@ class TestDesignIndex:
                 ids.update(re.findall(r'report\(\s*\n?\s*"([^"]+)"', text))
         missing = ids - set(module.ORDER)
         assert not missing, "experiment ids missing from collect_results.ORDER: %s" % missing
+
+    def test_committed_report_is_what_the_collector_makes(self):
+        # The committed report is the collector's output over the committed
+        # tables, plus at most the gate verdict that --check-regressions
+        # appends.
+        report, _, _ = read("benchmarks/results/REPORT.md").partition(
+            "\n## Bench regression gate\n"
+        )
+        assert report == collector().collect()
 
 
 class TestDocsConsistency:
@@ -89,15 +104,8 @@ class TestPaperMap:
             ), match
 
     def test_every_mapped_experiment_id_has_results_entry(self):
-        import importlib.util
-
         paper_map = read("docs/paper-map.md")
-        spec = importlib.util.spec_from_file_location(
-            "collect_results",
-            os.path.join(REPO_ROOT, "benchmarks", "collect_results.py"),
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = collector()
         ids = set(re.findall(r"`(E-[\w-]+|T1)`", paper_map))
         known = set(module.ORDER)
         missing = {i for i in ids if i not in known}
