@@ -15,24 +15,25 @@ assumption that each incoming message sits in a re-readable read-only buffer:
   forbidden set.
 
 :class:`Workspace` is an explicit register file that meters the peak live
-bits; :func:`delta_plus_one_coloring_low_memory` runs the full pipeline
-through it and reports the per-vertex peak in words.
+bits; the metered stages of :mod:`repro.lowmem.stages` run those steps
+through one shared workspace, and :func:`delta_plus_one_coloring_low_memory`
+runs them as the headline pipeline and reports the per-vertex peak in words.
 """
 
 from repro.lowmem.workspace import Workspace, WorkspaceOverflowError
-from repro.lowmem.steps import (
-    ag_step_low_memory,
-    linial_step_low_memory,
-    standard_reduction_step_low_memory,
+from repro.lowmem.stages import (
+    MeteredAdditiveGroupColoring,
+    MeteredLinialColoring,
+    MeteredStandardColorReduction,
 )
 from repro.lowmem.runner import LowMemoryReport, delta_plus_one_coloring_low_memory
 
 __all__ = [
     "Workspace",
     "WorkspaceOverflowError",
-    "ag_step_low_memory",
-    "linial_step_low_memory",
-    "standard_reduction_step_low_memory",
+    "MeteredLinialColoring",
+    "MeteredAdditiveGroupColoring",
+    "MeteredStandardColorReduction",
     "LowMemoryReport",
     "delta_plus_one_coloring_low_memory",
 ]

@@ -1,31 +1,31 @@
-"""Run the full Corollary 3.6 pipeline through the metered O(1)-word steps.
+"""Run Corollary 3.6 through the metered stages, on the shared round loop.
 
-The synchronous loop mirrors :class:`~repro.runtime.engine.ColoringEngine`,
-but every per-vertex computation goes through streaming steps and a
-:class:`~repro.lowmem.workspace.Workspace`, and the report carries the peak
-per-vertex memory in bits and in Theta(log n)-bit words — the executable
-form of the paper's "O(1) words of local memory" claim.
+:func:`delta_plus_one_coloring_low_memory` is the headline recipe with its
+three stages swapped for their metered forms from
+:mod:`repro.lowmem.stages`: the same initial id coloring, the same schedule
+(each stage's own ``configure``) and the reference engine's round loop.  The
+report is the pipeline result plus the peak per-vertex memory in bits and in
+Theta(log n)-bit words — the executable form of the paper's "O(1) words of
+local memory" claim.
 """
 
-from repro.core.ag import ag_prime_for
-from repro.linial.plan import linial_plan
-from repro.lowmem.steps import (
-    ag_step_low_memory,
-    linial_step_low_memory,
-    standard_reduction_step_low_memory,
+from repro.lowmem.stages import (
+    MeteredAdditiveGroupColoring,
+    MeteredLinialColoring,
+    MeteredStandardColorReduction,
 )
 from repro.lowmem.workspace import Workspace, bits_for_range
-from repro.runtime.results import Result
+from repro.recipes import _initial_id_coloring
+from repro.runtime.pipeline import ColoringPipeline, PipelineResult
 
 __all__ = ["LowMemoryReport", "delta_plus_one_coloring_low_memory"]
 
 
-class LowMemoryReport:
-    """Outcome of a low-memory pipeline run."""
+class LowMemoryReport(PipelineResult):
+    """A pipeline result plus the workspace peak of the run."""
 
-    def __init__(self, colors, rounds, peak_bits, word_bits):
-        self.colors = colors
-        self.rounds = rounds
+    def __init__(self, colors, stage_results, peak_bits, word_bits):
+        super().__init__(colors, stage_results)
         self.peak_bits = peak_bits
         self.word_bits = word_bits
 
@@ -33,11 +33,6 @@ class LowMemoryReport:
     def peak_words(self):
         """Peak workspace usage in Theta(log n)-bit words."""
         return -(-self.peak_bits // max(1, self.word_bits))
-
-    @property
-    def num_colors(self):
-        """Distinct colors in the final coloring."""
-        return len(set(self.colors))
 
     def to_dict(self):
         """JSON-serializable summary."""
@@ -58,22 +53,6 @@ class LowMemoryReport:
         )
 
 
-Result.register(LowMemoryReport)
-
-
-def _synchronous_round(graph, colors, step):
-    """Apply ``step(v, color, buffers)`` to all vertices simultaneously."""
-    current = list(colors)
-
-    def make_buffers(v):
-        def buffers():
-            return iter([current[u] for u in graph.neighbors(v)])
-
-        return buffers
-
-    return [step(v, current[v], make_buffers(v)) for v in graph.vertices()]
-
-
 def delta_plus_one_coloring_low_memory(graph, bit_limit=None):
     """Corollary 3.6 with metered O(1)-word per-vertex memory.
 
@@ -82,53 +61,18 @@ def delta_plus_one_coloring_low_memory(graph, bit_limit=None):
     :class:`~repro.lowmem.workspace.WorkspaceOverflowError`, proving the
     meter is live).
     """
-    n = graph.n
-    delta = graph.max_degree
-    word_bits = bits_for_range(max(2, n))
     workspace = Workspace(bit_limit=bit_limit)
-    colors = list(range(n))
-    rounds = 0
-
-    # Stage 1: Linial, one planned iteration per round.
-    plan = linial_plan(max(2, n), delta)
-    palette = max(2, n)
-    for iteration in plan:
-        colors = _synchronous_round(
-            graph,
-            colors,
-            lambda v, c, buffers: linial_step_low_memory(
-                c, buffers, iteration.q, iteration.degree, workspace
-            ),
-        )
-        palette = iteration.out_palette
-        rounds += 1
-
-    # Stage 2: AG on pairs over Z_q.
-    q = ag_prime_for(palette, delta)
-    pairs = [(c // q, c % q) for c in colors]
-    for _ in range(q):
-        if all(a == 0 for a, _ in pairs):
-            break
-        pairs = _synchronous_round(
-            graph,
-            pairs,
-            lambda v, c, buffers: ag_step_low_memory(c, buffers, q, workspace),
-        )
-        rounds += 1
-    colors = [b for _, b in pairs]
-    palette = q
-
-    # Stage 3: standard reduction to Delta + 1.
-    target = delta + 1
-    for t in range(max(0, palette - target)):
-        acting = palette - 1 - t
-        colors = _synchronous_round(
-            graph,
-            colors,
-            lambda v, c, buffers: standard_reduction_step_low_memory(
-                c, buffers, acting, target, workspace
-            ),
-        )
-        rounds += 1
-
-    return LowMemoryReport(colors, rounds, workspace.peak_bits, word_bits)
+    pipeline = ColoringPipeline(
+        [
+            MeteredLinialColoring(workspace),
+            MeteredAdditiveGroupColoring(workspace),
+            MeteredStandardColorReduction(workspace),
+        ]
+    )
+    result = pipeline.run(graph, _initial_id_coloring(graph), backend="reference")
+    return LowMemoryReport(
+        result.colors,
+        result.stage_results,
+        workspace.peak_bits,
+        bits_for_range(max(2, graph.n)),
+    )

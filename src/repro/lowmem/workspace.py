@@ -13,12 +13,32 @@ workspace: the model provides them for free and allows re-reading.
 
 import math
 
-__all__ = ["Workspace", "WorkspaceOverflowError", "bits_for_range"]
+__all__ = ["Workspace", "WorkspaceOverflowError", "bits_for_range", "metered_horner"]
 
 
 def bits_for_range(size):
     """Bits needed to store a value in ``range(size)``."""
     return max(1, math.ceil(math.log2(max(2, size))))
+
+
+def metered_horner(workspace, value, x, q, degree):
+    """Evaluate ``value``'s base-``q`` digit polynomial at ``x`` mod ``q``.
+
+    Horner from the high digit down, with one accumulator and one digit
+    register live in ``workspace``: a color's polynomial is never stored
+    beyond the color itself.  Serves Linial's step and the self-stabilizing
+    Mod-Linial descent alike.
+    """
+    bits = bits_for_range(q)
+    workspace.put("acc", 0, bits)
+    for position in range(degree, -1, -1):
+        workspace.put("digit", (value // (q ** position)) % q, bits)
+        acc = (workspace.get("acc") * x + workspace.get("digit")) % q
+        workspace.put("acc", acc, bits)
+        workspace.free("digit")
+    result = workspace.get("acc")
+    workspace.free("acc")
+    return result
 
 
 class WorkspaceOverflowError(RuntimeError):

@@ -327,7 +327,7 @@ class ShardState(ColumnState):
         owned_new = tuple(comp[:k] for comp in new_state)
         for column, owned in zip(self.planes.buffer(1 - src), owned_new):
             column[local.lo:local.hi] = owned
-        self.io_read += io_read + 8 * k * self.ncomp + local.bytes_read
+        self.io_read += io_read + 8 * k * self.ncomp
         self.io_written += 8 * k * self.ncomp
         finalized = int(self.stage.batch_is_final(owned_new).sum())
         self.release(src, 1 - src)

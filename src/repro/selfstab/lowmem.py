@@ -12,7 +12,8 @@ every live local value inside a metered
 * one streaming point search for the Mod-Linial descent and the
   Excl-Linial landing: for each candidate point ``x``, re-stream the
   buffers, evaluating one same-interval neighbor polynomial at a time
-  (Horner, digit by digit) and, when landing, comparing the candidate
+  (:func:`~repro.lowmem.workspace.metered_horner`, the static Linial
+  step's Horner) and, when landing, comparing the candidate
   against each ``I_0`` neighbor's at most *two* next colors, computed on the
   fly (never materializing the ``O(Delta)``-sized ``S'``);
 * the core step: the coloring's own streamed form, one neighbor at a time.
@@ -22,7 +23,7 @@ states), so every stabilization/radius theorem transfers; the workspace
 meter shows the peak stays a fixed handful of Theta(log n)-bit words.
 """
 
-from repro.lowmem.workspace import Workspace, bits_for_range
+from repro.lowmem.workspace import Workspace, bits_for_range, metered_horner
 
 from repro.selfstab.coloring import SelfStabColoring
 from repro.selfstab.exact import SelfStabExactColoring
@@ -98,18 +99,6 @@ class _MeteredDescent:
         ws.free_all()
         return plan.to_global(max(0, level - 1), new_local)
 
-    def _horner(self, value, x, q, degree):
-        """Evaluate ``value``'s base-``q`` digit polynomial at ``x``, digit
-        by digit, in one register."""
-        ws = self.workspace
-        ws.put("acc", 0, bits_for_range(q))
-        for position in range(degree, -1, -1):
-            digit = (value // (q ** position)) % q
-            ws.put("acc", (ws.get("acc") * x + digit) % q, bits_for_range(q))
-        out = ws.get("acc")
-        ws.free("acc")
-        return out
-
     def _point_search(self, level, local, neighbor_visibles, q, degree, points, encode):
         """The first point ``x`` whose candidate ``encode(x, g(x))`` no
         same-level neighbor polynomial agrees with and, when landing
@@ -119,7 +108,7 @@ class _MeteredDescent:
         value_bits = bits_for_range(q)
         for x in range(points):
             ws.put("x", x, value_bits)
-            ws.put("gx", self._horner(local, x, q, degree), value_bits)
+            ws.put("gx", metered_horner(ws, local, x, q, degree), value_bits)
             ws.put("cand", encode(x, ws.get("gx")), self._color_bits)
             ok = True
             for color in neighbor_visibles:
@@ -128,7 +117,8 @@ class _MeteredDescent:
                     nb_local = color - plan.offsets[level]
                     if nb_local == local:
                         continue
-                    ws.put("nval", self._horner(nb_local, x, q, degree), value_bits)
+                    nval = metered_horner(ws, nb_local, x, q, degree)
+                    ws.put("nval", nval, value_bits)
                     if ws.get("nval") == ws.get("gx"):
                         ok = False
                     ws.free("nval")
@@ -269,16 +259,4 @@ class SelfStabMISConstantMemory(SelfStabMIS):
         any_mis = bool(ws.get("any_mis"))
         minimal = bool(ws.get("minimal")) and isinstance(color, int)
         ws.free_all()
-
-        if status == "MIS":
-            new_status = "UND" if any_mis else "MIS"
-        elif status == "NOTMIS":
-            new_status = "NOTMIS" if any_mis else "UND"
-        else:
-            if any_mis:
-                new_status = "NOTMIS"
-            elif minimal:
-                new_status = "MIS"
-            else:
-                new_status = "UND"
-        return (new_color, new_status)
+        return (new_color, self._next_status(status, any_mis, minimal))

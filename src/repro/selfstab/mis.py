@@ -71,24 +71,22 @@ class SelfStabMIS(SelfStabAlgorithm):
         new_color = self.coloring.transition(vertex, color, neighbor_colors)
 
         any_mis = any(s == MIS for _, s in neighbor_states)
+        minimal = isinstance(color, int) and all(
+            color < c for c, s in neighbor_states if s == UND and isinstance(c, int)
+        )
+        return (new_color, self._next_status(status, any_mis, minimal))
+
+    @staticmethod
+    def _next_status(status, any_mis, minimal):
+        """The status rule, given whether some neighbor is in the MIS and
+        whether the vertex's color is below every undecided neighbor's."""
         if status == MIS:
-            new_status = UND if any_mis else MIS
-        elif status == NOTMIS:
-            new_status = NOTMIS if any_mis else UND
-        else:  # UND
-            if any_mis:
-                new_status = NOTMIS
-            else:
-                und_colors = [
-                    c
-                    for c, s in neighbor_states
-                    if s == UND and isinstance(c, int)
-                ]
-                if isinstance(color, int) and all(color < c for c in und_colors):
-                    new_status = MIS
-                else:
-                    new_status = UND
-        return (new_color, new_status)
+            return UND if any_mis else MIS
+        if status == NOTMIS:
+            return NOTMIS if any_mis else UND
+        if any_mis:
+            return NOTMIS
+        return MIS if minimal else UND
 
     # -- batch protocol (see repro.selfstab.fast_engine) -------------------------
     #

@@ -1,18 +1,33 @@
 """Tests for the O(1)-words-per-vertex execution (end of Section 3)."""
 
+import random
+
 import pytest
 
+from repro import obs
 from repro.analysis import is_proper_coloring
-from repro.graphgen import complete_graph, cycle_graph, gnp_graph, random_regular
+from repro.core.ag import AdditiveGroupColoring
+from repro.core.reductions import StandardColorReduction
+from repro.graphgen import (
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    path_graph,
+    random_regular,
+)
+from repro.linial.core import LinialColoring, linial_next_color
 from repro.lowmem import (
+    MeteredAdditiveGroupColoring,
+    MeteredLinialColoring,
+    MeteredStandardColorReduction,
     Workspace,
     WorkspaceOverflowError,
-    ag_step_low_memory,
     delta_plus_one_coloring_low_memory,
-    linial_step_low_memory,
-    standard_reduction_step_low_memory,
 )
 from repro.lowmem.workspace import bits_for_range
+from repro.recipes import delta_plus_one_coloring
+from repro.runtime.algorithm import NetworkInfo
+from repro.runtime.graph import StaticGraph
 
 
 class TestWorkspace:
@@ -113,61 +128,75 @@ class TestWorkspace:
         assert bits_for_range(257) == 9
 
 
+def _configured(make, n, delta, palette, workspace=None):
+    """A metered stage (or, without ``workspace``, its reference stage)
+    configured for ``(n, Delta, input palette)``."""
+    stage = make() if workspace is None else make(workspace)
+    stage.configure(NetworkInfo(n, delta, palette))
+    return stage
+
+
 class TestStreamingSteps:
     def test_ag_step_matches_engine_semantics(self):
-        q = 11
-        ws = Workspace()
-        conflict = ag_step_low_memory((2, 3), lambda: iter([(5, 3)]), q, ws)
-        assert conflict == (2, 5)
-        final = ag_step_low_memory((2, 3), lambda: iter([(5, 4)]), q, ws)
-        assert final == (0, 3)
+        stage = _configured(MeteredAdditiveGroupColoring, 20, 5, 100, Workspace())
+        reference = _configured(AdditiveGroupColoring, 20, 5, 100)
+        assert stage.q == 11
+        conflict = stage.step(0, (2, 3), ((5, 3),))
+        assert conflict == (2, 5) == reference.step(0, (2, 3), ((5, 3),))
+        final = stage.step(0, (2, 3), ((5, 4),))
+        assert final == (0, 3) == reference.step(0, (2, 3), ((5, 4),))
 
     def test_ag_step_memory_independent_of_degree(self):
-        q = 101
         peaks = []
         for degree in (2, 50, 100):
             ws = Workspace()
-            neighbors = [(i % q, (7 * i) % q) for i in range(1, degree + 1)]
-            ag_step_low_memory((3, 5), lambda: iter(neighbors), q, ws)
+            stage = _configured(MeteredAdditiveGroupColoring, 400, 100, 400, ws)
+            q = stage.q
+            neighbors = tuple((i % q, (7 * i) % q) for i in range(1, degree + 1))
+            stage.step(0, (3, 5), neighbors)
             peaks.append(ws.peak_bits)
         assert peaks[0] == peaks[1] == peaks[2]
 
     def test_linial_step_matches_reference(self):
-        from repro.linial.core import linial_next_color
-
-        q, d = 13, 1
-        neighbors = [7, 9, 3]
-        ws = Workspace()
-        streamed = linial_step_low_memory(5, lambda: iter(neighbors), q, d, ws)
-        reference = linial_next_color(5, neighbors, q, d)
-        assert streamed == reference
+        # random_regular(200, 6)'s plan: one iteration, q = 13, degree 2.
+        stage = _configured(MeteredLinialColoring, 200, 6, 200, Workspace())
+        reference = _configured(LinialColoring, 200, 6, 200)
+        [iteration] = stage.plan
+        assert (iteration.q, iteration.degree) == (13, 2)
+        neighbors = (7, 9, 3)
+        streamed = stage.step(0, 5, neighbors)
+        assert streamed == reference.step(0, 5, neighbors)
+        assert streamed == linial_next_color(5, neighbors, 13, 2)
+        rng = random.Random(3)
+        for _ in range(200):
+            color = rng.randrange(200)
+            neighbors = tuple(rng.randrange(200) for _ in range(rng.randint(0, 6)))
+            assert stage.step(0, color, neighbors) == reference.step(
+                0, color, neighbors
+            )
+        # Past the plan the step is the identity, as the reference's.
+        assert stage.step(1, 5, (7, 9, 3)) == 5
 
     def test_linial_step_memory_independent_of_degree(self):
-        q, d = 211, 1
         peaks = []
         for degree in (3, 60, 150):
             ws = Workspace()
-            neighbors = list(range(1, degree + 1))
-            linial_step_low_memory(0, lambda: iter(neighbors), q, d, ws)
+            stage = _configured(MeteredLinialColoring, 10 ** 6, 150, 10 ** 6, ws)
+            assert stage.plan
+            stage.step(0, 0, tuple(range(1, degree + 1)))
             peaks.append(ws.peak_bits)
         assert peaks[0] == peaks[1] == peaks[2]
 
     def test_standard_reduction_step(self):
-        ws = Workspace()
-        # Acting vertex with colors 0 and 1 taken picks 2.
-        new = standard_reduction_step_low_memory(
-            9, lambda: iter([0, 1, 5]), acting_color=9, target=4, workspace=ws
-        )
-        assert new == 2
+        stage = _configured(MeteredStandardColorReduction, 20, 3, 10, Workspace())
+        reference = _configured(StandardColorReduction, 20, 3, 10)
+        # Round 0: color class 9 acts; with colors 0 and 1 taken it picks 2.
+        assert stage.step(0, 9, (0, 1, 5)) == 2 == reference.step(0, 9, (0, 1, 5))
 
     def test_standard_reduction_non_acting_keeps_color(self):
-        ws = Workspace()
-        assert (
-            standard_reduction_step_low_memory(
-                3, lambda: iter([0]), acting_color=9, target=4, workspace=ws
-            )
-            == 3
-        )
+        stage = _configured(MeteredStandardColorReduction, 20, 3, 10, Workspace())
+        assert stage.step(0, 3, (0,)) == 3
+        assert stage.step(1, 9, (0,)) == 9  # class 8 acts in round 1
 
 
 class TestFullPipeline:
@@ -189,7 +218,8 @@ class TestFullPipeline:
     def test_peak_words_constant_across_sizes(self):
         """The paper's claim: O(1) words of Theta(log n) bits each."""
         words = []
-        for n, d, seed in [(24, 4, 1), (96, 8, 2), (192, 12, 3)]:
+        # (200, 6, 0) is the one config whose Linial plan is not empty.
+        for n, d, seed in [(24, 4, 1), (96, 8, 2), (192, 12, 3), (200, 6, 0)]:
             graph = random_regular(n, d, seed=seed)
             report = delta_plus_one_coloring_low_memory(graph)
             words.append(report.peak_words)
@@ -207,6 +237,57 @@ class TestFullPipeline:
             graph, bit_limit=20 * report_word_bits(graph)
         )
         assert is_proper_coloring(graph, report.colors)
+
+
+def _shuffled_ids(graph, seed):
+    """``graph`` rebuilt with the ids ``1000..1000+n-1`` in shuffled order."""
+    ids = list(range(1000, 1000 + graph.n))
+    random.Random(seed).shuffle(ids)
+    return StaticGraph(graph.n, graph.edges, ids=ids)
+
+
+PIN_GRAPHS = {
+    "cycle": lambda: cycle_graph(40),
+    "clique": lambda: complete_graph(8),
+    "path1": lambda: path_graph(1),
+    "path2": lambda: path_graph(2),
+    "gnp48": lambda: gnp_graph(48, 0.12, seed=1),
+    "gnp300": lambda: gnp_graph(300, 0.03, seed=0),
+    "regular40": lambda: random_regular(40, 6, seed=2),
+    "regular200": lambda: random_regular(200, 6, seed=0),
+    "regular200-shuffled-ids": lambda: _shuffled_ids(random_regular(200, 6, seed=0), 1),
+}
+
+
+class TestRecipePin:
+    """The metered run is the headline recipe, color for color and round
+    for round: same initial id coloring, schedule and round loop."""
+
+    @pytest.mark.parametrize("name", sorted(PIN_GRAPHS))
+    def test_equals_the_reference_recipe(self, name):
+        graph = PIN_GRAPHS[name]()
+        report = delta_plus_one_coloring_low_memory(graph)
+        reference = delta_plus_one_coloring(graph, backend="reference")
+        assert list(report.colors) == list(reference.colors)
+        assert report.rounds_by_stage() == reference.rounds_by_stage()
+        assert report.rounds == reference.total_rounds
+
+    def test_run_records_equal_the_reference_recipe(self):
+        graph = random_regular(200, 6, seed=0)
+        records = []
+        for run in (
+            lambda: delta_plus_one_coloring_low_memory(graph),
+            lambda: delta_plus_one_coloring(graph, backend="reference"),
+        ):
+            with obs.capture() as tel:
+                run()
+            records.append(
+                obs.comparable_view(
+                    tel.events_of("engine.run") + tel.events_of("pipeline.run")
+                )
+            )
+        assert len(records[0]) == 4
+        assert records[0] == records[1]
 
 
 def report_word_bits(graph):

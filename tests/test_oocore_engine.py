@@ -450,6 +450,30 @@ class TestTelemetry:
         events = [e for e in tel.events if e.get("type") == "engine.run"]
         assert events and events[-1]["backend"] == "oocore"
 
+    @pytest.mark.parametrize(
+        "budget, expected",
+        [
+            # Every local stays cached: one pass over the 3 176 bytes of
+            # shard files, plus the plane bytes.
+            (None, 8936),
+            # No local fits the cache: 4 passes over the shard files, plus
+            # the same plane bytes.
+            ("9000", 18464),
+        ],
+    )
+    def test_shard_bytes_counted_once(self, budget, expected, monkeypatch):
+        from repro import obs
+        from repro.core.ag import AdditiveGroupColoring
+        from repro.oocore.engine import OocoreColoringEngine
+
+        if budget is not None:
+            monkeypatch.setenv("REPRO_OOCORE_BUDGET", budget)
+        sharded = _sharded(random_regular(60, 4, seed=5), shards=3)
+        with obs.capture() as tel:
+            OocoreColoringEngine(sharded).run(AdditiveGroupColoring(), list(range(60)))
+        read = tel.counter_value("oocore.shard_io.bytes_read", stage="additive-group")
+        assert read == expected
+
     @pytest.mark.parametrize("shards", [1, 2, 3, 4])
     def test_engine_run_records_match_every_tier(self, shards):
         # Per-round changed/finalized/conflicts rows included: a cross-shard
