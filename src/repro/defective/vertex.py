@@ -11,20 +11,20 @@ distinctly-colored neighbors; by pigeonhole some point has at most
 adds at most ``O(p)`` defect while squaring down the palette towards
 ``O((Delta/p)^2)``.
 
+:class:`DefectiveLinialColoring` is a :class:`~repro.linial.core.LinialColoring`
+with a tolerant tail: its proper rounds are the Linial stage's, and both
+kinds of round read the Linial point scan (one vertex:
+:func:`~repro.linial.core.scalar_point_scan`; all rows:
+:func:`~repro.linial.core.linial_round_batch` with ``tolerant=True``).
+
 Already-equal neighbors stay tolerated (they may or may not separate later);
 the accumulated defect is the sum of the per-step pigeonhole bounds, exposed
 as :attr:`DefectiveLinialColoring.defect_bound` and asserted in tests.
 """
 
-from repro.linial.plan import integer_root_ceiling, linial_plan
-from repro.mathutil.gf import (
-    batch_eval_points,
-    batch_poly_coeffs,
-    eval_poly_mod,
-    int_to_poly_coeffs,
-)
+from repro.linial.core import LinialColoring, linial_round_batch, scalar_point_scan
+from repro.linial.plan import integer_root_ceiling
 from repro.mathutil.primes import next_prime_at_least
-from repro.runtime.algorithm import LocallyIterativeColoring
 
 __all__ = ["DefectiveLinialColoring", "defective_linial_next_color"]
 
@@ -38,29 +38,16 @@ def defective_linial_next_color(color, neighbor_colors, q, degree):
     distinctly-colored neighbors whose polynomial agrees with ours at ``x``
     (ties broken towards smaller ``x``).
     """
-    mine = int_to_poly_coeffs(color, degree, q)
-    neighbor_polys = [
-        int_to_poly_coeffs(c, degree, q) for c in set(neighbor_colors) if c != color
-    ]
-    if not neighbor_polys:
-        # Fixed-point neighborhood (no distinctly-colored neighbor can ever
-        # collide): x = 0 wins with count 0, so skip the per-point scan.
-        return eval_poly_mod(mine, 0, q)
-    best_x, best_value, best_count = 0, eval_poly_mod(mine, 0, q), None
-    for x in range(q):
-        value = eval_poly_mod(mine, x, q)
-        count = sum(
-            1 for other in neighbor_polys if eval_poly_mod(other, x, q) == value
-        )
-        if best_count is None or count < best_count:
-            best_x, best_value, best_count = x, value, count
-        if best_count == 0:
-            break
-    return best_x * q + best_value
+    x, value, _, _ = scalar_point_scan(color, neighbor_colors, q, degree)
+    return x * q + value
 
 
-class DefectiveLinialColoring(LocallyIterativeColoring):
+class DefectiveLinialColoring(LinialColoring):
     """``m`` colors to a ``O(p)``-defective ``O((Delta/p)^2)``-coloring.
+
+    Rounds ``0 .. len(plan) - 1`` are the proper Linial rounds of
+    :class:`~repro.linial.core.LinialColoring`; the tolerant rounds over
+    ``tolerant_qs`` follow, and past them the step is the identity.
 
     Parameters
     ----------
@@ -72,26 +59,23 @@ class DefectiveLinialColoring(LocallyIterativeColoring):
 
     name = "defective-linial"
     maintains_proper = False
-    uniform_step = False
 
     def __init__(self, tolerance):
         super().__init__()
         if tolerance < 1:
             raise ValueError("tolerance must be >= 1")
         self.tolerance = tolerance
-        self.proper_plan = None
         self.tolerant_qs = None
         self.defect_bound = None
+
+    @property
+    def proper_plan(self):
+        """The proper Linial rounds (the inherited ``plan``)."""
+        return self.plan
 
     def configure(self, info):
         super().configure(info)
         delta = info.max_degree
-        self.proper_plan = linial_plan(info.in_palette_size, delta)
-        proper_out = (
-            self.proper_plan[-1].out_palette
-            if self.proper_plan
-            else info.in_palette_size
-        )
         # Target palette: (smallest prime >= 2 * ceil(Delta/p) + 2) squared,
         # which is what ArbAG wants to see as its input space.
         r = -(-delta // self.tolerance) if delta else 0
@@ -99,7 +83,7 @@ class DefectiveLinialColoring(LocallyIterativeColoring):
         target = target_q * target_q
         qs = []
         bound = 0
-        m = proper_out
+        m = super().out_palette_size
         while m > target:
             q = next_prime_at_least(
                 max(integer_root_ceiling(m, _TOLERANT_DEGREE + 1), target_q)
@@ -121,24 +105,7 @@ class DefectiveLinialColoring(LocallyIterativeColoring):
     @property
     def rounds_bound(self):
         self._require_configured()
-        return len(self.proper_plan) + len(self.tolerant_qs)
-
-    def step(self, round_index, color, neighbor_colors):
-        n_proper = len(self.proper_plan)
-        if round_index < n_proper:
-            iteration = self.proper_plan[round_index]
-            from repro.linial.core import linial_next_color
-
-            return linial_next_color(
-                color, neighbor_colors, iteration.q, iteration.degree
-            )
-        tolerant_index = round_index - n_proper
-        if tolerant_index >= len(self.tolerant_qs):
-            return color
-        q = self.tolerant_qs[tolerant_index]
-        return defective_linial_next_color(
-            color, neighbor_colors, q, _TOLERANT_DEGREE
-        )
+        return len(self.plan) + len(self.tolerant_qs)
 
     @property
     def uniform_after(self):
@@ -150,98 +117,29 @@ class DefectiveLinialColoring(LocallyIterativeColoring):
         with a generous ``max_rounds`` no longer re-enter the per-neighbor
         scan of :func:`defective_linial_next_color` on every tail round.
         """
-        self._require_configured()
-        return len(self.proper_plan) + len(self.tolerant_qs)
+        return self.rounds_bound
 
-    # -- batch protocol (see repro.runtime.fast_engine) -------------------------
-    #
-    # State: the current color as a single int64 array.  Proper rounds reuse
-    # the shared Linial kernel; tolerant rounds evaluate every candidate
-    # point's collision count against the *deduplicated* distinctly-colored
-    # neighbor polynomials (the scalar rule counts per distinct color, so
-    # SET-LOCAL and LOCAL agree after the dedup) and argmin with ties to the
-    # smallest point — exactly the scalar best-count scan.
+    def _tolerant_q(self, round_index):
+        """The field of a tolerant round, or None for a Linial round or the tail."""
+        index = round_index - len(self.plan)
+        return self.tolerant_qs[index] if 0 <= index < len(self.tolerant_qs) else None
 
-    def batch_encode_initial(self, initial):
-        """Vectorized ``encode_initial`` (identity, like the scalar path)."""
-        return (initial,)
+    def step(self, round_index, color, neighbor_colors):
+        q = self._tolerant_q(round_index)
+        if q is None:
+            return super().step(round_index, color, neighbor_colors)
+        return defective_linial_next_color(
+            color, neighbor_colors, q, _TOLERANT_DEGREE
+        )
 
     def step_batch(self, round_index, state, csr, visibility):
         """Vectorized ``step``: planned Linial round or tolerant repick."""
-        from repro.linial.core import linial_round_batch
-
+        q = self._tolerant_q(round_index)
+        if q is None:
+            return super().step_batch(round_index, state, csr, visibility)
         (colors,) = state
-        n_proper = len(self.proper_plan)
-        if round_index < n_proper:
-            iteration = self.proper_plan[round_index]
-            new_colors = linial_round_batch(
-                self, round_index, colors, csr, visibility,
-                iteration.q, iteration.degree,
-            )
-            return (new_colors,)
-        tolerant_index = round_index - n_proper
-        if tolerant_index >= len(self.tolerant_qs):
-            return state
-        q = self.tolerant_qs[tolerant_index]
-        return (self._tolerant_round_batch(round_index, colors, csr, visibility, q),)
-
-    def _tolerant_round_batch(self, round_index, colors, csr, visibility, q):
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
-        degree = _TOLERANT_DEGREE
-        limit = q ** (degree + 1)
-        out_of_field = (colors < 0) | (colors >= limit)
-        if bool(out_of_field.any()):
-            # Replay in vertex order for the scalar encoder's exact error.
-            from repro.runtime.fast_engine import scalar_replay_round
-
-            scalar_replay_round(self, round_index, colors.tolist(), csr, visibility)
-            raise AssertionError(
-                "batch tolerant kernel rejected a round the scalar step accepts"
-            )
-        n = csr.n
-        coeffs = batch_poly_coeffs(colors, degree, q)
-        nbr = csr.gather(colors)
-        sel = csr.distinct_slot_mask(nbr) & (nbr != csr.owner_values(colors))
-        rows = csr.rows[sel]
-        nbr_idx = csr.indices[sel]
-        own_vals = batch_eval_points(coeffs, np.arange(q, dtype=np.int64), q)
-        # Scan points smallest-first with a collapsing pending set: a vertex
-        # is decided the moment it sees a zero-collision point (the scalar
-        # loop's early break), and only pending vertices' slots are touched
-        # afterwards — so the expected slot work is a small multiple of m,
-        # not m * q.  A neighbor's polynomial is that neighbor's own
-        # polynomial, so its values come from ``own_vals`` by gather.
-        best_x = np.zeros(n, dtype=np.int64)
-        best_count = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        pending = np.ones(n, dtype=bool)
-        for x in range(q):
-            column = own_vals[:, x]
-            agree = column[nbr_idx] == column[rows]
-            count = np.bincount(rows[agree], minlength=n)
-            better = pending & (count < best_count)
-            best_x[better] = x
-            best_count[better] = count[better]
-            pending &= best_count > 0
-            if not bool(pending.any()):
-                break
-            keep = pending[rows]
-            rows = rows[keep]
-            nbr_idx = nbr_idx[keep]
-        return best_x * q + own_vals[np.arange(n), best_x]
-
-    def batch_is_final(self, state):
-        """Vectorized ``is_final`` (never final, like the scalar path)."""
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
-        return np.zeros(state[0].shape[0], dtype=bool)
-
-    def batch_decode_final(self, state):
-        """Vectorized ``decode_final`` (identity, like the scalar path)."""
-        return state[0]
-
-    def batch_to_scalar(self, state):
-        """The state as the scalar engine's plain-int color list."""
-        return state[0].tolist()
+        new_colors = linial_round_batch(
+            self, round_index, colors, csr, visibility, q, _TOLERANT_DEGREE,
+            tolerant=True,
+        )
+        return (new_colors,)

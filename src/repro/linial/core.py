@@ -1,10 +1,22 @@
-"""Linial's algorithm as a locally-iterative stage.
+"""Linial's algorithm as a locally-iterative stage, and its one point scan.
 
-The single-iteration primitive :func:`linial_next_color` is shared by:
+Every Linial-style step of the paper encodes a color as a polynomial over
+GF(q) and has the vertex pick the first evaluation point that its
+neighbors' polynomials do not share.  The scan is written once per tier:
 
-* :class:`LinialColoring` — the static ``log* n + O(1)``-round stage used in
-  Corollary 3.6's pipeline, and
-* the self-stabilizing Mod-Linial descent of Section 4.
+* :func:`scalar_point_scan` — one vertex; :func:`linial_next_color` (the
+  proper step, which must find a point no neighbor shares) and
+  ``repro.defective.vertex.defective_linial_next_color`` (the tolerant
+  step, which takes the point with the fewest collisions) read it;
+* :func:`point_scan` — all rows of one coefficient matrix at once, with
+  three callers: :func:`linial_round_batch` (the proper and tolerant
+  rounds of :class:`LinialColoring` and ``DefectiveLinialColoring``), and
+  the self-stabilizing Mod-Linial descent and Excl-Linial landing of
+  Section 4 (``repro.selfstab.kernels.apply_upper_descent`` and
+  ``IntervalDescentColoring._batch_land``).
+
+:class:`LinialColoring` is the static ``log* n + O(1)``-round stage of
+Corollary 3.6's pipeline.
 """
 
 from repro.linial.plan import linial_plan
@@ -16,23 +28,74 @@ from repro.mathutil.gf import (
 )
 from repro.runtime.algorithm import LocallyIterativeColoring
 
-__all__ = ["linial_next_color", "linial_round_batch", "LinialColoring"]
+__all__ = [
+    "linial_next_color",
+    "linial_round_batch",
+    "point_scan",
+    "scalar_point_scan",
+    "LinialColoring",
+]
 
-# Evaluation points are processed one at a time (Horner column per point):
-# almost every vertex succeeds within the first few points, so the scan
-# exits early and the kernel's largest transient is a single length-n
-# column — never an (n x block) value matrix, which at out-of-core shard
-# sizes (multi-million-row states) dominated peak RSS.
+
+def point_scan(coeffs, q, points, pending, rows, nbrs, forbidden=None):
+    """The Linial point scan over every row of one coefficient matrix.
+
+    ``coeffs`` holds one degree-``d`` polynomial over GF(q) per row (see
+    :func:`~repro.mathutil.gf.batch_poly_coeffs`), and slot ``i`` makes row
+    ``nbrs[i]`` a neighbor of row ``rows[i]``.  Each ``pending`` row scans
+    the points ``x = 0, ..., points - 1`` and counts its slots whose
+    neighbor polynomial agrees with its own at ``x``, plus one where
+    ``forbidden(x, column, pending)`` (an optional hook returning a per-row
+    mask; ``column`` is every row's value at ``x``) rules the point out.  A
+    row keeps the first point with the fewest such collisions and stops at
+    its first point with none; only the slots of rows still pending are
+    read at the next point.  Evaluation is one Horner column per point, so
+    the largest transient is a single column, never a ``(rows x points)``
+    block.
+
+    Returns int64 arrays ``(x, value, count)``: the point, the row's value
+    there and its collision count.  Rows that were never pending read
+    ``(0, 0, 0)``, so ``count.any()`` is true exactly when some pending row
+    found no collision-free point.
+    """
+    from repro.runtime.csr import numpy_or_none
+
+    np = numpy_or_none()
+    size = coeffs.shape[0]
+    best_x = np.zeros(size, dtype=np.int64)
+    best_value = np.zeros(size, dtype=np.int64)
+    best_count = np.where(pending, np.iinfo(np.int64).max, 0)
+    for x in range(points):
+        column = batch_eval_point(coeffs, x, q)
+        count = np.bincount(rows[column[nbrs] == column[rows]], minlength=size)
+        if forbidden is not None:
+            count += forbidden(x, column, pending)
+        # A row that is not pending holds count 0, so it never improves.
+        better = count < best_count
+        best_x[better] = x
+        best_value[better] = column[better]
+        best_count[better] = count[better]
+        pending = best_count > 0
+        if not bool(pending.any()):
+            break
+        keep = pending[rows]
+        rows, nbrs = rows[keep], nbrs[keep]
+    return best_x, best_value, best_count
 
 
-def linial_round_batch(stage, round_index, colors, csr, visibility, q, degree):
-    """One vectorized Linial iteration over all vertices (batch kernel body).
+def linial_round_batch(stage, round_index, colors, csr, visibility, q, degree,
+                       tolerant=False):
+    """One Linial iteration over all vertices: the new int64 color array.
 
-    Shared by :class:`LinialColoring` and the proper rounds of
-    ``DefectiveLinialColoring``: ``stage`` is only used to replay the round
-    through its scalar ``step`` when the batch kernel must surface the exact
-    scalar error (out-of-field input, no conflict-free point).  Returns the
-    new int64 color array.
+    The batch body of :class:`LinialColoring`'s rounds and both kinds of
+    ``DefectiveLinialColoring`` round.  A proper round (``tolerant=False``)
+    gives every vertex the first point no distinctly-colored neighbor
+    shares; a tolerant round takes the point with the fewest collisions,
+    counted once per distinct neighbor color as the scalar rule counts
+    them, so LOCAL and SET-LOCAL agree.  ``stage`` is only used to replay
+    the round through its scalar ``step`` when the scalar path would raise
+    (an input color outside the field, or a proper round with no
+    conflict-free point), so the batch tier raises the same error.
     """
     from repro.runtime.csr import numpy_or_none
 
@@ -43,33 +106,20 @@ def linial_round_batch(stage, round_index, colors, csr, visibility, q, degree):
         out_of_field |= colors >= limit
     if bool(out_of_field.any()):
         _raise_like_scalar(stage, round_index, colors, csr, visibility)
-    coeffs = batch_poly_coeffs(colors, degree, q)
-    n = csr.n
-    new_colors = np.empty(n, dtype=np.int64)
-    pending = np.ones(n, dtype=bool)
-    distinct = csr.gather(colors) != csr.owner_values(colors)
-    # Only distinct-colored neighbors can ever conflict; slice them once.
-    distinct_rows = csr.rows[distinct]
-    distinct_nbrs = csr.indices[distinct]
-    for x in range(q):
-        # Re-select per point: pending collapses after the first few
-        # points, so later iterations gather almost nothing.
-        column = batch_eval_point(coeffs, x, q)
-        slot_sel = pending[distinct_rows]
-        rows = distinct_rows[slot_sel]
-        conflict = np.zeros(n, dtype=bool)
-        if rows.size:
-            agree = column[distinct_nbrs[slot_sel]] == column[rows]
-            conflict[rows[agree]] = True
-        free = pending & ~conflict
-        new_colors[free] = x * q + column[free]
-        pending &= conflict
-        if not bool(pending.any()):
-            break
-    if bool(pending.any()):
-        # Some vertex has no conflict-free point (under-sized field).
+    sel = csr.gather(colors) != csr.owner_values(colors)
+    if tolerant:
+        sel &= csr.distinct_slot_mask(csr.gather(colors))
+    x, value, count = point_scan(
+        batch_poly_coeffs(colors, degree, q),
+        q,
+        q,
+        np.ones(csr.n, dtype=bool),
+        csr.rows[sel],
+        csr.indices[sel],
+    )
+    if not tolerant and bool(count.any()):
         _raise_like_scalar(stage, round_index, colors, csr, visibility)
-    return new_colors
+    return x * q + value
 
 
 def _raise_like_scalar(stage, round_index, colors, csr, visibility):
@@ -80,6 +130,32 @@ def _raise_like_scalar(stage, round_index, colors, csr, visibility):
     raise AssertionError(
         "batch Linial kernel rejected a round the scalar step accepts"
     )
+
+
+def scalar_point_scan(color, neighbor_colors, q, degree):
+    """The Linial point scan of one vertex: ``(x, value, count, others)``.
+
+    Encodes ``color`` and every distinct neighbor color other than it as
+    degree-``degree`` polynomials ``g`` and ``g_u`` over GF(q) and returns
+    the first point ``x`` with the fewest neighbor polynomials agreeing
+    with ``g``, stopping at the first point with none: ``value`` is
+    ``g(x)``, ``count`` the agreements there and ``others`` the number of
+    neighbor polynomials.  Raises :class:`ValueError` for a color outside
+    ``[0, q^(degree + 1))``.
+    """
+    mine = int_to_poly_coeffs(color, degree, q)
+    others = [
+        int_to_poly_coeffs(c, degree, q) for c in set(neighbor_colors) if c != color
+    ]
+    best = None
+    for x in range(q):
+        value = eval_poly_mod(mine, x, q)
+        count = sum(1 for other in others if eval_poly_mod(other, x, q) == value)
+        if best is None or count < best[2]:
+            best = (x, value, count)
+            if not count:
+                break
+    return best + (len(others),)
 
 
 def linial_next_color(color, neighbor_colors, q, degree):
@@ -94,18 +170,13 @@ def linial_next_color(color, neighbor_colors, q, degree):
     leaves a valid ``x``.  Raises :class:`ValueError` when the caller
     under-sized the field.
     """
-    mine = int_to_poly_coeffs(color, degree, q)
-    neighbor_polys = [
-        int_to_poly_coeffs(c, degree, q) for c in set(neighbor_colors) if c != color
-    ]
-    for x in range(q):
-        value = eval_poly_mod(mine, x, q)
-        if all(eval_poly_mod(other, x, q) != value for other in neighbor_polys):
-            return x * q + value
-    raise ValueError(
-        "no conflict-free point in GF(%d) for degree %d with %d neighbors"
-        % (q, degree, len(neighbor_polys))
-    )
+    x, value, count, others = scalar_point_scan(color, neighbor_colors, q, degree)
+    if count:
+        raise ValueError(
+            "no conflict-free point in GF(%d) for degree %d with %d neighbors"
+            % (q, degree, others)
+        )
+    return x * q + value
 
 
 class LinialColoring(LocallyIterativeColoring):
@@ -152,12 +223,10 @@ class LinialColoring(LocallyIterativeColoring):
     # -- batch protocol (see repro.runtime.fast_engine) -------------------------
     #
     # State: the current color as a single int64 array.  Each round encodes
-    # all n colors as one base-q coefficient matrix, then scans candidate
-    # points one at a time — one Horner column mod q per point — and gives
-    # each still-pending vertex the first point that no neighbor shares,
-    # stopping once none is pending.  The conflict test is pure existence
-    # over *distinct* neighbor colors, so the kernel is identical in LOCAL
-    # and SET-LOCAL.
+    # all n colors as one base-q coefficient matrix and runs point_scan over
+    # the slots of distinctly-colored neighbors: each vertex takes the first
+    # point that no neighbor shares.  The conflict test is pure existence,
+    # so the kernel is identical in LOCAL and SET-LOCAL.
 
     def batch_encode_initial(self, initial):
         """Vectorized ``encode_initial`` (identity, like the scalar path)."""

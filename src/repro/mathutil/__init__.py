@@ -18,7 +18,7 @@ from repro.mathutil.primes import (
     next_prime_at_least,
     primes_up_to,
 )
-from repro.mathutil.gf import GFPolynomial, eval_poly_mod, int_to_poly_coeffs
+from repro.mathutil.gf import eval_poly_mod, int_to_poly_coeffs
 
 __all__ = [
     "log_star",
@@ -27,7 +27,6 @@ __all__ = [
     "next_prime",
     "next_prime_at_least",
     "primes_up_to",
-    "GFPolynomial",
     "eval_poly_mod",
     "int_to_poly_coeffs",
 ]

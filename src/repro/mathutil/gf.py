@@ -16,8 +16,6 @@ __all__ = [
     "eval_poly_mod",
     "batch_poly_coeffs",
     "batch_eval_point",
-    "batch_eval_points",
-    "GFPolynomial",
 ]
 
 
@@ -83,12 +81,12 @@ def batch_poly_coeffs(values, degree, q):
 def batch_eval_point(coeffs, x, q):
     """Evaluate every row polynomial at one point mod ``q`` (Horner, one column).
 
-    The memory-lean sibling of :func:`batch_eval_points`: callers that scan
-    evaluation points with an early exit (the batch Linial kernel) allocate
-    one int64 column per point instead of a ``(rows, points)`` block, which
-    at out-of-core sizes is the difference between a ~40 MB and a ~GB
-    transient.  Reducing mod ``q`` after every Horner step keeps every
-    intermediate below ``q**2 + q`` — exact in int64 for any plannable field.
+    The Linial point scan (:func:`repro.linial.core.point_scan`) scans
+    points with an early exit, so it evaluates one int64 column per point
+    instead of a ``(rows, points)`` block, which at out-of-core sizes is the
+    difference between a ~40 MB and a ~GB transient.  Reducing mod ``q``
+    after every Horner step keeps every intermediate below ``q**2 + q`` —
+    exact in int64 for any plannable field.
     """
     import numpy as np
 
@@ -102,70 +100,3 @@ def batch_eval_point(coeffs, x, q):
         result += coeffs[:, position]
         result %= q
     return result
-
-
-def batch_eval_points(coeffs, points, q):
-    """Evaluate every row polynomial at every point mod ``q`` (NumPy helper).
-
-    ``result[v, j] == eval_poly_mod(coeffs[v], points[j], q)``, computed as
-    one Vandermonde-style matmul ``coeffs @ [x^row mod q] mod q``.  Products
-    are bounded by ``(degree + 1) * q**2``, well inside int64 for every field
-    the Linial planner can emit.
-    """
-    import numpy as np
-
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    points = np.asarray(points, dtype=np.int64) % q
-    vandermonde = np.empty((coeffs.shape[1], points.shape[0]), dtype=np.int64)
-    if coeffs.shape[1]:
-        vandermonde[0] = 1
-    for row in range(1, coeffs.shape[1]):
-        vandermonde[row] = vandermonde[row - 1] * points % q
-    # Integer matmul in NumPy is a naive loop; when every dot product is
-    # bounded by 2**53 the same contraction runs exactly in float64 through
-    # BLAS, an order of magnitude faster.  All intermediates are integers
-    # below the bound, so the rounding-free float result is exact.
-    if coeffs.shape[1] * float(q - 1) ** 2 < float(2 ** 53):
-        product = coeffs.astype(np.float64) @ vandermonde.astype(np.float64)
-        return product.astype(np.int64) % q
-    return coeffs @ vandermonde % q
-
-
-class GFPolynomial:
-    """A color's polynomial representative over GF(q).
-
-    Thin immutable wrapper bundling the coefficient tuple with the field
-    characteristic, used by the Linial family.
-    """
-
-    __slots__ = ("coeffs", "q")
-
-    def __init__(self, coeffs, q: int):
-        self.coeffs = tuple(c % q for c in coeffs)
-        self.q = q
-
-    @classmethod
-    def from_color(cls, color: int, degree: int, q: int) -> "GFPolynomial":
-        """Encode an integer color as a degree-``degree`` polynomial."""
-        return cls(int_to_poly_coeffs(color, degree, q), q)
-
-    def __call__(self, x: int) -> int:
-        return eval_poly_mod(self.coeffs, x, self.q)
-
-    @property
-    def degree(self) -> int:
-        """The polynomial degree (number of coefficients minus one)."""
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GFPolynomial)
-            and self.q == other.q
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.q))
-
-    def __repr__(self) -> str:
-        return "GFPolynomial(coeffs=%r, q=%d)" % (self.coeffs, self.q)

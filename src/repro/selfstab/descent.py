@@ -22,16 +22,16 @@ AG(p)/AG(N) high/low hybrid
 (:class:`~repro.selfstab.exact.SelfStabExactColoring`, Theorem 7.5).
 """
 
-from repro.linial.core import linial_next_color
+from repro.linial.core import linial_next_color, point_scan
 from repro.linial.plan import linial_plan
-from repro.mathutil.gf import eval_poly_mod, int_to_poly_coeffs
+from repro.mathutil.gf import batch_poly_coeffs, eval_poly_mod, int_to_poly_coeffs
 from repro.selfstab.engine import SelfStabAlgorithm
 from repro.selfstab.kernels import (
     ColorBatchOps,
     apply_upper_descent,
     batch_levels,
     check_error_and_frontier,
-    masked_point_search,
+    level_slots,
     subset_positions,
 )
 from repro.selfstab.plan import IntervalPlan
@@ -139,10 +139,11 @@ class IntervalDescentColoring(ColorBatchOps, SelfStabAlgorithm):
     # One int64 column per vertex holding the global color.  Check-Error is a
     # CSR equality scatter over the dirty rows' slots, and the level step
     # reads only the non-final rows' slots (kernels.check_error_and_frontier);
-    # each interval's descent is a masked point search over a base-q digit
-    # matrix, the landing with the S' scatter over the core neighbors' next
-    # states; the core step is elementwise.  All rules are existence-based,
-    # so the kernel is identical in LOCAL and SET-LOCAL.
+    # each interval's descent and the landing are one Linial point scan
+    # (repro.linial.core.point_scan) over all rows of their interval, the
+    # landing with the S' test as its forbidden hook; the core step is
+    # elementwise.  All rules are existence-based, so the kernel is
+    # identical in LOCAL and SET-LOCAL.
 
     def _np_offsets(self, np):
         arr = self.__dict__.get("_offsets_arr")
@@ -161,53 +162,44 @@ class IntervalDescentColoring(ColorBatchOps, SelfStabAlgorithm):
             colors, levels, self._final_states, plan, ctx
         )
         apply_upper_descent(new, colors, levels, slots, active, plan, ctx)
-        for level, step in ((1, self._batch_land), (0, self._batch_core)):
-            mask = active & (levels == level)
-            if bool(mask.any()):
-                step(new, colors, mask, slots, ctx)
+        if bool((active & (levels == 1)).any()):
+            self._batch_land(new, colors, levels, slots, active, ctx)
+        mask0 = active & (levels == 0)
+        if bool(mask0.any()):
+            self._batch_core(new, colors, mask0, slots, ctx)
         return new
 
-    def _batch_land(self, new, colors, mask1, slots, ctx):
+    def _batch_land(self, new, colors, levels, slots, active, ctx):
         """Excl-Linial landing (``I_1 -> I_0``) avoiding ``S'``."""
         np = ctx.np
         slot_rows, slot_nbrs, slot_levels = slots
         plan = self.plan
-        off1 = plan.offsets[1]
-        sub, inv = subset_positions(mask1, np)
-        locals_ = colors[sub] - off1
-
-        smask = mask1[slot_rows] & (slot_levels == 1)
-        owner_rows = slot_rows[smask]
-        nbr_locals = colors[slot_nbrs[smask]] - off1
-        keep = nbr_locals != colors[owner_rows] - off1
-
-        cmask = mask1[slot_rows] & (slot_levels == 0)
+        q = plan.landing_q
+        sub, inv, pending, rows, nbrs = level_slots(
+            colors, levels, slots, active, 1, np
+        )
+        # S': the at most two next states of every I_0 neighbor.
+        cmask = (levels[slot_rows] == 1) & (slot_levels == 0)
         core_rows = inv[slot_rows[cmask]]
         opt1, opt2 = self._batch_core_candidates(colors[slot_nbrs[cmask]], np)
 
-        def forbidden(cand, pending):
-            hit = np.zeros(sub.size, dtype=bool)
-            sel = pending[core_rows]
-            rows = core_rows[sel]
-            if rows.size:
-                match = (opt1[sel] == cand[rows]) | (opt2[sel] == cand[rows])
-                hit[rows[match]] = True
+        def forbidden(x, column, scanning):
+            sel = scanning[core_rows]
+            owners = core_rows[sel]
+            cand = self._landing_candidate(x, column[owners])
+            hit = np.zeros(scanning.shape[0], dtype=bool)
+            hit[owners[(opt1[sel] == cand) | (opt2[sel] == cand)]] = True
             return hit
 
-        result = masked_point_search(
-            locals_,
-            plan.landing_q,
-            2,
-            plan.landing_points,
-            inv[owner_rows[keep]],
-            nbr_locals[keep],
-            self._landing_candidate,
-            forbidden,
-            np,
+        coeffs = batch_poly_coeffs(colors[sub] - plan.offsets[1], 2, q)
+        x, value, count = point_scan(
+            coeffs, q, plan.landing_points, pending, rows, nbrs, forbidden
         )
-        if result is None:
+        if bool(count.any()):
             ctx.replay()
-        new[sub] = plan.offsets[0] + result
+        new[sub[pending]] = plan.offsets[0] + self._landing_candidate(
+            x[pending], value[pending]
+        )
 
     def _batch_core(self, new, colors, mask0, slots, ctx):
         """The core step over the working core rows."""

@@ -5,7 +5,10 @@ interval plan: classify every (possibly corrupted) color, reset conflicts,
 run one Mod-/Excl-Linial descent per interval, and step the core machine.
 Each of those pieces is a data-parallel map over the 1-hop neighborhood, so
 a whole round becomes a handful of array operations over a
-:class:`~repro.runtime.csr.CSRAdjacency` view.
+:class:`~repro.runtime.csr.CSRAdjacency` view.  The descent of each
+interval (and the landing in ``repro.selfstab.descent``) is one call of the
+Linial point scan, :func:`repro.linial.core.point_scan`, over every row of
+the interval (:func:`level_slots`).
 
 Encoding.  RAM values are arbitrary Python objects (the adversary writes
 garbage), but *canonical* states — what the algorithms themselves produce —
@@ -29,13 +32,14 @@ Every rule here is existence/forall-based over the neighbor multiset, so
 one kernel serves both the LOCAL and SET-LOCAL visibility models.
 """
 
-from repro.mathutil.gf import batch_eval_points, batch_poly_coeffs
+from repro.linial.core import point_scan
+from repro.mathutil.gf import batch_poly_coeffs
 
 __all__ = [
     "BatchContext",
     "ColorBatchOps",
     "replay_scalar_round",
-    "masked_point_search",
+    "level_slots",
     "batch_levels",
     "check_error_and_frontier",
     "apply_upper_descent",
@@ -48,10 +52,6 @@ SENTINEL = -(1 << 62)
 
 #: Plain ints beyond this magnitude are "exotic" and force a scalar round.
 _CANON_MAX = 1 << 61
-
-# Evaluation points are processed in small blocks (see LinialColoring):
-# almost every vertex succeeds within the first few points.
-_POINT_BLOCK = 16
 
 
 def replay_scalar_round(algorithm, raws, csr, vertices, set_visibility):
@@ -114,69 +114,6 @@ def batch_levels(colors, plan, offsets_arr, np):
     return np.where(valid, idx, -1)
 
 
-def masked_point_search(locals_, q, degree, points, nbr_rows, nbr_locals, encode, forbidden, np):
-    """Smallest conflict-free evaluation point per vertex, vectorized.
-
-    The batch analogue of ``linial_next_color`` and the landing: encode each
-    vertex's local color as a degree-``degree`` polynomial over GF(q),
-    evaluate candidate points in blocks, and pick per vertex the smallest
-    ``x`` whose value differs from every same-interval neighbor polynomial
-    and whose encoded candidate is not forbidden.
-
-    ``nbr_rows``/``nbr_locals`` list the same-interval neighbor slots
-    (positions into ``locals_`` / their local colors), pre-filtered to drop
-    neighbors holding the *same* local color — the scalar path skips its own
-    polynomial, and an unskipped copy would conflict at every point.
-    Duplicates are harmless (existence-only), so LOCAL == SET-LOCAL.
-
-    ``encode(x, values)`` maps a point and its evaluations to candidate
-    local colors; ``forbidden(cand, pending)`` (or None) marks candidates the
-    Excl-Linial forbidden set rules out.  Returns the per-vertex candidate
-    array, or ``None`` if some vertex exhausts all points (the caller then
-    replays the round through the scalar path for its exact error).
-    """
-    s = locals_.shape[0]
-    out = np.empty(s, dtype=np.int64)
-    if s == 0:
-        return out
-    coeffs = batch_poly_coeffs(locals_, degree, q)
-    have_nb = nbr_locals.size > 0
-    nb_coeffs = batch_poly_coeffs(nbr_locals, degree, q) if have_nb else None
-    pending = np.ones(s, dtype=bool)
-    for first in range(0, points, _POINT_BLOCK):
-        xs = np.arange(first, min(first + _POINT_BLOCK, points), dtype=np.int64)
-        own_vals = batch_eval_points(coeffs, xs, q)
-        for j in range(xs.size):
-            x = int(xs[j])
-            column = own_vals[:, j]
-            conflict = np.zeros(s, dtype=bool)
-            if have_nb:
-                # Neighbor polynomials are evaluated lazily, per point, on
-                # the still-pending slots only: pending collapses after the
-                # first point or two, so pre-evaluating whole blocks over
-                # all O(m) slots would dominate the round.
-                sel = pending[nbr_rows]
-                rows = nbr_rows[sel]
-                if rows.size:
-                    sub = nb_coeffs if rows.size == nbr_rows.size else nb_coeffs[sel]
-                    vals = sub[:, -1].copy()
-                    for k in range(sub.shape[1] - 2, -1, -1):
-                        vals *= x
-                        vals += sub[:, k]
-                        vals %= q
-                    agree = vals == column[rows]
-                    conflict[rows[agree]] = True
-            cand = encode(x, column)
-            if forbidden is not None:
-                conflict |= forbidden(cand, pending)
-            free = pending & ~conflict
-            out[free] = cand[free]
-            pending &= conflict
-            if not bool(pending.any()):
-                return out
-    return None
-
-
 def check_error_and_frontier(colors, levels, final_size, plan, ctx):
     """Check-Error, then the CSR slots of the rows the level step moves.
 
@@ -221,46 +158,53 @@ def subset_positions(mask, np):
     return sub, inv
 
 
+def level_slots(colors, levels, slots, active, level, np):
+    """Every row of one interval, and the same-interval slots of its active rows.
+
+    The descent and the landing scan all rows at ``level`` as one
+    coefficient matrix, so a same-level neighbor is a row of that matrix;
+    the active ones are pending.  A slot is kept when its owner and its
+    neighbor both sit at ``level`` and their colors differ (the scalar step
+    skips its own polynomial).  Returns ``(sub, inv, pending, rows, nbrs)``:
+    the rows at ``level``, the map from row to position among them, the
+    pending mask over them, and each kept slot's owner and neighbor
+    positions.
+    """
+    slot_rows, slot_nbrs, slot_levels = slots
+    at = levels == level
+    sub, inv = subset_positions(at, np)
+    keep = at[slot_rows] & (slot_levels == level)
+    owner, nbr = slot_rows[keep], slot_nbrs[keep]
+    keep = colors[nbr] != colors[owner]
+    return sub, inv, active[sub], inv[owner[keep]], inv[nbr[keep]]
+
+
 def apply_upper_descent(new, colors, levels, slots, active, plan, ctx):
     """Mod-Linial descent for every active vertex at level >= 2.
 
     The one descent of both colorings:
     :class:`~repro.selfstab.descent.IntervalDescentColoring` runs it, and
     each coloring supplies only its ``I_0`` core.  ``slots`` is the
-    frontier of :func:`check_error_and_frontier`.  Writes results into
-    ``new`` in place.
+    frontier of :func:`check_error_and_frontier`.  Each level is one
+    :func:`~repro.linial.core.point_scan` over its rows' locals.  Writes
+    results into ``new`` in place.
     """
     np = ctx.np
-    slot_rows, slot_nbrs, slot_levels = slots
     offsets = plan.offsets
     upper = active & (levels >= 2)
     if not bool(upper.any()):
         return
     for level in np.unique(levels[upper]).tolist():
-        mask = active & (levels == level)
-        sub, inv = subset_positions(mask, np)
-        iteration = plan.descent_iteration(level)
-        off = offsets[level]
-        locals_ = colors[sub] - off
-        smask = mask[slot_rows] & (slot_levels == level)
-        owner_rows = slot_rows[smask]
-        nbr_locals = colors[slot_nbrs[smask]] - off
-        keep = nbr_locals != colors[owner_rows] - off
-        q = iteration.q
-        result = masked_point_search(
-            locals_,
-            q,
-            iteration.degree,
-            q,
-            inv[owner_rows[keep]],
-            nbr_locals[keep],
-            lambda x, values: x * q + values,
-            None,
-            np,
+        sub, _, pending, rows, nbrs = level_slots(
+            colors, levels, slots, active, level, np
         )
-        if result is None:
+        iteration = plan.descent_iteration(level)
+        q = iteration.q
+        coeffs = batch_poly_coeffs(colors[sub] - offsets[level], iteration.degree, q)
+        x, value, count = point_scan(coeffs, q, q, pending, rows, nbrs)
+        if bool(count.any()):
             ctx.replay()
-        new[sub] = offsets[level - 1] + result
+        new[sub[pending]] = offsets[level - 1] + x[pending] * q + value[pending]
 
 
 class ColorBatchOps:

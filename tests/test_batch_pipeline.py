@@ -20,6 +20,7 @@ import pytest
 from repro import graphgen
 from repro.recipes import delta_plus_one_coloring
 from repro.core.reductions import StandardColorReduction
+from repro.defective.vertex import DefectiveLinialColoring
 from repro.linial.core import LinialColoring
 from repro.runtime import (
     BatchColoringEngine,
@@ -143,19 +144,39 @@ def test_pipeline_fallback_matches_reference_without_numpy(monkeypatch):
 
 
 @requires_numpy
-def test_linial_batch_out_of_field_error_matches():
+@pytest.mark.parametrize(
+    "make_stage, graph_args, tolerant_qs, message",
+    [
+        (LinialColoring, (1000, 4, 7), None, "does not fit"),
+        # No proper round: the out-of-field color reaches the tolerant round.
+        (
+            lambda: DefectiveLinialColoring(5),
+            (600, 24, 3),
+            [13],
+            "value 1000000000 does not fit in 3 base-13 digits",
+        ),
+    ],
+    ids=["linial", "defective-tolerant"],
+)
+def test_linial_batch_out_of_field_error_matches(
+    make_stage, graph_args, tolerant_qs, message
+):
     """An input color too large for GF(q)^(d+1) raises the scalar message."""
     _skip_without_numpy()
-    graph = graphgen.random_regular(1000, 4, seed=7)
+    n, degree, seed = graph_args
+    graph = graphgen.random_regular(n, degree, seed=seed)
     bad = list(range(graph.n))
     bad[7] = 10 ** 9
     messages = []
     for engine_cls in (ColoringEngine, BatchColoringEngine):
+        stage = make_stage()
         with pytest.raises(ValueError) as excinfo:
-            engine_cls(graph).run(LinialColoring(), bad, in_palette_size=graph.n)
+            engine_cls(graph).run(stage, bad, in_palette_size=graph.n)
         messages.append(str(excinfo.value))
+        if tolerant_qs is not None:
+            assert stage.proper_plan == [] and stage.tolerant_qs == tolerant_qs
     assert messages[0] == messages[1]
-    assert "does not fit" in messages[0]
+    assert message in messages[0]
 
 
 @requires_numpy

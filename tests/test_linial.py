@@ -1,4 +1,5 @@
-"""Tests for the Linial family: the plan, the step, the stage, Cole–Vishkin."""
+"""Tests for the Linial family: the plan, the step, the stage, the point
+scan, Cole–Vishkin."""
 
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import is_proper_coloring
+from repro.defective.vertex import defective_linial_next_color
 from repro.graphgen import cycle_graph, gnp_graph, path_graph, random_regular
 from repro.linial import (
     LinialColoring,
@@ -14,6 +16,7 @@ from repro.linial import (
     linial_next_color,
     linial_plan,
 )
+from repro.linial.core import linial_round_batch, point_scan
 from repro.linial.plan import integer_root_ceiling
 from repro.mathutil import is_prime, log_star
 from repro.mathutil.gf import eval_poly_mod, int_to_poly_coeffs
@@ -163,6 +166,192 @@ class TestLinialStage:
         result = engine.run(stage, id_coloring(graph))
         assert is_proper_coloring(graph, result.int_colors)
         assert max(result.int_colors) < stage.out_palette_size
+
+
+def reference_point_scan(coeffs, q, points, pending, rows, nbrs, forbidden=()):
+    """A plain-Python loop over points, one pending row at a time.
+
+    ``forbidden[r]`` is the set of candidates ``x * q + value`` ruled out for
+    row ``r``; each forbidden point counts one collision.
+    """
+    neighbors = {}
+    for r, u in zip(rows, nbrs):
+        neighbors.setdefault(r, []).append(u)
+    out = []
+    for r, mine in enumerate(coeffs):
+        if not pending[r]:
+            out.append((0, 0, 0))
+            continue
+        best = None
+        for x in range(points):
+            value = eval_poly_mod(mine, x, q)
+            count = sum(
+                1 for u in neighbors.get(r, ()) if eval_poly_mod(coeffs[u], x, q) == value
+            )
+            if forbidden and x * q + value in forbidden[r]:
+                count += 1
+            if best is None or count < best[2]:
+                best = (x, value, count)
+                if count == 0:
+                    break
+        out.append(best)
+    return out
+
+
+@pytest.mark.requires_numpy
+class TestPointScan:
+    """The one batch point scan against a plain loop over points."""
+
+    @staticmethod
+    def _case(seed, size, q, degree, slots, pending_frac=1.0):
+        import numpy as np
+
+        rng = random.Random(seed)
+        colors = [rng.randrange(q ** (degree + 1)) for _ in range(size)]
+        coeffs = [int_to_poly_coeffs(c, degree, q) for c in colors]
+        pending = [rng.random() < pending_frac for _ in range(size)]
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(slots)]
+        pairs = [(r, u) for r, u in pairs if colors[r] != colors[u]]
+        rows = [r for r, _ in pairs]
+        nbrs = [u for _, u in pairs]
+        arrays = (
+            np.asarray(coeffs, dtype=np.int64).reshape(size, degree + 1),
+            np.asarray(pending, dtype=bool),
+            np.asarray(rows, dtype=np.int64),
+            np.asarray(nbrs, dtype=np.int64),
+        )
+        return coeffs, pending, rows, nbrs, arrays
+
+    @staticmethod
+    def _scan(q, points, arrays, forbidden=None):
+        coeffs, pending, rows, nbrs = arrays
+        x, value, count = point_scan(coeffs, q, points, pending, rows, nbrs, forbidden)
+        return list(zip(x.tolist(), value.tolist(), count.tolist()))
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_first_free_point(self, seed):
+        # q > degree * (most slots per row): every row finds a free point.
+        q, degree, size = 31, 2, 40
+        coeffs, pending, rows, nbrs, arrays = self._case(seed, size, q, degree, 200)
+        got = self._scan(q, q, arrays)
+        assert got == reference_point_scan(coeffs, q, q, pending, rows, nbrs)
+        if max(map(rows.count, set(rows)), default=0) * degree < q:
+            assert all(count == 0 for _, _, count in got)
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_fewest_count_ties_to_the_first_point(self, seed):
+        # A tiny field under many slots: some rows collide at every point,
+        # and their fewest count is often tied between points.
+        q, degree, size = 5, 2, 12
+        coeffs, pending, rows, nbrs, arrays = self._case(seed, size, q, degree, 150)
+        got = self._scan(q, q, arrays)
+        assert got == reference_point_scan(coeffs, q, q, pending, rows, nbrs)
+
+    def test_fewest_count_cases_occur(self):
+        """The seeds above do reach rows with a nonzero fewest count."""
+        counts = []
+        for seed in range(10):
+            _, _, _, _, arrays = self._case(seed, 12, 5, 2, 150)
+            counts.extend(count for _, _, count in self._scan(5, 5, arrays))
+        assert any(counts)
+
+    @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_fewer_points_than_the_field(self, seed, points):
+        # The landing scans only the first landing_points points of GF(q).
+        q, degree, size = 13, 2, 20
+        coeffs, pending, rows, nbrs, arrays = self._case(seed, size, q, degree, 60)
+        got = self._scan(q, points, arrays)
+        assert got == reference_point_scan(coeffs, q, points, pending, rows, nbrs)
+        assert all(x < points for x, _, _ in got)
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_forbidden_hook(self, seed):
+        import numpy as np
+
+        q, degree, size = 17, 2, 30
+        coeffs, pending, rows, nbrs, arrays = self._case(seed, size, q, degree, 80)
+        # Forbid each row's unrestricted pick and one more candidate, as
+        # the landing forbids the two next states of a core neighbor.
+        rng = random.Random(seed)
+        free = reference_point_scan(coeffs, q, q, pending, rows, nbrs)
+        first = [x * q + value for x, value, _ in free]
+        second = [rng.randrange(q * q) for _ in range(size)]
+        opt1 = np.asarray(first, dtype=np.int64)
+        opt2 = np.asarray(second, dtype=np.int64)
+
+        def forbidden(x, column, pending_rows):
+            cand = x * q + column
+            return (cand == opt1) | (cand == opt2)
+
+        got = self._scan(q, q, arrays, forbidden)
+        sets = [{a, b} for a, b in zip(first, second)]
+        assert got == reference_point_scan(coeffs, q, q, pending, rows, nbrs, sets)
+        # A forbidden free pick always moves.
+        assert all(
+            got[r] != free[r] for r in range(size) if pending[r] and not free[r][2]
+        )
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_neighbor_rows_that_are_not_pending(self, seed):
+        # The descent scans every row of a level and only the active ones
+        # are pending; the others are read as neighbors, and their own
+        # slots change nothing.
+        q, degree, size = 11, 2, 30
+        coeffs, pending, rows, nbrs, arrays = self._case(
+            seed, size, q, degree, 120, pending_frac=0.4
+        )
+        got = self._scan(q, q, arrays)
+        assert got == reference_point_scan(coeffs, q, q, pending, rows, nbrs)
+        assert all(got[r] == (0, 0, 0) for r in range(size) if not pending[r])
+
+    def test_empty_slot_list(self):
+        import numpy as np
+
+        q, degree = 7, 2
+        coeffs, pending, _, _, arrays = self._case(3, 10, q, degree, 0, 0.7)
+        assert arrays[2].size == 0
+        got = self._scan(q, q, arrays)
+        assert got == reference_point_scan(coeffs, q, q, pending, [], [])
+        assert got == [
+            (0, c[0], 0) if p else (0, 0, 0) for c, p in zip(coeffs, pending)
+        ]
+        empty = np.zeros((0, degree + 1), dtype=np.int64)
+        none = np.zeros(0, dtype=np.int64)
+        assert self._scan(q, q, (empty, np.zeros(0, dtype=bool), none, none)) == []
+
+    @pytest.mark.parametrize("tolerant", [False, True], ids=["proper", "tolerant"])
+    @given(seed=st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=20, deadline=None)
+    def test_round_equals_the_scalar_steps(self, tolerant, seed):
+        """``linial_round_batch`` is the scalar step at every vertex, with
+        repeated neighbor colors and neighbors sharing the own color."""
+        import numpy as np
+
+        rng = random.Random(seed)
+        graph = gnp_graph(40, 0.25, seed=seed)
+        degree = 2
+        # Proper: a field large enough for a free point; tolerant: a small
+        # field, so fewest counts are nonzero and often tied.
+        q = 2 * graph.max_degree + 1 if not tolerant else 7
+        while not is_prime(q):
+            q += 1
+        palette = [rng.randrange(q ** (degree + 1)) for _ in range(12)]
+        colors = [rng.choice(palette) for _ in range(graph.n)]
+        got = linial_round_batch(
+            None, 0, np.asarray(colors, dtype=np.int64), graph.csr(),
+            Visibility.LOCAL, q, degree, tolerant=tolerant,
+        ).tolist()
+        step = defective_linial_next_color if tolerant else linial_next_color
+        want = [
+            step(colors[v], [colors[u] for u in graph.neighbors(v)], q, degree)
+            for v in range(graph.n)
+        ]
+        assert got == want
 
 
 def path_pseudoforest(n):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mathutil import (
-    GFPolynomial,
     eval_poly_mod,
     int_to_poly_coeffs,
     is_prime,
@@ -123,17 +122,9 @@ class TestGFPolynomials:
         c2 %= q ** (degree + 1)
         if c1 == c2:
             return
-        p1 = GFPolynomial.from_color(c1, degree, q)
-        p2 = GFPolynomial.from_color(c2, degree, q)
-        agreements = sum(1 for x in range(q) if p1(x) == p2(x))
+        p1 = int_to_poly_coeffs(c1, degree, q)
+        p2 = int_to_poly_coeffs(c2, degree, q)
+        agreements = sum(
+            1 for x in range(q) if eval_poly_mod(p1, x, q) == eval_poly_mod(p2, x, q)
+        )
         assert agreements <= degree
-
-    def test_gfpolynomial_equality_and_hash(self):
-        a = GFPolynomial((1, 2, 3), 5)
-        b = GFPolynomial((6, 7, 8), 5)  # reduces to (1, 2, 3)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a != GFPolynomial((1, 2, 3), 7)
-
-    def test_gfpolynomial_degree(self):
-        assert GFPolynomial.from_color(12, 3, 5).degree == 3
