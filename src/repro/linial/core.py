@@ -46,12 +46,18 @@ def point_scan(coeffs, q, points, pending, rows, nbrs, forbidden=None):
     the points ``x = 0, ..., points - 1`` and counts its slots whose
     neighbor polynomial agrees with its own at ``x``, plus one where
     ``forbidden(x, column, pending)`` (an optional hook returning a per-row
-    mask; ``column`` is every row's value at ``x``) rules the point out.  A
-    row keeps the first point with the fewest such collisions and stops at
-    its first point with none; only the slots of rows still pending are
-    read at the next point.  Evaluation is one Horner column per point, so
-    the largest transient is a single column, never a ``(rows x points)``
-    block.
+    mask; ``column`` holds each pending row's value at ``x``) rules the
+    point out.  A row keeps the first point with the fewest such collisions
+    and stops at its first point with none; only the slots of rows still
+    pending are read at the next point.
+
+    Evaluation is one Horner column per point, never a ``(rows x points)``
+    block, over a matrix that shrinks with the pending rows: once their
+    slots are fewer than its rows, it keeps only the rows the next point
+    reads, the pending rows and the rows their slots name.  Results and
+    the hook stay in the caller's row numbering (only a hook pays for a
+    full-length column), and ``coeffs``, ``rows`` and ``nbrs`` are only
+    read.
 
     Returns int64 arrays ``(x, value, count)``: the point, the row's value
     there and its collision count.  Rows that were never pending read
@@ -65,21 +71,35 @@ def point_scan(coeffs, q, points, pending, rows, nbrs, forbidden=None):
     best_x = np.zeros(size, dtype=np.int64)
     best_value = np.zeros(size, dtype=np.int64)
     best_count = np.where(pending, np.iinfo(np.int64).max, 0)
+    # live[i] is the caller's row of matrix row i.
+    live = np.arange(size)
     for x in range(points):
         column = batch_eval_point(coeffs, x, q)
-        count = np.bincount(rows[column[nbrs] == column[rows]], minlength=size)
+        count = np.bincount(rows[column[nbrs] == column[rows]], minlength=len(live))
         if forbidden is not None:
-            count += forbidden(x, column, pending)
+            full = np.zeros(size, dtype=np.int64)
+            full[live] = column
+            count += forbidden(x, full, best_count > 0)[live]
         # A row that is not pending holds count 0, so it never improves.
-        better = count < best_count
-        best_x[better] = x
-        best_value[better] = column[better]
-        best_count[better] = count[better]
-        pending = best_count > 0
+        held = best_count[live]
+        better = count < held
+        target = live[better]
+        best_x[target] = x
+        best_value[target] = column[better]
+        best_count[target] = count[better]
+        pending = np.minimum(count, held) > 0
         if not bool(pending.any()):
             break
         keep = pending[rows]
         rows, nbrs = rows[keep], nbrs[keep]
+        if len(rows) < len(live):
+            read = pending.copy()
+            read[nbrs] = True
+            index = np.cumsum(read) - 1
+            rows, nbrs = index[rows], index[nbrs]
+            kept = np.flatnonzero(read)
+            coeffs = np.take(coeffs, kept, axis=0)
+            live = live[kept]
     return best_x, best_value, best_count
 
 
@@ -106,16 +126,22 @@ def linial_round_batch(stage, round_index, colors, csr, visibility, q, degree,
         out_of_field |= colors >= limit
     if bool(out_of_field.any()):
         _raise_like_scalar(stage, round_index, colors, csr, visibility)
-    sel = csr.gather(colors) != csr.owner_values(colors)
+    gathered = csr.gather(colors)
+    sel = gathered != csr.owner_values(colors)
     if tolerant:
-        sel &= csr.distinct_slot_mask(csr.gather(colors))
+        sel &= csr.distinct_slot_mask(gathered)
+    # A proper input keeps every slot: the scan reads the view's own arrays.
+    rows, nbrs = csr.rows, csr.indices
+    if not bool(sel.all()):
+        rows, nbrs = rows[sel], nbrs[sel]
+    del gathered, sel  # free the per-slot temporaries before the scan
     x, value, count = point_scan(
         batch_poly_coeffs(colors, degree, q),
         q,
         q,
         np.ones(csr.n, dtype=bool),
-        csr.rows[sel],
-        csr.indices[sel],
+        rows,
+        nbrs,
     )
     if not tolerant and bool(count.any()):
         _raise_like_scalar(stage, round_index, colors, csr, visibility)

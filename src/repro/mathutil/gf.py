@@ -84,9 +84,11 @@ def batch_eval_point(coeffs, x, q):
     The Linial point scan (:func:`repro.linial.core.point_scan`) scans
     points with an early exit, so it evaluates one int64 column per point
     instead of a ``(rows, points)`` block, which at out-of-core sizes is the
-    difference between a ~40 MB and a ~GB transient.  Reducing mod ``q``
-    after every Horner step keeps every intermediate below ``q**2 + q`` —
-    exact in int64 for any plannable field.
+    difference between a ~40 MB and a ~GB transient; from the point where
+    its pending rows' slots are fewer than its rows, it passes only the rows
+    that point reads, so the cost is one pass over the rows it is given.
+    Reducing mod ``q`` after every Horner step keeps every intermediate
+    below ``q**2 + q`` — exact in int64 for any plannable field.
     """
     import numpy as np
 

@@ -19,7 +19,7 @@ from repro.linial import (
 from repro.linial.core import linial_round_batch, point_scan
 from repro.linial.plan import integer_root_ceiling
 from repro.mathutil import is_prime, log_star
-from repro.mathutil.gf import eval_poly_mod, int_to_poly_coeffs
+from repro.mathutil.gf import batch_eval_point, eval_poly_mod, int_to_poly_coeffs
 from repro.runtime import ColoringEngine, Visibility
 from repro.selfstab.coloring import SelfStabColoring
 from tests.conftest import assert_proper, id_coloring
@@ -198,6 +198,32 @@ def reference_point_scan(coeffs, q, points, pending, rows, nbrs, forbidden=()):
     return out
 
 
+def replay_rows_read(result, points, pending, rows, nbrs):
+    """The row count the point scan evaluates at each point after the first.
+
+    ``result`` is the scan's ``(x, value, count)`` per row: a row is still
+    pending after point ``x`` unless it found a collision-free point at or
+    before ``x``.  The matrix keeps its rows while the pending rows' slots
+    are at least as many; otherwise it shrinks to the pending rows and the
+    rows their slots name.
+    """
+    matrix = len(pending)
+    slots = list(zip(rows, nbrs))
+    out = []
+    for x in range(points - 1):
+        still = {
+            r for r, (at, _, count) in enumerate(result)
+            if pending[r] and not (count == 0 and at <= x)
+        }
+        if not still:
+            break
+        slots = [(r, u) for r, u in slots if r in still]
+        if len(slots) < matrix:
+            matrix = len(still | {u for _, u in slots})
+        out.append(matrix)
+    return out
+
+
 @pytest.mark.requires_numpy
 class TestPointScan:
     """The one batch point scan against a plain loop over points."""
@@ -323,6 +349,61 @@ class TestPointScan:
         empty = np.zeros((0, degree + 1), dtype=np.int64)
         none = np.zeros(0, dtype=np.int64)
         assert self._scan(q, q, (empty, np.zeros(0, dtype=bool), none, none)) == []
+
+    def test_later_points_evaluate_only_the_rows_they_read(self, monkeypatch):
+        """The first point evaluates every row; each later point only the
+        rows it reads once the pending rows' slots are fewer than them."""
+        import numpy as np
+
+        import repro.linial.core as core
+
+        evaluated = []
+
+        def counted_eval_point(coeffs, x, q):
+            evaluated.append(coeffs.shape[0])
+            return batch_eval_point(coeffs, x, q)
+
+        monkeypatch.setattr(core, "batch_eval_point", counted_eval_point)
+        compacted = []
+
+        @given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+        @settings(max_examples=40, deadline=None)
+        def check(seed, hooked):
+            # Few slots per row under a field with several points to scan.
+            q, degree, size = 11, 2, 60
+            coeffs, pending, rows, nbrs, arrays = self._case(
+                seed, size, q, degree, 90, pending_frac=0.8
+            )
+            sets, forbidden = (), None
+            if hooked:
+                # Forbid each row's free pick and one more candidate, so
+                # pending rows without slots stay in the scan.
+                rng = random.Random(seed)
+                free = reference_point_scan(coeffs, q, q, pending, rows, nbrs)
+                first = [x * q + value for x, value, _ in free]
+                second = [rng.randrange(q * q) for _ in range(size)]
+                sets = [{a, b} for a, b in zip(first, second)]
+                opt1 = np.asarray(first, dtype=np.int64)
+                opt2 = np.asarray(second, dtype=np.int64)
+
+                def forbidden(x, column, pending_rows):
+                    cand = x * q + column
+                    return (cand == opt1) | (cand == opt2)
+
+            # The scan only reads its inputs: a proper round hands it the
+            # CSR view's own rows and indices.
+            for array in arrays:
+                array.setflags(write=False)
+            evaluated.clear()
+            got = self._scan(q, q, arrays, forbidden)
+            want = reference_point_scan(coeffs, q, q, pending, rows, nbrs, sets)
+            assert got == want
+            assert evaluated[0] == size
+            assert evaluated[1:] == replay_rows_read(want, q, pending, rows, nbrs)
+            compacted.append(min(evaluated) < size)
+
+        check()
+        assert any(compacted)
 
     @pytest.mark.parametrize("tolerant", [False, True], ids=["proper", "tolerant"])
     @given(seed=st.integers(min_value=0, max_value=10 ** 6))

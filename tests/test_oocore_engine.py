@@ -43,15 +43,35 @@ def _stage_classes():
     return [LinialColoring, AdditiveGroupColoring, StandardColorReduction]
 
 
+# (shards, stage index, n, degree, Linial rounds or None).  On (60, 4) the
+# Linial plan is empty; (5000, 8) runs two Linial rounds whose shards hold
+# more halo rows than owned ones, so the point scan shrinks its matrix
+# inside each shard-local one.  AG and the reduction from 5000 colors
+# would run thousands of rounds, so that input runs the Linial stage only.
+_PARITY_CASES = [
+    (shards, stage_index, 60, 4, None)
+    for shards in (1, 3, 7)
+    for stage_index in (0, 1, 2)
+] + [(3, 0, 5000, 8, 2), (7, 0, 5000, 8, 2)]
+
+
 class TestStageParity:
-    @pytest.mark.parametrize("stage_index", [0, 1, 2])
-    @pytest.mark.parametrize("shards", [1, 3, 7])
-    def test_single_stage_matches_batch(self, stage_index, shards):
+    @pytest.mark.parametrize(
+        "shards, stage_index, n, degree, linial_rounds",
+        _PARITY_CASES,
+        ids=[
+            "%d-%d" % case[:2] if case[2] == 60 else "%d-%d-n%d" % case[:3]
+            for case in _PARITY_CASES
+        ],
+    )
+    def test_single_stage_matches_batch(
+        self, shards, stage_index, n, degree, linial_rounds
+    ):
         from repro.oocore.engine import OocoreColoringEngine
         from repro.runtime.fast_engine import BatchColoringEngine
 
         make = _stage_classes()[stage_index]
-        graph = random_regular(60, 4, seed=5)
+        graph = random_regular(n, degree, seed=5)
         sharded = _sharded(graph, shards=shards)
         initial = list(range(graph.n))
         batch = BatchColoringEngine(graph).run(make(), initial)
@@ -60,6 +80,8 @@ class TestStageParity:
         assert oocore.rounds_used == batch.rounds_used
         assert _metric_rows(oocore) == _metric_rows(batch)
         assert oocore.num_colors == batch.num_colors
+        if linial_rounds is not None:
+            assert oocore.rounds_used == linial_rounds
 
     def test_gnp_pipeline_parity(self):
         from repro.recipes import delta_plus_one_coloring
