@@ -22,8 +22,11 @@ backend        no NumPy      in-memory graph                  sharded graph
 
 A routine without an oocore tier raises :class:`TypeError` wherever the
 table says oocore, and for a sharded graph under any backend.  An unknown
-backend name raises :class:`ValueError` before the graph is looked at.
-These three errors are raised here and nowhere else.
+backend name raises :class:`ValueError` before the graph is looked at.  A
+:class:`~repro.runtime.graph.DynamicGraph` raises :class:`TypeError` under
+every backend: the static routines run on its ``snapshot()``, and only the
+self-stabilizing engines take it.  These errors are raised here and nowhere
+else.
 
 Engines are built through :func:`resolve_backend` by *kind*: ``"engine"``
 (:class:`~repro.runtime.engine.ColoringEngine`,
@@ -77,14 +80,26 @@ def choose_tier(backend, graph, oocore=False):
     ``"batch"`` or ``"oocore"``.
 
     ``oocore`` says whether the asking routine has an out-of-core tier.  See
-    the module docstring for the rule and its three errors.
+    the module docstring for the rule and its errors.
     """
-    from repro.runtime.csr import numpy_available
+    from repro.runtime.graph import DynamicGraph
 
     if backend not in BACKENDS:
         raise ValueError(
             "unknown backend %r (choose from %s)" % (backend, ", ".join(BACKENDS))
         )
+    if isinstance(graph, DynamicGraph):
+        raise TypeError(
+            "this routine runs on a static graph: pass the DynamicGraph's "
+            "snapshot() instead"
+        )
+    return _tier(backend, graph, oocore)
+
+
+def _tier(backend, graph, oocore):
+    """:func:`choose_tier` past its backend-name and graph-kind checks."""
+    from repro.runtime.csr import numpy_available
+
     # A sharded graph exists only once its module is loaded; an in-memory
     # run never pays for importing the out-of-core package.
     store = sys.modules.get("repro.oocore.store")
@@ -119,7 +134,7 @@ def _selfstab_engine(backend, graph, algorithm, **kwargs):
     from repro.selfstab.engine import SelfStabEngine
     from repro.selfstab.fast_engine import BatchSelfStabEngine, batch_supported
 
-    tier = choose_tier(backend, graph)
+    tier = _tier(backend, graph, oocore=False)
     if tier == "batch" and (backend == "batch" or batch_supported(algorithm)):
         return BatchSelfStabEngine(graph, algorithm, **kwargs)
     return SelfStabEngine(graph, algorithm, **kwargs)

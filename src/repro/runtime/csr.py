@@ -145,29 +145,23 @@ class CSRAdjacency:
         so the view is *compacted*: CSR vertex ``i`` is the ``i``-th smallest
         present vertex.  Returns ``(csr, vertices)`` where ``vertices`` is the
         ``int64`` array mapping compact index back to the original vertex id.
-        The view is a snapshot — the batch self-stabilization engine rebuilds
-        it once per topology epoch (crash / spawn / rewire), not per round.
+        The view is a snapshot of the graph's sorted neighbor rows, joined in
+        one pass; the batch self-stabilization engine rebuilds it after a
+        topology change, not per round.
         """
-        from itertools import chain
-
         np = require_numpy()
         verts = graph.vertices()
         n = len(verts)
-        verts_arr = np.asarray(verts, dtype=np.int64)
+        rows = [graph._rows[v] for v in verts]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((graph.degree(v) for v in verts), dtype=np.int64, count=n),
-            out=indptr[1:],
-        )
-        raw = np.fromiter(
-            chain.from_iterable(graph.neighbors(v) for v in verts),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        # verts is sorted, so searchsorted *is* the original-id -> compact-id
-        # map; neighbors() is sorted by original id and the map is monotone,
-        # so each compact neighbor list comes out sorted too.
-        return cls(n, indptr, np.searchsorted(verts_arr, raw)), verts_arr
+        np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=n), out=indptr[1:])
+        indices = np.frombuffer(bytearray().join(rows), dtype=np.int64)
+        verts_arr = np.asarray(verts, dtype=np.int64)
+        if n and verts[-1] != n - 1:
+            # verts is sorted, so searchsorted *is* the original-id ->
+            # compact-id map; it is monotone, so each row stays sorted.
+            indices = np.searchsorted(verts_arr, indices)
+        return cls(n, indptr, indices), verts_arr
 
     # -- kernel building blocks -------------------------------------------------
 

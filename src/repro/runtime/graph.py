@@ -11,6 +11,8 @@ graph's vertex set is an arbitrary subset of ``range(n_bound)`` so that crashes
 and re-appearances keep stable identities.
 """
 
+from array import array
+from bisect import bisect_left
 from collections import deque
 
 __all__ = ["StaticGraph", "DynamicGraph"]
@@ -300,6 +302,11 @@ class DynamicGraph:
     ``0..n_bound-1``) and ``delta_bound`` (no vertex may exceed that degree).
     These bounds mirror the ROM-resident ``n`` and ``Delta`` of Section 4: the
     adversary may rewire anything, but never beyond them.
+
+    Each present vertex owns one sorted ``array('q')`` of its neighbors; an
+    absent id owns nothing, so the footprint follows the present graph, not
+    ``n_bound``.  The rows are what
+    :meth:`~repro.runtime.csr.CSRAdjacency.from_dynamic` concatenates.
     """
 
     def __init__(self, n_bound, delta_bound):
@@ -309,23 +316,36 @@ class DynamicGraph:
             raise ValueError("delta_bound must be non-negative")
         self.n_bound = n_bound
         self.delta_bound = delta_bound
-        self._present = set()
-        self._adjacency = {v: set() for v in range(n_bound)}
+        self._rows = {}  # present vertex -> sorted array('q') of its neighbors
 
     @classmethod
     def from_static(cls, graph, n_bound=None, delta_bound=None):
         """Seed a dynamic graph with a static topology.
 
         Bounds default to the static graph's own ``n`` and ``max_degree``.
+        The rows are cut from the static graph's CSR when it has one (its
+        neighbor tuples are never built), else from ``neighbors(v)``.
         """
         dynamic = cls(
             n_bound if n_bound is not None else graph.n,
             delta_bound if delta_bound is not None else graph.max_degree,
         )
-        for v in graph.vertices():
-            dynamic.add_vertex(v)
-        for u, v in graph.edges:
-            dynamic.add_edge(u, v)
+        if graph.n > dynamic.n_bound or graph.max_degree > dynamic.delta_bound:
+            # Out of bounds: the vertex-by-vertex, edge-by-edge build raises
+            # the error that names the first offender.
+            for v in graph.vertices():
+                dynamic.add_vertex(v)
+            for u, v in graph.edges:
+                dynamic.add_edge(u, v)
+        csr = getattr(graph, "_csr", None)
+        if csr is not None:
+            bounds = csr.indptr.tolist()
+            flat = array("q")
+            flat.frombytes(memoryview(csr.indices).cast("B"))
+            rows = [flat[bounds[v]:bounds[v + 1]] for v in range(graph.n)]
+        else:
+            rows = [array("q", graph.neighbors(v)) for v in graph.vertices()]
+        dynamic._rows = dict(enumerate(rows))
         return dynamic
 
     # -- mutation -------------------------------------------------------------
@@ -333,17 +353,15 @@ class DynamicGraph:
     def add_vertex(self, v):
         """Make vertex ``v`` present (idempotent)."""
         self._check_vertex(v)
-        self._present.add(v)
+        if v not in self._rows:
+            self._rows[v] = array("q")
 
     def remove_vertex(self, v):
         """Crash vertex ``v``, removing its incident edges (idempotent)."""
         self._check_vertex(v)
-        if v not in self._present:
-            return
-        for u in list(self._adjacency[v]):
-            self._adjacency[u].discard(v)
-        self._adjacency[v].clear()
-        self._present.discard(v)
+        for u in self._rows.pop(v, ()):
+            other = self._rows[u]
+            del other[bisect_left(other, v)]
 
     def add_edge(self, u, v):
         """Add the edge ``(u, v)``; both endpoints must be present.
@@ -354,23 +372,26 @@ class DynamicGraph:
             raise ValueError("self-loop not allowed")
         for w in (u, v):
             self._check_vertex(w)
-            if w not in self._present:
+            if w not in self._rows:
                 raise ValueError("vertex %d is not present" % w)
-        if v in self._adjacency[u]:
+        row_u, row_v = self._rows[u], self._rows[v]
+        if v in row_u:
             return
-        if len(self._adjacency[u]) >= self.delta_bound:
+        if len(row_u) >= self.delta_bound:
             raise ValueError("adding edge would exceed delta_bound at %d" % u)
-        if len(self._adjacency[v]) >= self.delta_bound:
+        if len(row_v) >= self.delta_bound:
             raise ValueError("adding edge would exceed delta_bound at %d" % v)
-        self._adjacency[u].add(v)
-        self._adjacency[v].add(u)
+        row_u.insert(bisect_left(row_u, v), v)
+        row_v.insert(bisect_left(row_v, u), u)
 
     def remove_edge(self, u, v):
         """Remove the edge ``(u, v)`` (idempotent)."""
         self._check_vertex(u)
         self._check_vertex(v)
-        self._adjacency[u].discard(v)
-        self._adjacency[v].discard(u)
+        if self.has_edge(u, v):
+            for a, b in ((u, v), (v, u)):
+                row = self._rows[a]
+                del row[bisect_left(row, b)]
 
     # -- queries --------------------------------------------------------------
 
@@ -378,39 +399,45 @@ class DynamicGraph:
         if not (0 <= v < self.n_bound):
             raise ValueError("vertex %d out of range for n_bound=%d" % (v, self.n_bound))
 
+    def _row(self, v):
+        """The neighbor row of ``v``: empty for an absent id, KeyError past
+        the bounds."""
+        row = self._rows.get(v)
+        if row is None:
+            if not (0 <= v < self.n_bound):
+                raise KeyError(v)
+            return ()
+        return row
+
     def vertices(self):
         """Return the sorted list of present vertices."""
-        return sorted(self._present)
+        return sorted(self._rows)
 
     def is_present(self, v):
         """Return True iff vertex ``v`` is currently present."""
-        return v in self._present
+        return v in self._rows
 
     def neighbors(self, v):
         """Return the sorted tuple of present neighbors of ``v``."""
-        return tuple(sorted(self._adjacency[v]))
+        return tuple(self._row(v))
 
     def degree(self, v):
         """Return the present degree of ``v``."""
-        return len(self._adjacency[v])
+        return len(self._row(v))
 
     @property
     def n(self):
         """Return the number of present vertices."""
-        return len(self._present)
+        return len(self._rows)
 
     def edges(self):
         """Return the sorted list of present edges as ``(u, v)``, ``u < v``."""
-        result = []
-        for u in self._present:
-            for v in self._adjacency[u]:
-                if u < v:
-                    result.append((u, v))
-        return sorted(result)
+        rows = self._rows
+        return [(u, v) for u in sorted(rows) for v in rows[u] if u < v]
 
     def has_edge(self, u, v):
         """Return True iff ``(u, v)`` is a present edge."""
-        return v in self._adjacency.get(u, ())
+        return v in self._rows.get(u, ())
 
     def snapshot(self):
         """Return a :class:`StaticGraph` of the present subgraph.
@@ -426,15 +453,16 @@ class DynamicGraph:
 
     def bfs_distances(self, sources):
         """BFS distances over the present subgraph from the closest source."""
+        rows = self._rows
         distances = {}
         queue = deque()
         for source in sources:
-            if source in self._present and source not in distances:
+            if source in rows and source not in distances:
                 distances[source] = 0
                 queue.append(source)
         while queue:
             u = queue.popleft()
-            for w in self._adjacency[u]:
+            for w in rows[u]:
                 if w not in distances:
                     distances[w] = distances[u] + 1
                     queue.append(w)

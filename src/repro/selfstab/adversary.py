@@ -15,11 +15,14 @@ Everything is driven by an explicit seed for reproducibility.
 All injection goes through the engine's ``corrupt`` fault API, so it is
 array-backed for free on a :class:`~repro.selfstab.fast_engine.
 BatchSelfStabEngine`: each corruption writes the encoded value straight
-into the RAM columns in place (no dict rebuild, no column re-encode), and
-topology churn invalidates the CSR view once per epoch, not per event.
+into the RAM columns in place (no dict rebuild, no column re-encode); an
+edge edit keeps the columns too, and only a crash or spawn starts a new
+epoch.
 """
 
 import random
+from bisect import bisect_right
+from itertools import islice
 
 __all__ = ["FaultCampaign", "TargetedAttacks"]
 
@@ -109,34 +112,61 @@ class FaultCampaign:
         return affected
 
     def churn_edges(self, engine, removals=1, additions=1):
-        """Remove random edges and add random legal ones."""
+        """Remove random edges and add random legal ones.
+
+        A removal picks uniformly from the sorted present edges, an addition
+        from the sorted non-adjacent pairs ``u < v`` both below
+        ``delta_bound``.  Either pick is one ``randrange`` over the list's
+        length (the draw ``rng.choice`` makes), then a walk to that index
+        by per-vertex counts, so neither list is built.  An empty list
+        consumes no draw.
+        """
+        graph = engine.graph
         affected = []
         for _ in range(removals):
-            edges = engine.graph.edges()
-            if not edges:
+            vertices = graph.vertices()
+            count = sum(map(graph.degree, vertices)) // 2
+            if not count:
                 break
-            u, v = self.rng.choice(edges)
+            k = self.rng.randrange(count)
+            for u in vertices:
+                above = _above(graph.neighbors(u), u)
+                if k < len(above):
+                    v = above[k]
+                    break
+                k -= len(above)
             engine.remove_edge(u, v)
             affected.extend((u, v))
         for _ in range(additions):
-            present = engine.graph.vertices()
-            if len(present) < 2:
-                break
-            candidates = [
-                (u, v)
-                for u in present
-                for v in present
-                if u < v
-                and not engine.graph.has_edge(u, v)
-                and engine.graph.degree(u) < engine.graph.delta_bound
-                and engine.graph.degree(v) < engine.graph.delta_bound
+            bound = graph.delta_bound
+            free = [u for u in graph.vertices() if graph.degree(u) < bound]
+            is_free = set(free)
+            # Partners of free[i]: the free vertices after it, minus its
+            # neighbors among them.
+            counts = [
+                len(free) - i - 1
+                - sum(w in is_free for w in _above(graph.neighbors(u), u))
+                for i, u in enumerate(free)
             ]
-            if not candidates:
+            count = sum(counts)
+            if not count:
                 break
-            u, v = self.rng.choice(candidates)
+            k = self.rng.randrange(count)
+            for i, u in enumerate(free):
+                if k < counts[i]:
+                    break
+                k -= counts[i]
+            adjacent = set(graph.neighbors(u))
+            partners = (w for w in free[i + 1:] if w not in adjacent)
+            v = next(islice(partners, k, None))
             engine.add_edge(u, v)
             affected.extend((u, v))
         return affected
+
+
+def _above(row, u):
+    """The part of a sorted neighbor tuple above ``u``."""
+    return row[bisect_right(row, u):]
 
 
 class TargetedAttacks:

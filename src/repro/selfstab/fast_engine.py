@@ -13,17 +13,20 @@ scalar ``transition`` to surface its exact exception — the
 State lives on two clocks:
 
 * the **epoch** — the CSR snapshot plus the present-vertex index map —
-  survives until a topology event (crash/spawn/rewire) invalidates it;
-* the **columns** — the encoded RAM state — survive across rounds and
-  adversary corruptions (``corrupt`` writes the encoded value into the
-  columns in place; see ``FaultCampaign``), and are re-encoded from the
-  dict only when the epoch changes or a scalar-fallback round ran.
+  survives until a crash or spawn changes the present vertices; an edge
+  edit keeps the index and only marks the CSR for a rebuild from the
+  graph's rows at the next round;
+* the **columns** — the encoded RAM state — survive across rounds, edge
+  edits and adversary corruptions (``corrupt`` writes the encoded value
+  into the columns in place; see ``FaultCampaign``), and are re-encoded
+  from the dict only when the epoch changes or a scalar-fallback round ran.
 
 Beside the columns the engine keeps the **dirty** rows: those the last
-batch round changed plus those ``corrupt`` wrote since; every row after a
-re-encode (a new epoch, a scalar round).  Check-Error reads only their CSR
-slots (see ``kernels.check_error_and_frontier``), so a recovery round costs
-the slots of the rows that can move, not all 2m.
+batch round changed, those ``corrupt`` wrote since, and both endpoints of
+every edge edited since; every row after a re-encode (a new epoch, a scalar
+round).  Check-Error reads only their CSR slots (see
+``kernels.check_error_and_frontier``), so a recovery round costs the slots
+of the rows that can move, not all 2m.
 
 The ``rams`` dict stays the source of truth for every scalar consumer
 (``is_legal``, ``final_colors``, direct inspection): it is lazily re-synced
@@ -62,6 +65,7 @@ class BatchSelfStabEngine(SelfStabEngine):
     _epoch = None
     _dirty = None
     _pending_touched = None
+    _csr_stale = False
 
     def __init__(self, graph, algorithm, set_visibility=False):
         super().__init__(graph, algorithm, set_visibility=set_visibility)
@@ -134,16 +138,26 @@ class BatchSelfStabEngine(SelfStabEngine):
         super().crash_vertex(vertex)
 
     def add_edge(self, u, v):
-        if self._dict_stale:
-            self._sync_dict()
-        self._drop_epoch()
         super().add_edge(u, v)
+        self._rewired(u, v)
 
     def remove_edge(self, u, v):
-        if self._dict_stale:
-            self._sync_dict()
-        self._drop_epoch()
+        rewired = self.graph.has_edge(u, v)
         super().remove_edge(u, v)
+        if rewired:
+            self._rewired(u, v)
+
+    def _rewired(self, u, v):
+        """An edge edit keeps the vertex index and the columns: the next
+        round rebuilds only the CSR, and both endpoints turn dirty (an added
+        edge may join two clean vertices of equal color)."""
+        if self._epoch is None:
+            return
+        self._csr_stale = True
+        if self._state is not None:
+            index = self._epoch[3]
+            self._dirty[index[u]] = True
+            self._dirty[index[v]] = True
 
     # -- execution ----------------------------------------------------------------
 
@@ -161,6 +175,13 @@ class BatchSelfStabEngine(SelfStabEngine):
             self._epoch = (csr, verts_arr, verts_list, index)
             self._pending_touched = np.zeros(csr.n, dtype=bool)
             self._state = None
+        elif self._csr_stale:
+            # The stale view goes only once its successor exists: dropping
+            # it at the edit lets the allocator hand its pages back, and the
+            # rebuild faults them in again (about half the cost of a change).
+            csr = CSRAdjacency.from_dynamic(self.graph)[0]
+            self._epoch = (csr,) + self._epoch[1:]
+        self._csr_stale = False
         if self._state is None:
             raws = [self._rams[v] for v in self._epoch[2]]
             encoded = self.algorithm.batch_encode(raws, np)
@@ -182,7 +203,7 @@ class BatchSelfStabEngine(SelfStabEngine):
 
     def is_legal(self):
         """Legality check, vectorized when the columns are live and canonical."""
-        if self._state is not None and not self._noncanon and self._epoch is not None:
+        if self._state is not None and not self._noncanon and not self._csr_stale:
             fn = getattr(self.algorithm, "batch_is_legal", None)
             if fn is not None:
                 np = numpy_or_none()

@@ -117,6 +117,17 @@ class TestTierChoice:
         with pytest.raises(ValueError, match="unknown backend 'cuda'"):
             _entry_points()[name](_UntouchableGraph(), backend="cuda")
 
+    @pytest.mark.parametrize("backend", ("auto", "batch", "reference"))
+    @pytest.mark.parametrize("name", sorted(_entry_points()))
+    def test_dynamic_graph_fails_in_every_entry_point(self, name, backend):
+        # Only the self-stabilizing engines take a DynamicGraph; every static
+        # routine refuses it, with the same error with or without NumPy.
+        from repro.runtime.graph import DynamicGraph
+
+        dynamic = DynamicGraph.from_static(_graph(20, 3))
+        with pytest.raises(TypeError, match=r"snapshot\(\)"):
+            _entry_points()[name](dynamic, backend=backend)
+
     def test_in_memory_table(self):
         graph = _graph()
         with_numpy = numpy_available()

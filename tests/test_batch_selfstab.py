@@ -277,6 +277,42 @@ def test_parity_churn_and_rewiring(label, factory):
 
 
 @requires_numpy
+def test_edge_edit_keeps_the_columns():
+    """An edge edit keeps the columns and dirties exactly its two endpoints.
+
+    The added edge joins two clean vertices of equal color, the one
+    monochromatic edge Check-Error can only find through those endpoints;
+    every round after each edit must match the reference engine.
+    """
+    import numpy as np
+
+    n, delta = 300, 8
+    ref, bat = _pair(
+        SelfStabExactColoring, n, delta,
+        lambda: DynamicGraph.from_static(
+            graphgen.random_regular(n, 6, seed=4), delta_bound=delta
+        ),
+    )
+    _step_in_lockstep(ref, bat)
+    rams, graph = bat.rams, bat.graph
+    added = next(
+        (u, v) for u in graph.vertices() for v in graph.vertices()
+        if u < v and rams[u] == rams[v] and not graph.has_edge(u, v)
+    )
+    removed = graph.edges()[17]
+    for edit, edge in (("add_edge", added), ("remove_edge", removed)):
+        columns = bat._state
+        for engine in (ref, bat):
+            engine.reset_touched()
+            getattr(engine, edit)(*edge)
+        assert bat._state is columns
+        index = bat._epoch[3]
+        assert np.flatnonzero(bat._dirty).tolist() == sorted(index[w] for w in edge)
+        _step_in_lockstep(ref, bat)
+        assert ref.adjustment_radius(edge) == bat.adjustment_radius(edge)
+
+
+@requires_numpy
 def test_parity_exhaustive_tiny_graphs():
     """Every graph on <= 4 vertices, every algorithm: cold-start parity."""
     import itertools

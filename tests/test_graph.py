@@ -504,6 +504,67 @@ class TestInterop:
         dynamic.add_edge(0, 7)
         assert dynamic.has_edge(0, 7)
 
+    def test_dynamic_from_static_reads_the_csr(self, np):
+        import tracemalloc
+
+        from repro.graphgen import random_regular
+
+        graph = random_regular(8000, 32, seed=5)
+        tracemalloc.start()
+        try:
+            dynamic = DynamicGraph.from_static(graph)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert graph._adjacency is None  # no neighbor tuple was built
+        assert dynamic.degree(0) == 32 and dynamic.neighbors(0) == tuple(
+            graph.csr().indices[:32].tolist()
+        )
+        assert retained <= 32 * 2 * graph.m
+
+    @given(
+        n=st.integers(1, 10),
+        pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
+        delta=st.integers(0, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_dynamic_from_static_matches_the_edge_by_edge_build(self, n, pairs, delta):
+        from repro.runtime.csr import numpy_available
+
+        def outcome(build):
+            try:
+                return build().edges()
+            except ValueError as error:
+                return str(error)
+
+        def edge_by_edge():
+            dynamic = DynamicGraph(n, delta)
+            for v in range(n):
+                dynamic.add_vertex(v)
+            for u, v in graph.edges:
+                dynamic.add_edge(u, v)
+            return dynamic
+
+        edges = [(u, v) for u, v in pairs if u != v and u < n and v < n]
+        graph = StaticGraph(n, edges)
+        expected = outcome(edge_by_edge)
+        assert outcome(lambda: DynamicGraph.from_static(graph, delta_bound=delta)) == expected
+        if numpy_available():  # the same build from the CSR
+            graph.csr()
+            assert outcome(lambda: DynamicGraph.from_static(graph, delta_bound=delta)) == expected
+
+    def test_dynamic_graph_keeps_nothing_for_absent_ids(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            dynamic = DynamicGraph(200_000, 8)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert dynamic.n == 0
+        assert retained < 1 << 20
+
     def test_dynamic_from_static_selfstab_ready(self):
         from repro.selfstab import SelfStabColoring, SelfStabEngine
         from repro.graphgen import random_regular

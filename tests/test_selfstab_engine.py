@@ -1,6 +1,10 @@
 """Tests for the self-stabilizing engine and the fault adversary."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NotStabilizedError
 from repro.runtime.graph import DynamicGraph
@@ -125,6 +129,55 @@ class TestFaultCampaign:
         engine.run_to_quiescence()
         assert engine.is_legal()
 
+    @given(
+        n=st.integers(0, 9),
+        delta=st.integers(0, 4),
+        absent=st.sets(st.integers(0, 8), max_size=3),
+        pairs=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=24),
+        removals=st.integers(0, 3),
+        additions=st.integers(0, 3),
+        seed=st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_churn_edges_draws_like_the_enumeration(
+        self, n, delta, absent, pairs, removals, additions, seed
+    ):
+        # The oracle lists every present edge and every eligible pair and
+        # calls rng.choice on the list; the campaign must pick the same
+        # edges and leave the generator in the same state.
+        worlds = []
+        for _ in range(2):
+            graph = DynamicGraph(n, delta)
+            for v in range(n):
+                if v not in absent:
+                    graph.add_vertex(v)
+            for u, v in pairs:
+                if u != v and graph.is_present(u) and graph.is_present(v):
+                    if not graph.has_edge(u, v) and max(
+                        graph.degree(u), graph.degree(v)
+                    ) < delta:
+                        graph.add_edge(u, v)
+            worlds.append(_EdgeEditor(graph))
+        campaign = FaultCampaign(seed)
+        oracle_rng = random.Random(seed)
+        got = campaign.churn_edges(worlds[0], removals, additions)
+        want = _enumerated_churn(oracle_rng, worlds[1], removals, additions)
+        assert got == want
+        assert worlds[0].graph.edges() == worlds[1].graph.edges()
+        assert campaign.rng.getstate() == oracle_rng.getstate()
+
+    def test_churn_edges_without_candidates_draws_nothing(self):
+        campaign = FaultCampaign(seed=4)
+        before = campaign.rng.getstate()
+        # One vertex: no edge to remove, no pair to join.
+        assert campaign.churn_edges(_EdgeEditor(line_of(1)), 2, 2) == []
+        # Two vertices with room but already joined; a triangle at its bound.
+        triangle = line_of(3, delta_bound=2)
+        triangle.add_edge(0, 2)
+        for graph in (line_of(2), triangle):
+            assert campaign.churn_edges(_EdgeEditor(graph), 0, 2) == []
+        assert campaign.rng.getstate() == before
+
     def test_campaign_deterministic(self):
         results = []
         for _ in range(2):
@@ -134,3 +187,48 @@ class TestFaultCampaign:
                 (campaign.corrupt_random_rams(engine, 3), dict(engine.rams))
             )
         assert results[0] == results[1]
+
+
+class _EdgeEditor:
+    """The edge half of the engine's fault API, straight onto a graph."""
+
+    def __init__(self, graph):
+        self.graph = graph
+
+    def add_edge(self, u, v):
+        self.graph.add_edge(u, v)
+
+    def remove_edge(self, u, v):
+        self.graph.remove_edge(u, v)
+
+
+def _enumerated_churn(rng, engine, removals, additions):
+    """``FaultCampaign.churn_edges`` as it was written first: every present
+    edge and every eligible pair listed, then ``rng.choice``."""
+    affected = []
+    for _ in range(removals):
+        edges = engine.graph.edges()
+        if not edges:
+            break
+        u, v = rng.choice(edges)
+        engine.remove_edge(u, v)
+        affected.extend((u, v))
+    for _ in range(additions):
+        present = engine.graph.vertices()
+        if len(present) < 2:
+            break
+        candidates = [
+            (u, v)
+            for u in present
+            for v in present
+            if u < v
+            and not engine.graph.has_edge(u, v)
+            and engine.graph.degree(u) < engine.graph.delta_bound
+            and engine.graph.degree(v) < engine.graph.delta_bound
+        ]
+        if not candidates:
+            break
+        u, v = rng.choice(candidates)
+        engine.add_edge(u, v)
+        affected.extend((u, v))
+    return affected
