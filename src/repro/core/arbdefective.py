@@ -17,7 +17,8 @@ out-neighbors were already frozen when it froze, so they were counted inside
 its ``<= p`` tolerated conflicts, plus at most the input defect of
 same-original-color neighbors; bounded out-degree acyclic orientations mean
 bounded arboricity.  :func:`finalization_orientation` extracts exactly this
-orientation, which the sublinear pipelines of Theorem 6.4 consume.
+orientation, which the sublinear pipelines of Theorem 6.4 consume, and
+:func:`finalization_arcs` is its batch form over the final state columns.
 
 Internal colors are 4-tuples ``(a, b, orig, fr)``: the AG pair, the original
 color (the defective coloring's class, used for the different-original test —
@@ -29,7 +30,7 @@ from repro.linial.plan import integer_root_ceiling
 from repro.mathutil.primes import next_prime_at_least
 from repro.runtime.algorithm import LocallyIterativeColoring
 
-__all__ = ["ArbAGColoring", "finalization_orientation"]
+__all__ = ["ArbAGColoring", "finalization_arcs", "finalization_orientation"]
 
 
 class ArbAGColoring(LocallyIterativeColoring):
@@ -151,9 +152,7 @@ class ArbAGColoring(LocallyIterativeColoring):
             csr.gather(orig) != csr.owner_values(orig)
         )
         if visibility is Visibility.SET_LOCAL:
-            conflict_slots &= csr.distinct_slot_mask(
-                csr.gather(a), csr.gather(b), csr.gather(orig), csr.gather(fr)
-            )
+            conflict_slots &= csr.distinct_slot_mask(a, b, orig, fr)
         conflicts = csr.count_per_vertex(conflict_slots)
         working = fr < 0
         finalize = working & (conflicts <= self.tolerance)
@@ -221,3 +220,29 @@ def finalization_orientation(graph, internal_colors):
         else:
             out[u].append(v)
     return out
+
+
+def finalization_arcs(graph, state):
+    """Batch form of :func:`finalization_orientation`, over edge arrays.
+
+    ``state`` is a finished ArbAG run's column state ``(a, b, orig, fr)``
+    (``RunResult.final_state``); ``graph`` is the in-memory or sharded
+    graph it ran on, whose forward edges are read as arrays, shard by
+    shard (``graph.edge_arrays()``).  Returns int64 arrays ``(tails,
+    heads)``, one arc per intra-class edge: ``heads[i]`` is an out-neighbor
+    of ``tails[i]`` in :func:`finalization_orientation`'s lists.
+    """
+    from repro.runtime.backends import require_numpy
+
+    np = require_numpy()
+    _, b, _, fr = state
+    tails, heads = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for us, vs in graph.edge_arrays():
+        intra = b[us] == b[vs]
+        us, vs = us[intra], vs[intra]
+        # The head finalized first; us < vs, so the strict < hands an
+        # equal-round tie to the smaller vertex, us.
+        head_is_v = fr[vs] < fr[us]
+        tails.append(np.where(head_is_v, us, vs))
+        heads.append(np.where(head_is_v, vs, us))
+    return np.concatenate(tails), np.concatenate(heads)

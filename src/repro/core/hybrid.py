@@ -158,7 +158,8 @@ class ExactDeltaPlusOneHybrid(LocallyIterativeColoring):
     # Every rule is an existence test over the neighbor multiset, so one
     # kernel serves LOCAL and SET-LOCAL; component-wise column equality is
     # exactly tuple equality, so the engine's conflict/properness checks work
-    # unchanged.
+    # unchanged.  A final low vertex (tag LOW, b == 0) is a fixed point of
+    # the rule, so a round reads only the other vertices' CSR slots.
 
     _TAG_LOW = 0
     _TAG_HIGH = 1
@@ -179,46 +180,48 @@ class ExactDeltaPlusOneHybrid(LocallyIterativeColoring):
         return (tag, b, a)
 
     def step_batch(self, round_index, state, csr, visibility):
-        """Vectorized ``step``: one uniform hybrid round for all vertices."""
+        """Vectorized ``step``: one uniform hybrid round for the non-final vertices."""
         from repro.runtime.csr import numpy_or_none
 
         np = numpy_or_none()
         tag, b, a = state
         n, p = self.n_colors, self.p
-        nbr_tag = csr.gather(tag)
-        nbr_b = csr.gather(b)
-        nbr_a = csr.gather(a)
-        own_a = csr.owner_values(a)
-        nbr_low = nbr_tag == self._TAG_LOW
-        same_a = nbr_a == own_a
-        low_conflict = csr.any_per_vertex(nbr_low & same_a)
-        low_working = csr.any_per_vertex(nbr_low & (nbr_b == 1))
-        high_conflict = csr.any_per_vertex(
-            same_a & (~nbr_low | (nbr_b == 0))
-        )
+        rows = np.flatnonzero(~self.batch_is_final(state))
+        slots, owner = csr.subset_slots(rows)
+        nbrs = csr.indices[slots]
+        nbr_low = tag[nbrs] == self._TAG_LOW
+        nbr_b = b[nbrs]
+        row_tag, row_b, row_a = tag[rows], b[rows], a[rows]
+        same_a = a[nbrs] == row_a[owner]
 
-        low = tag == self._TAG_LOW
-        high = ~low
-        new_tag = tag.copy()
-        new_b = b.copy()
-        new_a = a.copy()
+        def any_slot(mask):
+            return np.bincount(owner[mask], minlength=rows.shape[0]) > 0
 
-        rotate = low & (b != 0) & low_conflict
-        settle = low & (b != 0) & ~low_conflict
+        low_conflict = any_slot(nbr_low & same_a)
+        low_working = any_slot(nbr_low & (nbr_b == 1))
+        high_conflict = any_slot(same_a & (~nbr_low | (nbr_b == 0)))
+
+        # A non-final low row is working (b != 0): it rotates or settles.
+        low = row_tag == self._TAG_LOW
+        new_tag, new_b, new_a = row_tag.copy(), row_b.copy(), row_a.copy()
+        rotate = low & low_conflict
         new_b[rotate] = 1
-        new_a[rotate] = (a[rotate] + 1) % n
-        new_b[settle] = 0
+        new_a[rotate] = (row_a[rotate] + 1) % n
+        new_b[low & ~low_conflict] = 0
 
-        stay = high & (high_conflict | low_working)
-        new_a[stay] = (a[stay] + b[stay]) % p
-        land = high & ~stay
+        stay = ~low & (high_conflict | low_working)
+        new_a[stay] = (row_a[stay] + row_b[stay]) % p
+        land = ~low & ~stay
         new_tag[land] = self._TAG_LOW
-        land_low = land & (a < n)
-        land_high = land & (a >= n)
-        new_b[land_low] = 0
+        land_high = land & (row_a >= n)
+        new_b[land & ~land_high] = 0
         new_b[land_high] = 1
-        new_a[land_high] = a[land_high] - n
-        return (new_tag, new_b, new_a)
+        new_a[land_high] = row_a[land_high] - n
+
+        out = (tag.copy(), b.copy(), a.copy())
+        for column, part in zip(out, (new_tag, new_b, new_a)):
+            column[rows] = part
+        return out
 
     def batch_is_final(self, state):
         """Vectorized ``is_final``: low and settled."""

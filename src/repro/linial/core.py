@@ -129,7 +129,7 @@ def linial_round_batch(stage, round_index, colors, csr, visibility, q, degree,
     gathered = csr.gather(colors)
     sel = gathered != csr.owner_values(colors)
     if tolerant:
-        sel &= csr.distinct_slot_mask(gathered)
+        sel &= csr.distinct_slot_mask(colors)
     # A proper input keeps every slot: the scan reads the view's own arrays.
     rows, nbrs = csr.rows, csr.indices
     if not bool(sel.all()):

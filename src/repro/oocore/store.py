@@ -377,13 +377,11 @@ class ShardedCSRGraph:
         lo, hi = int(indptr[v]), int(indptr[v + 1])
         return tuple(int(x) for x in self._indices_memmap()[lo:hi])
 
-    @property
-    def edges(self):
-        """Forward edges ``(u, v)`` with ``u < v``, streamed shard by shard.
+    def edge_arrays(self):
+        """Forward edges as int64 array pairs ``(us, vs)``, one per shard.
 
-        Matches ``StaticGraph.edges`` order for invariant checks; O(one
-        shard) resident at a time.  Meant for analysis at test sizes — at
-        out-of-core sizes iterate per shard instead.
+        Together they are ``StaticGraph.edges`` in order (``us < vs``);
+        O(one shard) resident at a time.
         """
         np = require_numpy("oocore")
         indptr_mm = self._indptr_memmap()
@@ -396,8 +394,18 @@ class ShardedCSRGraph:
             shard = CSRAdjacency(
                 hi - lo, indptr - start, np.array(indices_mm[start:end]) - lo
             )
-            us, vs = (shard.edge_u + lo).tolist(), (shard.edge_v + lo).tolist()
-            yield from zip(us, vs)
+            yield shard.edge_u + lo, shard.edge_v + lo
+
+    @property
+    def edges(self):
+        """Forward edges ``(u, v)`` with ``u < v``, streamed shard by shard.
+
+        Matches ``StaticGraph.edges`` order for invariant checks; O(one
+        shard) resident at a time.  Meant for analysis at test sizes — at
+        out-of-core sizes iterate :meth:`edge_arrays` instead.
+        """
+        for us, vs in self.edge_arrays():
+            yield from zip(us.tolist(), vs.tolist())
 
     @property
     def in_memory_nbytes(self):

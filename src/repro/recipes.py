@@ -26,13 +26,19 @@ machinery they run on is :mod:`repro.runtime.pipeline`).
   in EXPERIMENTS.md).
 """
 
+import functools
+
 from repro.core.ag import AdditiveGroupColoring
-from repro.core.arbdefective import ArbAGColoring, finalization_orientation
+from repro.core.arbdefective import (
+    ArbAGColoring,
+    finalization_arcs,
+    finalization_orientation,
+)
 from repro.core.hybrid import ExactDeltaPlusOneHybrid
 from repro.core.reductions import StandardColorReduction
 from repro.defective.vertex import DefectiveLinialColoring
 from repro.linial.core import LinialColoring
-from repro.runtime.backends import choose_tier, resolve_backend
+from repro.runtime.backends import choose_tier, require_numpy, resolve_backend
 from repro.runtime.pipeline import ColoringPipeline
 from repro.runtime.results import Result
 
@@ -42,6 +48,7 @@ __all__ = [
     "one_plus_eps_delta_coloring",
     "sublinear_delta_plus_one_coloring",
     "complete_arbdefective_to_proper",
+    "complete_along_arcs",
     "SublinearColoringResult",
 ]
 
@@ -219,6 +226,46 @@ def complete_arbdefective_to_proper(graph, orientation, class_of, class_palette)
     return colors, rounds
 
 
+def complete_along_arcs(tails, heads, class_of, class_palette):
+    """Batch form of :func:`complete_arbdefective_to_proper`, on columns.
+
+    The orientation is given as arcs (``repro.core.arbdefective.
+    finalization_arcs``) and ``class_of`` as an int64 array.  Each round
+    the pending vertices with no uncolored head act, and each takes the
+    smallest local color none of its heads holds (an acting-rows x
+    ``class_palette`` occupancy matrix).  Returns what the scalar form
+    returns, with the same errors.
+    """
+    np = require_numpy()
+    n = class_of.shape[0]
+    local = np.full(n, -1, dtype=np.int64)
+    pending = np.ones(n, dtype=bool)
+    rounds = 0
+    while pending.any():
+        # Arcs out of colored tails are dropped, so every tail is pending.
+        acting = pending & (
+            np.bincount(tails[local[heads] < 0], minlength=n) == 0
+        )
+        rows = np.flatnonzero(acting)
+        if not rows.shape[0]:
+            raise AssertionError("orientation is cyclic — cannot happen")
+        arcs = acting[tails]
+        taken = np.zeros((rows.shape[0], class_palette), dtype=bool)
+        taken[np.searchsorted(rows, tails[arcs]), local[heads[arcs]]] = True
+        full = taken.all(axis=1)
+        if full.any():
+            raise AssertionError(
+                "out-degree %d exceeds class palette %d"
+                % (int(taken[full.argmax()].sum()), class_palette)
+            )
+        local[rows] = taken.argmin(axis=1)
+        pending[rows] = False
+        keep = pending[tails]
+        tails, heads = tails[keep], heads[keep]
+        rounds += 1
+    return (class_of * class_palette + local).tolist(), rounds
+
+
 def _hpartition_completion(graph, class_of, num_classes):
     """Color every arbdefective class in parallel via its own H-partition.
 
@@ -291,11 +338,16 @@ def one_plus_eps_delta_coloring(
       orientation (``out-degree + 1`` colors per class, depth-bound rounds);
     * ``"hpartition"`` — the Barenboim–Elkin H-partition on each class
       subgraph (``(2+eps)*a + 1`` colors per class, ``O(log n)``-layer
-      rounds) — the [3]-style backend.
+      rounds) — the [3]-style backend; it has no out-of-core tier.
 
-    Returns a :class:`SublinearColoringResult`.
+    The batch and oocore tiers run the orientation completion on ArbAG's
+    final columns (:func:`complete_along_arcs`), the reference tier on its
+    orientation lists (:func:`complete_arbdefective_to_proper`), with equal
+    results.  Returns a :class:`SublinearColoringResult`.
     """
-    tier = choose_tier(backend, graph, oocore=True)
+    # The H-partition completion reads the graph's class subgraphs, which a
+    # sharded graph does not build: that route has no out-of-core tier.
+    tier = choose_tier(backend, graph, oocore=completion != "hpartition")
     delta = graph.max_degree
     tolerance = _resolve_k_knob(tolerance, k, delta)
     if tolerance is None:
@@ -322,17 +374,25 @@ def one_plus_eps_delta_coloring(
     )
     stage_rounds["arb-ag"] = arb_run.rounds_used
 
-    orientation = finalization_orientation(graph, arb_run.colors)
-    out_degree_bound = max((len(o) for o in orientation), default=0)
-    class_of = arb_run.int_colors
-    if completion == "orientation":
-        class_palette = out_degree_bound + 1
-        colors, completion_rounds = complete_arbdefective_to_proper(
-            graph, orientation, class_of, class_palette
+    state = arb_run.final_state
+    if state is None:
+        orientation = finalization_orientation(graph, arb_run.colors)
+        out_degree_bound = max((len(o) for o in orientation), default=0)
+        complete = functools.partial(
+            complete_arbdefective_to_proper, graph, orientation, arb_run.int_colors
         )
     else:
+        tails, heads = finalization_arcs(graph, state)
+        out_degree_bound = int(require_numpy().bincount(tails, minlength=1).max())
+        complete = functools.partial(
+            complete_along_arcs, tails, heads, arb_run.int_colors_array
+        )
+    if completion == "orientation":
+        class_palette = out_degree_bound + 1
+        colors, completion_rounds = complete(class_palette)
+    else:
         colors, completion_rounds, class_palette = _hpartition_completion(
-            graph, class_of, arb.out_palette_size
+            graph, arb_run.int_colors, arb.out_palette_size
         )
     stage_rounds["class-completion"] = completion_rounds
 

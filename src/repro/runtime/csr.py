@@ -198,27 +198,34 @@ class CSRAdjacency:
         """Per-vertex OR over the owning vertex's slots."""
         return self.count_per_vertex(slot_mask) > 0
 
-    def distinct_slot_mask(self, *slot_columns):
-        """Mask keeping one slot per distinct ``(owner, *columns)`` tuple.
+    def distinct_slot_mask(self, *columns):
+        """Mask keeping the first slot of each row per distinct neighbor color.
 
         This is the SET-LOCAL collapse: within each vertex's neighborhood,
         neighbors broadcasting identical colors become indistinguishable, so
-        multiplicity-sensitive rules (ArbAG's conflict count) must dedupe
-        before counting.  Columns are the components of the neighbor color.
+        multiplicity-sensitive rules (ArbAG's conflict count, the tolerant
+        Linial round) must dedupe before counting.  ``columns`` are the
+        components of the color, one value per row of the view.  One sort
+        over the rows ranks their color tuples; one int64 sort over the
+        slots then groups the keys ``row * n + rank of the neighbor``,
+        which stay below ``n**2``.
         """
         np = require_numpy()
-        size = self.rows.size
-        keep = np.ones(size, dtype=bool)
-        if size == 0:
-            return keep
-        order = np.lexsort(tuple(reversed(slot_columns)) + (self.rows,))
-        sorted_cols = [self.rows[order]] + [col[order] for col in slot_columns]
-        differs = np.zeros(size - 1, dtype=bool)
-        for col in sorted_cols:
-            differs |= col[1:] != col[:-1]
-        keep_sorted = np.ones(size, dtype=bool)
-        keep_sorted[1:] = differs
-        keep[order] = keep_sorted
+        order = np.lexsort(columns[::-1])
+        starts = np.zeros(order.size, dtype=bool)
+        for column in columns:
+            ranked = column[order]
+            starts[1:] |= ranked[1:] != ranked[:-1]
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.cumsum(starts)
+        key = self.rows * self.n + rank[self.indices]
+        # A stable sort keeps each key's slots in slot order: the first wins.
+        slots = np.argsort(key, kind="stable")
+        grouped = key[slots]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = grouped[1:] != grouped[:-1]
+        keep = np.zeros(key.size, dtype=bool)
+        keep[slots[first]] = True
         return keep
 
     def __repr__(self):

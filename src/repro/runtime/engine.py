@@ -68,7 +68,8 @@ class RunResult:
 
     The batch and oocore tiers build their result with :meth:`from_columns`:
     ``int_colors`` and ``colors`` are then derived on first access, so a run
-    that only hands its array on pays for no Python lists.
+    that only hands its array on pays for no Python lists, and
+    :attr:`final_state` reads the final columns themselves.
     """
 
     def __init__(self, colors, int_colors, rounds_used, metrics, history):
@@ -94,18 +95,27 @@ class RunResult:
         return result
 
     @property
+    def final_state(self):
+        """The final column state (a tuple of int64 arrays, one per internal
+        color component) of a batch or oocore run; None for a reference run.
+        Raises :class:`RuntimeError` where the oocore tier did not keep it."""
+        if self._final is None:
+            return None
+        state = self._final[1]
+        if state is None:
+            raise RuntimeError(
+                "this run did not keep its final state; "
+                "use result.int_colors_array"
+            )
+        return state
+
+    @property
     def colors(self):
         """Final internal colors, indexed by vertex (built on first access)."""
         if self._colors is None:
-            stage, state = self._final
-            if state is None:
-                raise RuntimeError(
-                    "this run did not keep its final state; "
-                    "use result.int_colors_array"
-                )
             from repro.runtime.fast_engine import scalar_colors
 
-            self._colors = scalar_colors(stage, state)
+            self._colors = scalar_colors(self._final[0], self.final_state)
         return self._colors
 
     @property

@@ -237,6 +237,13 @@ class StaticGraph:
             self._csr = _filled_csr(np, self.n, edges[:, 0], edges[:, 1])
         return self._csr
 
+    def edge_arrays(self):
+        """The sorted edges as int64 array pairs ``(us, vs)``: here one pair,
+        the CSR's ``edge_u``/``edge_v`` (a sharded graph yields one per
+        shard).  Requires NumPy, as :meth:`csr` does."""
+        csr = self.csr()
+        return [(csr.edge_u, csr.edge_v)]
+
     def has_edge(self, u, v):
         """Return True iff ``(u, v)`` is an edge."""
         if self._adjacency is None:

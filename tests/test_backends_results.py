@@ -157,6 +157,51 @@ class TestTierChoice:
                 choose_tier(backend, sharded)
 
 
+class TestHPartitionCompletionTier:
+    """The H-partition completion reads class subgraphs, which a sharded
+    graph does not build: one-plus-eps with it has no out-of-core tier, and
+    says so at its entry with the tier rule's TypeError."""
+
+    @pytest.mark.skipif(not numpy_available(), reason="sharding needs NumPy")
+    def test_oocore_job_fails_once_before_any_stage(self, monkeypatch, tmp_path):
+        from repro.api import JobSpec, run
+        from repro.oocore.engine import OocoreColoringEngine
+
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran before the tier was refused")
+
+        monkeypatch.setenv("REPRO_OOCORE_DIR", str(tmp_path))
+        monkeypatch.setattr(OocoreColoringEngine, "run", no_stage)
+        graph = {"family": "regular", "n": 300, "degree": 6, "seed": 1}
+        outcome = run(JobSpec("one-plus-eps", graph=graph, backend="oocore",
+                              params={"completion": "hpartition"}))
+        assert not outcome.ok
+        assert outcome.attempts == 1
+        assert outcome.error["kind"] == "TypeError", outcome.error
+        assert "has no out-of-core tier" in outcome.error["message"]
+
+    @pytest.mark.skipif(not numpy_available(), reason="sharding needs NumPy")
+    def test_sharded_or_oocore_graph_is_refused_under_every_backend(self, tmp_path):
+        from repro.oocore.writers import shard_static_graph
+        from repro.recipes import one_plus_eps_delta_coloring
+
+        graph = _graph()
+        sharded = shard_static_graph(graph, str(tmp_path), shards=2)
+        cases = [(graph, "oocore")] + [
+            (sharded, backend) for backend in ("auto", "batch", "oocore", "reference")
+        ]
+        for target, backend in cases:
+            with pytest.raises(TypeError, match="has no out-of-core tier"):
+                one_plus_eps_delta_coloring(
+                    target, completion="hpartition", backend=backend
+                )
+        in_memory = one_plus_eps_delta_coloring(graph, completion="hpartition")
+        reference = one_plus_eps_delta_coloring(
+            graph, completion="hpartition", backend="reference"
+        )
+        assert in_memory.to_dict() == reference.to_dict()
+
+
 class TestDeprecationShims:
     def test_make_engine_shim_is_gone(self):
         # The 2.0 removal promised by the deprecation cycle: the registry is
